@@ -247,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized property sweeps")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker hint; results are independent of it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a rule and dump/render the orbit")

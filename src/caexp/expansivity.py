@@ -81,7 +81,7 @@ def _basis_series(rule: Rule, basis_state: int, offsets, t_max: int) -> np.ndarr
     if isinstance(rule, LinearRule) and isinstance(rule.lattice, Z2Lattice) \
             and rule.m == 2:
         return bitgrid.simulate_series(rule.neighborhood, [(0, 0)], t_max,
-                                       offsets).astype(np.int64)
+                                       offsets)
     if isinstance(rule, LinearRule) and isinstance(rule.lattice, ZLattice):
         spot = Configuration(Z, rule.m, {0: basis_state}, _validated=True)
         x0, rows = dense1d.orbit_linear(rule, spot, t_max)
@@ -209,6 +209,8 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     """
     if k < 1:
         raise UsageError("difference count k must be >= 1")
+    if t_max < 0:
+        raise UsageError("step count t_max must be >= 0")
     domain = size_domain(rule.lattice, support_radius)
     nonzero = [s for s in range(1, rule.q)]
     count = math.comb(len(domain), k) * len(nonzero) ** k

@@ -26,6 +26,8 @@ from .report import Report
 
 VN_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))
 TRI_OFFSETS = ((-1, 1), (1, 1), (0, 0), (0, -1))
+# largest scale k whose 2^k-bit trace words are built (uv_words, exact_trace_null)
+_K_CAP = 12
 
 
 def _norm(z) -> int:
@@ -107,6 +109,9 @@ def uv_words(z: tuple[int, int], k: int) -> UVPair:
     """The two trace words of cell z at scale k (times [0,2^k) and [2^k,2^{k+1}))."""
     if k < 0:
         raise UsageError("scale k must be >= 0")
+    if k > _K_CAP:
+        raise ResourceLimitError(f"scale 2^{k} exceeds the cap 2^{_K_CAP}",
+                                 requested=1 << k)
     Z2.validate_site(z)
     if _norm(z) > (1 << k) - 1:
         raise UsageError(f"cell {z} outside B_{(1 << k) - 1}; raise k")
@@ -157,7 +162,7 @@ def uv_vs_simulation(k_max: int) -> Report:
     return rep
 
 
-def exact_trace_null(c: Configuration, m: int, k_cap: int = 12) -> bool:
+def exact_trace_null(c: Configuration, m: int, k_cap: int = _K_CAP) -> bool:
     """Total decision: is the radius-m trace of c under the vN rule null forever?
 
     Picks the scale k0 covering every window-shifted support cell and reduces

@@ -90,6 +90,15 @@ def test_check_kexp_usage_error():
                 "--support-radius", "2", "--window", "1", "--tmax", "4"]) == 2
 
 
+def test_check_kexp_negative_tmax_is_usage_error(capsys):
+    for rule in ("vn2", "f2"):
+        assert run(["check-kexp", "--rule", rule, "--k", "1",
+                    "--support-radius", "3", "--window", "1",
+                    "--tmax", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+
+
 def test_check_kexp_resource_error():
     assert run(["check-kexp", "--rule", "vn2", "--k", "6",
                 "--support-radius", "30", "--window", "1", "--tmax", "4"]) == 3
@@ -113,6 +122,12 @@ def test_z2_commands(tmp_path, capsys):
     assert run(["z2", "--null-check", str(cfg), "--window", "3"]) == 0
     assert "True" in capsys.readouterr().out
     assert run(["z2", "--tri-claim", "--tsim", "64", "--kmax", "6"]) == 0
+
+
+def test_z2_uv_scale_capped_up_front(capsys):
+    # refused before any word of 2^40 bits is built
+    assert run(["z2", "--uv", "z=100,0", "k=40"]) == 3
+    assert "exceeds the cap 2^12" in capsys.readouterr().err
 
 
 def test_bench_small(capsys):

@@ -245,22 +245,71 @@ def test_psi_orbit_first_steps_exact():
 
 
 def test_bitgrid_matches_sparse_on_random_mod2_rules():
+    # The dense stepper computes only a box clipped to the support's forward
+    # cone and the window's backward cone, rounded out to whole words.  Each
+    # case checks all three entry points against engine.trace/engine.iterate.
     from caexp import bitgrid
+    from caexp.z2subst import TRI_OFFSETS, VN_OFFSETS
+    ball = Z2.origin_ball(2)
+
+    def check(offsets, cells, t_max):
+        rule = LinearRule(Z2, 2, {v: 1 for v in offsets})
+        c = Configuration(Z2, 2, {s: 1 for s in cells})
+        case = (offsets, cells, t_max)
+        patterns = list(engine.trace(rule, c, 2, t_max).patterns)
+        series = bitgrid.simulate_series(offsets, cells, t_max, ball)
+        assert [tuple(int(x) for x in row) for row in series] == patterns, case
+        hit = next((t for t, p in enumerate(patterns) if any(p)), None)
+        assert bitgrid.first_nonzero_window_time(offsets, cells, t_max,
+                                                 ball) == hit, case
+        assert bitgrid.simulate_support(offsets, cells, t_max) \
+            == set(engine.iterate(rule, c, t_max).cells), case
+
+    check(VN_OFFSETS, [(0, 0), (1, 1)], 0)
+    # the triangular rule's (0,36) spot: its light cone reaches the window at
+    # t=34, yet its radius-2 trace stays null (the tri-null claim)
+    check(TRI_OFFSETS, [(0, 36)], 48)
+    # pure shifts, each way, by two words' worth of cells and without (0,0):
+    # the spot enters the window at t=2; stopped at t_max=1 it cannot reach
+    # it, the window stays outside the forward cone and the clip box is empty
+    for v, spot in (((63, 3), (128, 6)), ((-63, -3), (-128, -6))):
+        check((v,), [spot], 4)
+        check((v,), [spot], 1)
+    # support sites words apart from each other and from the window, carries
+    # across words both ways, a window hit at t=2; the backward cone's edges
+    # fall mid-word
+    check(((-63, 0), (0, 0), (40, 1), (1, -1)), [(-126, 0), (-38, -2), (150, 3)], 8)
     rng = random.Random(19)
-    for _ in range(10):
-        n_off = rng.randint(2, 5)
+    for _ in range(30):
+        span = rng.choice((2, 63))
+        n_off = rng.randint(1, 5)
         offsets = set()
         while len(offsets) < n_off:
-            offsets.add((rng.randint(-2, 2), rng.randint(-2, 2)))
-        offsets = tuple(sorted(offsets))
-        rule = LinearRule(Z2, 2, {v: 1 for v in offsets})
-        c = random_config(Z2, 2, rng, radius=3, max_cells=4)
-        t_max = 12
-        ball = Z2.origin_ball(2)
-        series = bitgrid.simulate_series(offsets, sorted(c.cells), t_max, ball)
-        tr = engine.trace(rule, c, 2, t_max)
-        assert [tuple(int(x) for x in series[t]) for t in range(t_max + 1)] \
-            == list(tr.patterns)
+            offsets.add((rng.randint(-span, span), rng.randint(-2, 2)))
+        far = rng.choice((3, 150))
+        cells = sorted({(rng.randint(-far, far), rng.randint(-4, 4))
+                        for _ in range(rng.randint(1, 4))})
+        check(tuple(sorted(offsets)), cells, rng.randint(0, 10))
+    # an unclipped grid is the whole universe: a cell pushed past its width
+    # into the last word's padding bits is gone, not parked there
+    grid = bitgrid.BitGrid(0, 69, 0, 0)
+    grid.set_sites([(69, 0)])
+    grid.step([(-1, 0)])
+    grid.step([(1, 0)])
+    assert not grid.words.any()
+    for run in (lambda: bitgrid.simulate_series(VN_OFFSETS, [(0, 0)], -1, ball),
+                lambda: bitgrid.first_nonzero_window_time(VN_OFFSETS, [(0, 0)],
+                                                          -1, ball),
+                lambda: bitgrid.simulate_support(VN_OFFSETS, [(0, 0)], -1)):
+        with pytest.raises(UsageError):
+            run()
+    # a 64-cell x offset is refused even where no step computes anything: the
+    # spot moves away from the window, so every clip box is empty
+    for run in (lambda: bitgrid.first_nonzero_window_time(((64, 0),),
+                                                          [(-1000, 0)], 3, ball),
+                lambda: grid.step([(64, 0)])):
+        with pytest.raises(UsageError):
+            run()
 
 
 def test_dense1d_matches_sparse():
