@@ -44,17 +44,33 @@ def _parse_init(text: str, rule: Rule) -> Configuration:
             body, site_text = body.split("@", 1)
             site = rule.lattice.parse_site(site_text)
         if "," in body:
-            parts = [int(x) for x in body.split(",")]
+            parts = [_int(x, "state component") for x in body.split(",")]
             alpha = rule.alphabet
             state = alpha.from_components(tuple(parts)) if hasattr(alpha, "from_components") else None
             if state is None or len(parts) != len(alpha.moduli):
                 raise UsageError(f"state {body!r} does not fit alphabet {alpha!r}")
         else:
-            state = int(body)
+            state = _int(body, "spot state")
         if not 0 < state < rule.q:
             raise UsageError(f"spot state {state} outside 1..{rule.q - 1}")
         return Configuration.spot(rule.lattice, rule.q, state, site)
     raise UsageError(f"bad --init {text!r} (use spot:..., file:..., zero)")
+
+
+def _fields(tokens, keys) -> dict[str, str]:
+    """Parse KEY=VALUE tokens that give exactly the given keys."""
+    fields = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
+    if len(fields) != len(tokens) or set(fields) != set(keys):
+        want = " ".join(f"{key}=..." for key in keys)
+        raise UsageError(f"expected {want}, got {' '.join(tokens)}")
+    return fields
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad {what} {text!r}") from None
 
 
 def _summary(fh, **fields):
@@ -201,12 +217,10 @@ def cmd_freegroup(args) -> int:
         for t, row in enumerate(prof.values):
             print(f"  t={t:3d}  " + "".join(str(v) for v in row))
     if args.witness:
-        fields = dict(tok.split("=", 1) for tok in args.witness)
-        if "z" not in fields or "sprime" not in fields:
-            raise UsageError("--witness expects z=<power><gen> sprime=<gen>")
+        fields = _fields(args.witness, ("z", "sprime"))
         ztext = fields["z"]
-        power = int(ztext[:-1]) if len(ztext) > 1 else 1
-        gen = lat.parse_site(ztext[-1])
+        power = _int(ztext[:-1], "power") if len(ztext) > 1 else 1
+        gen = lat.parse_site(ztext[-1:])
         z = tuple(gen * power)
         sprime = lat.parse_site(fields["sprime"])
         rep = fg_non2exp_witness(args.n, z, sprime, m=args.window,
@@ -223,9 +237,9 @@ def cmd_z2(args) -> int:
     t0 = time.perf_counter()
     failed = 0
     if args.uv:
-        fields = dict(tok.split("=", 1) for tok in args.uv)
+        fields = _fields(args.uv, ("z", "k"))
         z = Z2.parse_site(fields["z"])
-        k = int(fields["k"])
+        k = _int(fields["k"], "scale")
         pair = z2subst.uv_words(z, k)
         print(f"u_{k}({z[0]},{z[1]}) = {pair.u_word()}")
         print(f"v_{k}({z[0]},{z[1]}) = {pair.v_word()}")

@@ -59,5 +59,9 @@ def save(c: Configuration, path) -> None:
 
 
 def load(path) -> Configuration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read configuration file: {exc}") from None
+    return loads(text)

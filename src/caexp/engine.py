@@ -1,21 +1,31 @@
-"""Rule evaluation, iteration, traces and propagation fronts.
+"""Rule evaluation, iteration, windowed orbits, traces and propagation fronts.
 
 Sign convention, fixed package-wide: ``sigma_z(c)(x) = c(z + x)``, so a cell
 at site s seen through a neighborhood offset v contributes to the image at
 ``s - v``.  A dedicated test pins this.
 
 The sparse step below is the reference semantics for every rule and lattice.
-Dense bit-packed backends (``bitgrid`` for Z^2, local array kernels for Z)
-are used by the heavier analyses and are cross-checked against this path;
-results are bit-identical by construction.
+``window_series`` is the one place that picks a dense backend for reading an
+orbit at fixed sites: ``bitgrid`` for mod-2 linear rules on Z^2 whose x
+offsets are below 64 cells, ``dense1d`` for linear, multiplication and
+linear second-order rules on Z, and the sparse step otherwise.  A ``dense1d``
+kernel runs only when int64 arithmetic is exact for the rule:
+n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Neither dense backend
+runs where the cells it would span (the support, and on Z^2 the read sites)
+leave a gap wider than the light cone spreads plus one 64-cell word: the
+sparse step skips such gaps, a dense array would allocate them.  Every
+backend is cross-checked against the sparse step; results are bit-identical.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import bitgrid, dense1d
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
-from .lattice import Site, ZLattice
+from .lattice import Site, Z2Lattice, ZLattice
 from .rules import LinearRule, ProductRule, Rule
 
 
@@ -84,6 +94,50 @@ def iterate(rule: Rule, c: Configuration, t: int,
     return cur
 
 
+def _gaps_within(coords, reach: int) -> bool:
+    """Is no gap between neighbouring coordinates wider than reach?"""
+    xs = sorted(set(coords))
+    return all(b - a <= reach for a, b in zip(xs, xs[1:]))
+
+
+def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray:
+    """Orbit values F^t(c)(sites[i]) for t = 0..t_max, shape (t_max+1, n).
+
+    The one backend dispatch (see the module docstring); it accepts every
+    input the sparse step accepts.
+    """
+    if t_max < 0:
+        raise UsageError("step count t_max must be >= 0")
+    _check_match(rule, c)
+    lat = rule.lattice
+    reach = 2 * t_max * rule.radius + 64
+    if isinstance(rule, LinearRule) and isinstance(lat, Z2Lattice) \
+            and rule.m == 2 and all(-64 < dx < 64 for dx, _ in rule.neighborhood) \
+            and all(_gaps_within([s[i] for s in [*c.cells, *sites]], reach)
+                    for i in (0, 1)):
+        return bitgrid.simulate_series(rule.neighborhood, sorted(c.cells),
+                                       t_max, list(sites))
+    if isinstance(lat, ZLattice) and _gaps_within(c.cells, reach):
+        dense = dense1d.orbit(rule, c, t_max)
+        if dense is not None:
+            x0, rows = dense
+            cols = np.fromiter((s - x0 for s in sites), dtype=np.intp,
+                               count=len(sites))
+            # mode="clip" gathers straight into the result, no temporary
+            out = rows.take(cols, axis=1, mode="clip")
+            out[:, (cols < 0) | (cols >= rows.shape[1])] = 0
+            return out
+    # states past int64 stay Python ints
+    out = np.zeros((t_max + 1, len(sites)),
+                   dtype=np.int64 if rule.q <= 2 ** 63 else object)
+    cur = c
+    for t in range(t_max + 1):
+        if t > 0:
+            cur = step(rule, cur)
+        out[t] = cur.restrict(sites)
+    return out
+
+
 @dataclass(frozen=True)
 class TracePrefix:
     """Orbit restricted to the ball B_m(0): patterns[t][i] = F^t(c)(ball[i])."""
@@ -103,28 +157,24 @@ class TracePrefix:
         return {s: v for s, v in zip(self.ball, self.patterns[t]) if v}
 
 
-def trace(rule: Rule, c: Configuration, m: int, t_max: int,
-          max_cells: int | None = None) -> TracePrefix:
-    """First t_max+1 window patterns of the orbit, one incremental pass."""
+def trace(rule: Rule, c: Configuration, m: int, t_max: int) -> TracePrefix:
+    """First t_max+1 window patterns of the orbit."""
     if m < 0 or t_max < 0:
         raise UsageError("trace needs m >= 0 and t_max >= 0")
-    _check_match(rule, c)
     ball = tuple(rule.lattice.origin_ball(m))
-    patterns = [c.restrict(ball)]
-    cur = c
-    for done in range(t_max):
-        cur = step(rule, cur)
-        if max_cells is not None and len(cur) > max_cells:
-            raise ResourceLimitError(
-                f"support grew past {max_cells} cells at step {done + 1}",
-                last_completed=done + 1)
-        patterns.append(cur.restrict(ball))
-    return TracePrefix(m=m, ball=ball, patterns=tuple(patterns))
+    series = window_series(rule, c, ball, t_max)
+    return TracePrefix(m=m, ball=ball, patterns=tuple(map(tuple, series.tolist())))
 
 
 def traces_equal(rule: Rule, c: Configuration, d: Configuration,
                  m: int, t_max: int) -> bool:
-    """Compare two radius-m traces with early exit."""
+    """Compare two radius-m traces with early exit.
+
+    Steps the sparse engine on purpose: most pairs differ within a few steps,
+    and a full dense orbit of each pair costs far more than those steps.
+    """
+    if t_max < 0:
+        raise UsageError("step count t_max must be >= 0")
     _check_match(rule, c)
     _check_match(rule, d)
     ball = tuple(rule.lattice.origin_ball(m))
@@ -164,20 +214,17 @@ def fronts(rule: Rule, c: Configuration, d: Configuration,
     _check_match(rule, d)
     if c == d:
         raise UsageError("fronts undefined for equal configurations")
-    ls: list[int | None] = []
-    rs: list[int | None] = []
-    cc, dd = c, d
-    for t in range(t_max + 1):
-        if t > 0:
-            cc = step(rule, cc)
-            dd = step(rule, dd)
-        diffs = cc.diff_sites(dd)
-        if diffs:
-            ls.append(min(diffs))
-            rs.append(max(diffs))
-        else:
-            ls.append(None)
-            rs.append(None)
+    # both orbits over their joint light cone, which holds every difference
+    xs = list(c.cells) + list(d.cells)
+    disp = [-v for v in rule.neighborhood] + [0]
+    lo = min(xs) + t_max * min(disp)
+    sites = range(lo, max(xs) + t_max * max(disp) + 1)
+    diff = window_series(rule, c, sites, t_max) != window_series(rule, d, sites, t_max)
+    some = diff.any(axis=1)
+    first = diff.argmax(axis=1)
+    last = len(sites) - 1 - diff[:, ::-1].argmax(axis=1)
+    ls = [lo + int(i) if ok else None for i, ok in zip(first, some)]
+    rs = [lo + int(i) if ok else None for i, ok in zip(last, some)]
     return FrontSeries(l=ls, r=rs, radius=rule.radius)
 
 

@@ -18,14 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bitgrid, dense1d, engine
+from . import dense1d, engine
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
 from .lattice import Lattice, Z, Z2Lattice, ZLattice
 from .presets import psi as make_psi
 from .presets import upsilon as make_upsilon
 from .report import Report
-from .rules import LinearRule, MultRule, Rule, SecondOrderRule
+from .rules import LinearRule, MultRule, Rule
 
 
 # ---------------------------------------------------------------------------
@@ -65,46 +65,6 @@ def size_domain(lattice: Lattice, R: int) -> list:
 # ---------------------------------------------------------------------------
 # single-cell trace tables
 
-def _sparse_series(rule: Rule, c: Configuration, t_max: int, read_sites):
-    out = np.zeros((t_max + 1, len(read_sites)), dtype=np.int64)
-    cur = c
-    for t in range(t_max + 1):
-        if t > 0:
-            cur = engine.step(rule, cur)
-        for i, s in enumerate(read_sites):
-            out[t, i] = cur.get(s)
-    return out
-
-
-def _basis_series(rule: Rule, basis_state: int, offsets, t_max: int) -> np.ndarray:
-    """Encoded orbit values of spot(basis_state) at the given offsets."""
-    if isinstance(rule, LinearRule) and isinstance(rule.lattice, Z2Lattice) \
-            and rule.m == 2:
-        return bitgrid.simulate_series(rule.neighborhood, [(0, 0)], t_max,
-                                       offsets)
-    if isinstance(rule, LinearRule) and isinstance(rule.lattice, ZLattice):
-        spot = Configuration(Z, rule.m, {0: basis_state}, _validated=True)
-        x0, rows = dense1d.orbit_linear(rule, spot, t_max)
-        return _columns(rows, x0, offsets)
-    if isinstance(rule, SecondOrderRule) and isinstance(rule.inner, LinearRule) \
-            and isinstance(rule.lattice, ZLattice):
-        spot = Configuration(Z, rule.q, {0: basis_state}, _validated=True)
-        x0, a, b = dense1d.orbit_second_order(rule, spot, t_max)
-        return _columns(a * rule.inner.q + b, x0, offsets)
-    spot = Configuration(rule.lattice, rule.q, {rule.lattice.origin: basis_state},
-                         _validated=True)
-    return _sparse_series(rule, spot, t_max, offsets)
-
-
-def _columns(rows: np.ndarray, x0: int, offsets) -> np.ndarray:
-    out = np.zeros((rows.shape[0], len(offsets)), dtype=np.int64)
-    for i, y in enumerate(offsets):
-        j = y - x0
-        if 0 <= j < rows.shape[1]:
-            out[:, i] = rows[:, j]
-    return out
-
-
 class TraceTable:
     """Cached per-offset spot traces of a trace-additive rule.
 
@@ -133,7 +93,8 @@ class TraceTable:
         comp = np.zeros((ncomp, ncomp, t_max + 1, len(self.offsets)),
                         dtype=np.int64)
         for b, bs in enumerate(self._basis_states):
-            series = _basis_series(rule, bs, self.offsets, t_max)
+            spot = Configuration.spot(rule.lattice, rule.q, bs)
+            series = engine.window_series(rule, spot, self.offsets, t_max)
             if ncomp == 1:
                 comp[b, 0] = series
                 continue
@@ -186,14 +147,7 @@ class TraceTable:
 def _verify_witness(rule: Rule, cfg: Configuration, m: int, t_max: int) -> bool:
     """Re-check a candidate by simulating the actual configuration directly
     (independent of the trace-cache composition path)."""
-    if isinstance(rule, LinearRule) and isinstance(rule.lattice, Z2Lattice) \
-            and rule.m == 2:
-        window = rule.lattice.origin_ball(m)
-        hit = bitgrid.first_nonzero_window_time(
-            rule.neighborhood, sorted(cfg.cells), t_max, window)
-        return hit is None
-    tr = engine.trace(rule, cfg, m, t_max)
-    return tr.is_null()
+    return engine.trace(rule, cfg, m, t_max).is_null()
 
 
 def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
@@ -268,6 +222,8 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int, t_max: int,
     """
     if k < 1:
         raise UsageError("difference count k must be >= 1")
+    if t_max < 0:
+        raise UsageError("step count t_max must be >= 0")
     domain = size_domain(rule.lattice, R)
     W = weight_max if weight_max is not None else k
     counts = [math.comb(len(domain), s) * (rule.q - 1) ** s
@@ -347,77 +303,49 @@ def directional_fronts(rule: Rule, c: Configuration, d: Configuration,
 # ---------------------------------------------------------------------------
 # the second-order examples on Z
 
-def _psi_orbit(c: Configuration, t_max: int, pad: int = 30):
-    rule = make_psi()
-    if c.q != rule.q or not isinstance(c.lattice, ZLattice):
+def _psi_identity_failures(c: Configuration, ks, ts) -> int:
+    """Number of (k, t) pairs whose dependency identity fails for c.
+
+    The orbit spans the light cone of the latest step plus one cell and the
+    shifts read zeros past its ends, so every cell that can be nonzero is
+    compared.  Shifting by z relabels positions identically on both sides,
+    so one comparison per (k, t) holds for every z at once.
+    """
+    if c.q != 9 or not isinstance(c.lattice, ZLattice):
         raise UsageError("expected a 9-state Z configuration")
-    xs = list(c.cells) or [0]
-    x0 = min(xs) - t_max - pad
-    length = (max(xs) + t_max + pad) - x0 + 1
-    a = np.zeros((t_max + 1, length), dtype=np.int64)
-    b = np.zeros((t_max + 1, length), dtype=np.int64)
-    for s, val in c.cells.items():
-        hi, lo = divmod(val, 3)
-        a[0, s - x0] = hi
-        b[0, s - x0] = lo
-    for t in range(1, t_max + 1):
-        pb = b[t - 1]
-        a[t] = pb
-        b[t] = (np.roll(pb, -1) + np.roll(pb, 1) + a[t - 1]) % 3
-    return x0, a, b
+    top = 2 * 3 ** max(ks) + max(ts)
+    _, a, b = dense1d.orbit_second_order(make_psi(), c, top)
+    bad = 0
+    for k in ks:
+        d = 3 ** k
+        for t in ts:
+            for x in (a, b):
+                rhs = x[t].copy()
+                dense1d.add_shifted(rhs, x[d + t], d)
+                dense1d.add_shifted(rhs, x[d + t], -d)
+                if not np.array_equal(x[2 * d + t], rhs % 3):
+                    bad += 1
+                    break
+    return bad
 
 
-def psi_relation_check(c: Configuration, k: int, t: int, z: int,
-                       _orbit=None) -> bool:
+def psi_relation_check(c: Configuration, k: int, t: int) -> bool:
     """Exact dependency identity of the second-order mod-3 rule:
-    the step-(2*3^k + t) orbit shifted by z equals the componentwise sum of
-    the step-t orbit at z and the step-(3^k + t) orbits at z -+ 3^k."""
+    the step-(2*3^k + t) orbit shifted by any z equals the componentwise sum
+    of the step-t orbit at z and the step-(3^k + t) orbits at z -+ 3^k."""
     if k < 0 or t < 0:
         raise UsageError("need k >= 0 and t >= 0")
-    d = 3 ** k
-    T1 = 2 * d + t
-    if _orbit is None:
-        _orbit = _psi_orbit(c, T1, pad=d + 2)
-    x0, a, b = _orbit
-    # value of sigma_z(F^T(c)) at position x is row[T][z + x]; comparing the
-    # full extent at matching positions checks the configuration identity
-    if not isinstance(z, int):
-        raise UsageError("z must be an integer site")
-    lhs_a, lhs_b = a[T1], b[T1]
-    rhs_a = (a[t] + np.roll(a[d + t], d) + np.roll(a[d + t], -d)) % 3
-    rhs_b = (b[t] + np.roll(b[d + t], d) + np.roll(b[d + t], -d)) % 3
-    # shifting by z relabels x -> z + x identically on both sides, so the
-    # comparison covers every position once and the verdict holds for this z
-    sl = slice(d + 1, a.shape[1] - d - 1)
-    return (np.array_equal(lhs_a[sl], rhs_a[sl])
-            and np.array_equal(lhs_b[sl], rhs_b[sl]))
+    return _psi_identity_failures(c, [k], [t]) == 0
 
 
-def psi_relation_sweep(c: Configuration, k_max: int, t_max: int,
-                       zs) -> tuple[int, int]:
-    """Check the dependency identity over the whole (k, t, z) grid.
-
-    Shifting by z relabels positions identically on both sides of the
-    identity, so one full-extent comparison per (k, t) certifies it for
-    every z at once; the returned (checked, bad) counts cover the grid.
-    """
-    zs = list(zs)
-    top = 2 * 3 ** k_max + t_max
-    orbit = _psi_orbit(c, top, pad=3 ** k_max + 2)
-    x0, a, b = orbit
-    checked = bad = 0
-    for k in range(k_max + 1):
-        d = 3 ** k
-        sl = slice(3 ** k_max + 1, a.shape[1] - 3 ** k_max - 1)
-        for t in range(t_max + 1):
-            rhs_a = (a[t] + np.roll(a[d + t], d) + np.roll(a[d + t], -d)) % 3
-            rhs_b = (b[t] + np.roll(b[d + t], d) + np.roll(b[d + t], -d)) % 3
-            ok = (np.array_equal(a[2 * d + t][sl], rhs_a[sl])
-                  and np.array_equal(b[2 * d + t][sl], rhs_b[sl]))
-            checked += len(zs)
-            if not ok:
-                bad += len(zs)
-    return checked, bad
+def psi_relation_sweep(c: Configuration, k_max: int,
+                       t_max: int) -> tuple[int, int]:
+    """Check the dependency identity for every k <= k_max and t <= t_max;
+    returns the (checked, bad) counts of (k, t) comparisons."""
+    if k_max < 0 or t_max < 0:
+        raise UsageError("need k >= 0 and t >= 0")
+    ks, ts = range(k_max + 1), range(t_max + 1)
+    return len(ks) * len(ts), _psi_identity_failures(c, ks, ts)
 
 
 def psi_relation_config_check(c: Configuration, k: int, t: int, z: int) -> bool:
@@ -441,7 +369,7 @@ def psi_landmarks(a: int, b: int, M: int, k: int) -> Report:
     rep = Report(f"psi-landmarks a={a} b={b} M={M} k={k}")
     T = M * 3 ** (k + 1)
     c = Configuration(Z, 9, {0: a * 3 + b})
-    x0, arr_a, arr_b = _psi_orbit(c, T, pad=4)
+    x0, arr_a, arr_b = dense1d.orbit_second_order(make_psi(), c, T)
     pos = M * 3 ** (k + 1) - 2 * 3 ** k
     expect = (a, (2 * b) % 3)
     for sign in (1, -1):
@@ -607,9 +535,11 @@ def coprime_fronts(rule: LinearRule, t_max: int,
     if threshold is None:
         threshold = max(1, (t_max * rule.radius) // 2)
     spot = Configuration(Z, rule.m, {0: 1})
-    x0, rows = dense1d.orbit_linear(rule, spot, t_max)
     sat = Configuration(Z, rule.m, {0: p ** (e - 1)}) if e > 1 else spot
-    x0s, rows_s = dense1d.orbit_linear(rule, sat, t_max)
+    x0 = -t_max * rule.radius  # both orbits stay inside [x0, -x0]
+    sites = range(x0, -x0 + 1)
+    rows = engine.window_series(rule, spot, sites, t_max)
+    rows_s = engine.window_series(rule, sat, sites, t_max)
     ls: list[int | None] = []
     rs: list[int | None] = []
     rep = Report(f"coprime-fronts {rule.describe()} t_max={t_max}")
@@ -623,7 +553,7 @@ def coprime_fronts(rule: LinearRule, t_max: int,
             ls.append(None)
             rs.append(None)
         nz = np.nonzero(rows_s[t])[0]
-        lzero = int(nz[0]) + x0s if nz.size else None
+        lzero = int(nz[0]) + x0 if nz.size else None
         if lzero != ls[t]:
             joint_ok = False
     rep.expect("l^U of the unit spot = left front of the p^(e-1) spot", joint_ok)

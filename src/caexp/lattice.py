@@ -282,7 +282,11 @@ def _lattice_singleton(kind: str) -> Lattice:
     if kind == "z2":
         return Z2Lattice()
     if kind.startswith("free:"):
-        return FreeLattice(int(kind.split(":", 1)[1]))
+        try:
+            rank = int(kind.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"bad free-group rank in lattice kind {kind!r}") from None
+        return FreeLattice(rank)
     raise UsageError(f"unknown lattice kind: {kind!r}")
 
 

@@ -23,10 +23,9 @@ def _pgm_bytes(img: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode("ascii") + img.astype(np.uint8).tobytes()
 
 
-def _gray(state: int, q: int) -> int:
-    if q <= 1:
-        return 0
-    return (255 * state) // (q - 1)
+def _gray(states: np.ndarray, q: int) -> np.ndarray:
+    """floor(255 * state / (q - 1)) as uint8, in exact integer arithmetic."""
+    return (states.astype(object) * 255 // (q - 1)).astype(np.uint8)
 
 
 def render_strip(rule: Rule, c: Configuration, width_window: int,
@@ -34,15 +33,9 @@ def render_strip(rule: Rule, c: Configuration, width_window: int,
     """Z space-time diagram as a (t_max+1, 2*width_window+1) gray array."""
     if not isinstance(rule.lattice, ZLattice):
         raise UsageError("strip rendering needs a Z rule")
-    xs = list(range(-width_window, width_window + 1))
-    rows = []
-    cur = c
-    for t in range(t_max + 1):
-        if t > 0:
-            cur = engine.step(rule, cur)
-        rows.append([_gray(cur.get(x), rule.q) for x in xs])
-    rows.reverse()  # bottom-to-top time axis
-    return np.array(rows, dtype=np.uint8)
+    xs = range(-width_window, width_window + 1)
+    series = engine.window_series(rule, c, xs, t_max)
+    return _gray(series[::-1], rule.q)  # bottom-to-top time axis
 
 
 def render_frames(rule: Rule, c: Configuration, width_window: int,
@@ -51,17 +44,9 @@ def render_frames(rule: Rule, c: Configuration, width_window: int,
     if not isinstance(rule.lattice, Z2Lattice):
         raise UsageError("frame rendering needs a Z^2 rule")
     span = range(-width_window, width_window + 1)
-    frames = []
-    cur = c
-    for t in range(t_max + 1):
-        if t > 0:
-            cur = engine.step(rule, cur)
-        img = np.zeros((len(span), len(span)), dtype=np.uint8)
-        for i, y in enumerate(reversed(span)):
-            for j, x in enumerate(span):
-                img[i, j] = _gray(cur.get((x, y)), rule.q)
-        frames.append(img)
-    return frames
+    sites = [(x, y) for y in reversed(span) for x in span]
+    series = engine.window_series(rule, c, sites, t_max)
+    return list(_gray(series, rule.q).reshape(t_max + 1, len(span), len(span)))
 
 
 def render_spacetime(rule: Rule, c: Configuration, width_window: int,
@@ -77,7 +62,7 @@ def render_spacetime(rule: Rule, c: Configuration, width_window: int,
     if isinstance(lat, ZLattice):
         img = render_strip(rule, c, width_window, t_max)
         if fmt == "text":
-            txt = "\n".join("".join(str((v * (rule.q - 1) + 254) // 255) for v in row)
+            txt = "\n".join("".join(str((int(v) * (rule.q - 1) + 254) // 255) for v in row)
                             for row in img) + "\n"
             return _write_or_return(txt.encode(), out_dir, f"{basename}.txt", text=True)
         data = _pgm_bytes(img)

@@ -21,7 +21,6 @@ from . import bitgrid
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
 from .lattice import Z2
-from .presets import tri2, vn2
 from .report import Report
 
 VN_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))
@@ -337,6 +336,7 @@ def tri_claim_check(t_sim: int, k_max: int, spot: tuple[int, int] = (0, 36),
         raise UsageError("need t_sim >= 2 and k_max >= 0")
     rep = Report(f"tri-null spot={spot} m={m}")
     window = Z2.origin_ball(m)
+    # only the first nonzero time matters: stop there, no full series
     hit = bitgrid.first_nonzero_window_time(TRI_OFFSETS, [spot], t_sim, window)
     rep.expect(f"simulated trace null through t={t_sim}", hit is None,
                "" if hit is None else f"window first nonzero at t={hit}")
@@ -366,11 +366,3 @@ def vn_witness(k: int) -> Configuration:
     d = 1 << k
     h = 1 << (k - 1)
     return Configuration(Z2, 2, {(-d, h): 1, (d, h): 1}, _validated=True)
-
-
-def vn_rule():
-    return vn2()
-
-
-def tri_rule():
-    return tri2()

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from caexp import configio
 from caexp.cli import main
 
@@ -91,12 +93,33 @@ def test_check_kexp_usage_error():
 
 
 def test_check_kexp_negative_tmax_is_usage_error(capsys):
-    for rule in ("vn2", "f2"):
-        assert run(["check-kexp", "--rule", rule, "--k", "1",
+    # kexp_search on the two linear rules, the pair probe on the other two
+    for extra in (["vn2"], ["f2"], ["f2", "--pairs"], ["mult:3,2"]):
+        assert run(["check-kexp", "--rule", *extra, "--k", "1",
                     "--support-radius", "3", "--window", "1",
                     "--tmax", "-1"]) == 2
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["z2", "--uv", "z=1,0", "kk=3"],
+    ["z2", "--uv", "z1,0", "k=3"],
+    ["z2", "--uv", "z=1,0", "k=x"],
+    ["check-kexp", "--rule", "linear m=2 lattice=free:x coeffs=e:1", "--k", "1",
+     "--support-radius", "2", "--window", "1", "--tmax", "4"],
+    ["freegroup", "--witness", "z=xa", "sprime=b"],
+    ["freegroup", "--witness", "z=", "sprime=b"],
+    ["z2", "--null-check", "{tmp}/missing.cfg"],
+    ["simulate", "--rule", "f2", "--init", "file:{tmp}/missing.cfg",
+     "--out", "{tmp}"],
+    ["simulate", "--rule", "f2", "--init", "spot:x", "--out", "{tmp}"],
+    ["simulate", "--rule", "psi", "--init", "spot:1,x", "--out", "{tmp}"],
+], ids=" ".join)
+def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
+    assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
 
 
 def test_check_kexp_resource_error():

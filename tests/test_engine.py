@@ -217,6 +217,15 @@ def test_render_deterministic(tmp_path):
     assert isinstance(one, bytes) and one == two
 
 
+def test_render_text_digits_are_states():
+    rule = presets.psi()
+    c = spot(Z, 9, 3)
+    rows = render.render_spacetime(rule, c, 12, 10, fmt="text").splitlines()
+    orbit = _sparse_orbit(rule, c, 10)
+    assert rows[::-1] == ["".join(str(cur.get(x)) for x in range(-12, 13))
+                          for cur in orbit]
+
+
 def test_render_free_group_rejected():
     lam = presets.lambda_rule(2)
     c = Configuration.spot(lam.lattice, 2, 1)
@@ -247,7 +256,7 @@ def test_psi_orbit_first_steps_exact():
 def test_bitgrid_matches_sparse_on_random_mod2_rules():
     # The dense stepper computes only a box clipped to the support's forward
     # cone and the window's backward cone, rounded out to whole words.  Each
-    # case checks all three entry points against engine.trace/engine.iterate.
+    # case checks all three entry points against the sparse engine.step orbit.
     from caexp import bitgrid
     from caexp.z2subst import TRI_OFFSETS, VN_OFFSETS
     ball = Z2.origin_ball(2)
@@ -256,14 +265,15 @@ def test_bitgrid_matches_sparse_on_random_mod2_rules():
         rule = LinearRule(Z2, 2, {v: 1 for v in offsets})
         c = Configuration(Z2, 2, {s: 1 for s in cells})
         case = (offsets, cells, t_max)
-        patterns = list(engine.trace(rule, c, 2, t_max).patterns)
+        orbit = _sparse_orbit(rule, c, t_max)
+        patterns = [cur.restrict(ball) for cur in orbit]
         series = bitgrid.simulate_series(offsets, cells, t_max, ball)
         assert [tuple(int(x) for x in row) for row in series] == patterns, case
         hit = next((t for t, p in enumerate(patterns) if any(p)), None)
         assert bitgrid.first_nonzero_window_time(offsets, cells, t_max,
                                                  ball) == hit, case
         assert bitgrid.simulate_support(offsets, cells, t_max) \
-            == set(engine.iterate(rule, c, t_max).cells), case
+            == set(orbit[-1].cells), case
 
     check(VN_OFFSETS, [(0, 0), (1, 1)], 0)
     # the triangular rule's (0,36) spot: its light cone reaches the window at
@@ -312,27 +322,73 @@ def test_bitgrid_matches_sparse_on_random_mod2_rules():
             run()
 
 
-def test_dense1d_matches_sparse():
-    from caexp import dense1d
-    rng = random.Random(20)
-    rule = LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4})
-    for _ in range(10):
-        c = random_config(Z, 5, rng, radius=4, max_cells=4)
-        x0, rows = dense1d.orbit_linear(rule, c, 8)
-        cur = c
-        for t in range(9):
-            if t > 0:
-                cur = engine.step(rule, cur)
-            assert dense1d.row_to_config(rule, x0, rows[t]) == cur
-    so = presets.upsilon()
-    for _ in range(10):
-        c = random_config(Z, 4, rng, radius=4, max_cells=4)
-        x0, a, b = dense1d.orbit_second_order(so, c, 8)
-        cur = c
-        for t in range(9):
-            if t > 0:
-                cur = engine.step(so, cur)
-            assert dense1d.pair_rows_to_config(so, x0, a[t], b[t]) == cur
+def _sparse_orbit(rule, c, t_max):
+    """[c, F(c), ..., F^t_max(c)] by the sparse reference step."""
+    orbit = [c]
+    for _ in range(t_max):
+        orbit.append(engine.step(rule, orbit[-1]))
+    return orbit
+
+
+def _window_series_cases():
+    from caexp.rules import ProductRule, SecondOrderInverseRule
+    big = 2 ** 40 + 15  # int64 products of states and coefficients overflow
+    return {
+        "f2": presets.f2(), "f3": presets.f3(), "psi": presets.psi(),
+        "upsilon": presets.upsilon(), "vn2": presets.vn2(),
+        "tri2": presets.tri2(), "mult:3,2": presets.mult(3, 2),
+        "mult:2,4": presets.mult(2, 4), "layered:2": presets.layered(2),
+        "lambda:2": presets.lambda_rule(2),
+        "mod5": LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}),
+        # inputs no dense kernel covers
+        "product": ProductRule(presets.f3(), presets.f2()),
+        "so-inverse": SecondOrderInverseRule(presets.psi()),
+        "z2-mod3": LinearRule(Z2, 3, {(0, 0): 1, (1, 0): 2, (0, -1): 1}),
+        "z2-dx64": LinearRule(Z2, 2, {(0, 0): 1, (64, 0): 1, (-1, 1): 1}),
+        "big-m": LinearRule(Z, big, {-1: big - 1, 0: 12345678901, 2: 3}),
+        "huge-m": LinearRule(Z, 2 ** 64 + 13, {-1: 3, 1: 2 ** 64}),  # past int64
+    }
+
+
+@pytest.mark.parametrize("name", list(_window_series_cases()))
+def test_window_series_and_fronts_match_sparse(name):
+    # every fast path behind window_series is bit-identical to stepping the
+    # sparse engine, and so are the fronts read through it
+    rule = _window_series_cases()[name]
+    lat = rule.lattice
+    far = {"z": [-40, 40], "z2": [(70, -1), (-3, 40)]}.get(lat.kind, [])
+    sites = lat.origin_ball(3) + far
+    # free-group balls grow exponentially, so that orbit stays short
+    radius, t_max = (4, 12) if far else (2, 4)
+    # large states, so that big-m's int64 products would overflow
+    states = [1, rule.q // 3, rule.q - 1]
+    rng = random.Random(21)
+    for _ in range(6):
+        c = random_config(lat, rule.q, rng, radius=radius, max_cells=4,
+                          states=states)
+        orbit = _sparse_orbit(rule, c, t_max)
+        want = [[cur.get(s) for s in sites] for cur in orbit]
+        assert engine.window_series(rule, c, sites, t_max).tolist() == want
+        if lat != Z:
+            continue
+        d = random_config(Z, rule.q, rng, radius=4, max_cells=4, states=states)
+        if c == d:
+            continue
+        diffs = [cur.diff_sites(other) for cur, other
+                 in zip(orbit, _sparse_orbit(rule, d, t_max))]
+        fr = engine.fronts(rule, c, d, t_max)
+        assert fr.l == [min(x) if x else None for x in diffs]
+        assert fr.r == [max(x) if x else None for x in diffs]
+
+
+def test_window_series_steps_far_apart_cells_sparsely():
+    # a dense array over a span of 10^12 cells could not even be allocated
+    for rule, far in ((presets.f3(), 10 ** 12), (presets.vn2(), (10 ** 12, 0))):
+        lat = rule.lattice
+        c = Configuration(lat, rule.q, {lat.origin: 1, far: 1})
+        sites = lat.origin_ball(2)
+        want = [[cur.get(s) for s in sites] for cur in _sparse_orbit(rule, c, 6)]
+        assert engine.window_series(rule, c, sites, 6).tolist() == want
 
 
 def test_lr_permutivity():

@@ -127,19 +127,18 @@ def test_psi_relation_k0():
     rng = random.Random(4)
     for _ in range(50):
         c = random_config(Z, 9, rng, radius=6, max_cells=5)
-        assert psi_relation_check(c, 0, 0, 0)
+        assert psi_relation_check(c, 0, 0)
 
 
 def test_psi_relation_spots_k2():
     for state in range(1, 9):
         c = Configuration(Z, 9, {0: state})
         for t in (0, 5, 10):
-            for z in (-20, 0, 20):
-                assert psi_relation_check(c, 2, t, z)
+            assert psi_relation_check(c, 2, t)
 
 
 def test_psi_relation_zero_config():
-    assert psi_relation_check(Configuration.zero(Z, 9), 1, 3, 2)
+    assert psi_relation_check(Configuration.zero(Z, 9), 1, 3)
 
 
 def test_psi_relation_paths_agree():
@@ -147,7 +146,7 @@ def test_psi_relation_paths_agree():
     for _ in range(5):
         c = random_config(Z, 9, rng, radius=4, max_cells=3)
         for (k, t, z) in [(0, 2, 1), (1, 4, -3)]:
-            assert psi_relation_check(c, k, t, z) == \
+            assert psi_relation_check(c, k, t) == \
                 psi_relation_config_check(c, k, t, z)
 
 
@@ -198,12 +197,14 @@ def test_mult_front_checks_quick():
 
 
 def test_coprime_fronts_unit_endpoints():
-    rule = LinearRule(Z, 4, {-1: 1, 1: 1})
-    cf = coprime_fronts(rule, 12)
-    assert isinstance(cf, CoprimeFronts)
-    assert cf.l == [-t for t in range(13)]
-    assert cf.r == list(range(13))
-    assert cf.report.ok
+    # 3^25 squared is past int64: that orbit must not wrap
+    for rule in (LinearRule(Z, 4, {-1: 1, 1: 1}),
+                 LinearRule(Z, 3 ** 25, {-1: 3 ** 25 - 2, 1: 5})):
+        cf = coprime_fronts(rule, 12)
+        assert isinstance(cf, CoprimeFronts)
+        assert cf.l == [-t for t in range(13)]
+        assert cf.r == list(range(13))
+        assert cf.report.ok
 
 
 def test_coprime_fronts_doubling_rule_dies():
@@ -246,11 +247,11 @@ def test_psi_relation_sweep_matches_single_checks():
     rng = random.Random(14)
     for _ in range(3):
         c = random_config(Z, 9, rng, radius=5, max_cells=4)
-        checked, bad = psi_relation_sweep(c, 2, 4, [-7, 0, 7])
-        assert checked == 3 * 5 * 3 and bad == 0
+        checked, bad = psi_relation_sweep(c, 2, 4)
+        assert checked == 3 * 5 and bad == 0
         for k in range(3):
             for t in range(5):
-                assert psi_relation_check(c, k, t, 0)
+                assert psi_relation_check(c, k, t)
 
 
 def test_kexp_on_second_order_rule_finds_glider():
