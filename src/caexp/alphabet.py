@@ -12,10 +12,6 @@ from .errors import UsageError
 class Alphabet:
     size: int
 
-    @property
-    def zero(self) -> int:
-        return 0
-
     def add(self, s: int, t: int) -> int:
         raise NotImplementedError
 
@@ -32,12 +28,6 @@ class Alphabet:
 
     def from_components(self, comps) -> int:
         raise NotImplementedError
-
-    def format(self, s: int) -> str:
-        return str(s)
-
-    def states(self) -> range:
-        return range(self.size)
 
     def __eq__(self, other):
         return type(self) is type(other) and self.__dict__ == other.__dict__
@@ -59,9 +49,6 @@ class Cyclic(Alphabet):
 
     def neg(self, s):
         return (-s) % self.size
-
-    def scale(self, a: int, s: int) -> int:
-        return (a * s) % self.size
 
     @property
     def moduli(self):
@@ -103,11 +90,6 @@ class Pair(Alphabet):
         a, b = divmod(s, q)
         return ((-a) % q) * q + (-b) % q
 
-    def scale(self, a: int, s: int) -> int:
-        q = self.q
-        x, y = divmod(s, q)
-        return ((a * x) % q) * q + (a * y) % q
-
     @property
     def moduli(self):
         return (self.q, self.q)
@@ -117,10 +99,6 @@ class Pair(Alphabet):
 
     def from_components(self, comps):
         return (comps[0] % self.q) * self.q + comps[1] % self.q
-
-    def format(self, s):
-        a, b = self.decode(s)
-        return f"({a},{b})"
 
     def __repr__(self):
         return f"(Z_{self.q})^2"
@@ -141,10 +119,6 @@ class Bits(Alphabet):
     def neg(self, s):
         return s
 
-    def bit(self, s: int, layer: int) -> int:
-        """Layer values are 1-based to match the layered-rule convention."""
-        return (s >> (layer - 1)) & 1
-
     @property
     def moduli(self):
         return (2,) * self.layers
@@ -157,9 +131,6 @@ class Bits(Alphabet):
         for i, c in enumerate(comps):
             out |= (c & 1) << i
         return out
-
-    def format(self, s):
-        return "".join(str(self.bit(s, i)) for i in range(1, self.layers + 1))
 
     def __repr__(self):
         return f"(Z_2)^{self.layers}"
@@ -200,10 +171,6 @@ class Product(Alphabet):
         na = len(self.a.moduli)
         return self.encode(self.a.from_components(comps[:na]),
                            self.b.from_components(comps[na:]))
-
-    def format(self, s):
-        sa, sb = self.decode(s)
-        return f"({self.a.format(sa)},{self.b.format(sb)})"
 
     def __repr__(self):
         return f"{self.a!r}x{self.b!r}"

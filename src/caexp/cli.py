@@ -165,6 +165,12 @@ def cmd_bench(args) -> int:
 def cmd_check_kexp(args) -> int:
     t0 = time.perf_counter()
     rule = presets.parse_rule(args.rule)
+    alpha = None
+    if args.alpha is not None:
+        try:
+            alpha = Fraction(args.alpha)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"bad --alpha {args.alpha!r} (use p/q)") from None
     print(f"command: check-kexp --rule {args.rule} --k {args.k} "
           f"--support-radius {args.support_radius} --window {args.window} "
           f"--tmax {args.tmax}")
@@ -172,13 +178,9 @@ def cmd_check_kexp(args) -> int:
         verdict = pair_preexp_probe(rule, k=args.k, R=args.support_radius,
                                     m=args.window, t_max=args.tmax)
     else:
-        certify = None
-        if rule.describe() == presets.vn2().describe():
-            certify = z2subst.exact_trace_null
         verdict = kexp_search(rule, k=args.k,
                               support_radius=args.support_radius,
-                              window=args.window, t_max=args.tmax,
-                              certify=certify)
+                              window=args.window, t_max=args.tmax)
     print(f"verdict: {verdict}")
     artifacts = 0
     witness = verdict.witness or (verdict.pair[1] if verdict.pair else None)
@@ -188,8 +190,7 @@ def cmd_check_kexp(args) -> int:
         configio.save(witness, path)
         print(f"artifact: {path}")
         artifacts = 1
-    if args.alpha is not None and verdict.found and rule.lattice.kind == "z":
-        alpha = Fraction(args.alpha)
+    if alpha is not None and verdict.found and rule.lattice.kind == "z":
         zero = Configuration.zero(rule.lattice, rule.q)
         d = directional_fronts(rule, witness, zero, alpha, args.tmax)
         print(f"directional alpha={alpha}: escapes_below={d.escapes_below} "
@@ -248,7 +249,7 @@ def cmd_z2(args) -> int:
         result = z2subst.exact_trace_null(c, args.window)
         print(f"exact null trace at window {args.window}: {result}")
     if args.tri_claim:
-        rep = z2subst.tri_claim_check(t_sim=args.tsim, k_max=args.kmax)
+        rep = z2subst.tri_claim_check(t_sim=args.tsim)
         print(rep)
         failed += 0 if rep.ok else 1
     _summary(sys.stdout, status="ok" if failed == 0 else "fail", failed=failed,
@@ -309,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=1)
     p.add_argument("--tri-claim", action="store_true")
     p.add_argument("--tsim", type=int, default=2048)
-    p.add_argument("--kmax", type=int, default=12)
     p.set_defaults(fn=cmd_z2)
     return ap
 

@@ -153,9 +153,6 @@ class TracePrefix:
     def is_null(self) -> bool:
         return all(not any(p) for p in self.patterns)
 
-    def pattern_map(self, t: int) -> dict[Site, int]:
-        return {s: v for s, v in zip(self.ball, self.patterns[t]) if v}
-
 
 def trace(rule: Rule, c: Configuration, m: int, t_max: int) -> TracePrefix:
     """First t_max+1 window patterns of the orbit."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dense1d, engine
+from . import dense1d, engine, linearca
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
 from .lattice import Lattice, Z, Z2Lattice, ZLattice
@@ -65,6 +65,13 @@ def size_domain(lattice: Lattice, R: int) -> list:
 # ---------------------------------------------------------------------------
 # single-cell trace tables
 
+def _pack_columns(bits: np.ndarray) -> list[int]:
+    """Each column of a 0/1 (t, n) array as an int, bit t = bits[t, i]."""
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little")
+            for col in np.ascontiguousarray(packed.T)]
+
+
 class TraceTable:
     """Cached per-offset spot traces of a trace-additive rule.
 
@@ -89,31 +96,17 @@ class TraceTable:
             unit = [0] * ncomp
             unit[i] = 1
             self._basis_states.append(rule.alphabet.from_components(unit))
-        # component series per basis: comp[b, ci, t, offset]
-        comp = np.zeros((ncomp, ncomp, t_max + 1, len(self.offsets)),
-                        dtype=np.int64)
-        for b, bs in enumerate(self._basis_states):
+        per_basis = []
+        for bs in self._basis_states:
             spot = Configuration.spot(rule.lattice, rule.q, bs)
             series = engine.window_series(rule, spot, self.offsets, t_max)
-            if ncomp == 1:
-                comp[b, 0] = series
-                continue
-            for t, i in zip(*np.nonzero(series)):
-                for ci, cval in enumerate(self.alphabet.components(int(series[t, i]))):
-                    comp[b, ci, t, i] = cval
+            comps = self.alphabet.components(series)  # elementwise on arrays
+            per_basis.append([_pack_columns(cs) for cs in comps]
+                             if self.bit_lane else comps)
         if self.bit_lane:
-            # pack each component column into an int, bit t = value at time t
-            self._bits = [[[0] * len(self.offsets) for _ in range(ncomp)]
-                          for _ in range(ncomp)]
-            for b in range(ncomp):
-                for ci in range(ncomp):
-                    for i in range(len(self.offsets)):
-                        word = 0
-                        for t in np.nonzero(comp[b, ci, :, i])[0]:
-                            word |= 1 << int(t)
-                        self._bits[b][ci][i] = word
+            self._bits = per_basis  # [b][ci][offset], bit t = value at time t
         else:
-            self._comp = comp
+            self._comp = np.array(per_basis, dtype=np.int64)  # [b, ci, t, offset]
 
     def null_at_window_cell(self, support_items, w) -> bool:
         """Is the summed trace at window cell w identically zero through t_max?"""
@@ -151,15 +144,15 @@ def _verify_witness(rule: Rule, cfg: Configuration, m: int, t_max: int) -> bool:
 
 
 def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
-                t_max: int, max_candidates: int = 5_000_000,
-                certify=None) -> ExpansivityVerdict:
+                t_max: int, max_candidates: int = 5_000_000) -> ExpansivityVerdict:
     """Hunt for a k-cell configuration whose radius-``window`` trace is null
     through t_max.
 
     Enumerates the k-subsets of the size-``support_radius`` domain (each once,
     sites in sorted order) with all nonzero value assignments, summing cached
-    single-cell traces.  A found witness is re-verified by direct simulation;
-    ``certify`` may upgrade it to an exact (all-time) certificate.
+    single-cell traces.  A found witness is re-verified by direct simulation
+    and certified for all time where ``linearca.null_trace_forever`` decides
+    the rule within its budget.
     """
     if k < 1:
         raise UsageError("difference count k must be >= 1")
@@ -187,7 +180,12 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
                 if not _verify_witness(rule, cfg, window, t_max):
                     raise RuntimeError(
                         f"trace cache and direct simulation disagree on {cfg!r}")
-                certified = bool(certify(cfg, window)) if certify else False
+                certified = False
+                if linearca.null_trace_decidable(rule):
+                    try:
+                        certified = linearca.null_trace_forever(rule, cfg, window)
+                    except ResourceLimitError:
+                        pass  # the bounded verdict stands, uncertified
                 return ExpansivityVerdict(found=True, bounds=bounds, witness=cfg,
                                           null_through=t_max,
                                           certified_exact=certified,
@@ -210,22 +208,20 @@ def _configs_of_size(lattice, q, domain, size):
 
 
 def pair_preexp_probe(rule: Rule, k: int, R: int, m: int, t_max: int,
-                      weight_max: int | None = None,
                       max_pairs: int = 2_000_000) -> ExpansivityVerdict:
     """Search unordered pairs c !=_k d (supports of size-<=R sites) for a
     radius-m trace collision through t_max.
 
     Pairs are enumerated by combined support weight |supp c| + |supp d| up to
-    ``weight_max`` (default k, the least weight a k-difference pair can
-    have); the search-space size is counted up front and refused when it
-    exceeds the pair budget.
+    k, the least weight a k-difference pair can have; the search-space size
+    is counted up front and refused when it exceeds the pair budget.
     """
     if k < 1:
         raise UsageError("difference count k must be >= 1")
     if t_max < 0:
         raise UsageError("step count t_max must be >= 0")
     domain = size_domain(rule.lattice, R)
-    W = weight_max if weight_max is not None else k
+    W = k
     counts = [math.comb(len(domain), s) * (rule.q - 1) ** s
               for s in range(W + 1)]
     total_pairs = 0
@@ -521,19 +517,16 @@ class CoprimeFronts:
     report: Report
 
 
-def coprime_fronts(rule: LinearRule, t_max: int,
-                   threshold: int | None = None) -> CoprimeFronts:
+def coprime_fronts(rule: LinearRule, t_max: int) -> CoprimeFronts:
     """Leftmost/rightmost cells of the spot orbit whose value is a unit mod p,
     plus the joint check against the ordinary fronts of the c^{p^(e-1)} orbit."""
-    from .linearca import factorize
     if not isinstance(rule.lattice, ZLattice):
         raise UsageError("coprime fronts are a Z analysis")
-    fac = factorize(rule.m)
+    fac = linearca.factorize(rule.m)
     if len(fac) != 1:
         raise UsageError("modulus must be a prime power; crt_decompose first")
     p, e = fac[0]
-    if threshold is None:
-        threshold = max(1, (t_max * rule.radius) // 2)
+    threshold = max(1, (t_max * rule.radius) // 2)
     spot = Configuration(Z, rule.m, {0: 1})
     sat = Configuration(Z, rule.m, {0: p ** (e - 1)}) if e > 1 else spot
     x0 = -t_max * rule.radius  # both orbits stay inside [x0, -x0]

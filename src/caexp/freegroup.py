@@ -139,8 +139,7 @@ def _sim_depth(L: int, t_max: int) -> int:
     return max(L, (t_max + L) // 2)
 
 
-def layer_profile(n: int, L: int, t_max: int,
-                  max_nodes: int = 4_000_000) -> LayerProfile:
+def layer_profile(n: int, L: int, t_max: int) -> LayerProfile:
     """Simulate the spot orbit on a ball, verify cell-by-cell that values at
     equal norms agree, and compress to the per-layer profile.
 
@@ -150,7 +149,7 @@ def layer_profile(n: int, L: int, t_max: int,
     if L < 0 or t_max < 0:
         raise UsageError("need L >= 0 and t_max >= 0")
     depth = _sim_depth(L, t_max)
-    tree = BallTree(n, depth, max_nodes=max_nodes)
+    tree = BallTree(n, depth)
     dp = walk_parity_table(n, L, t_max)
     values = np.zeros(tree.total, dtype=np.uint8)
     values[0] = 1
@@ -185,7 +184,7 @@ def _single_generator_power(lat: FreeLattice, z) -> tuple[int, int]:
 
 
 def fg_non2exp_witness(n: int, z, sprime, m: int | None = None,
-                       t_max: int = 64, cross_check_t: int = 8) -> Report:
+                       t_max: int = 64) -> Report:
     """Two equidistant spots hanging off the tip of z share their radius-m
     trace, so the rule is not 2-expansive for n >= 2."""
     if n < 2:
@@ -215,12 +214,13 @@ def fg_non2exp_witness(n: int, z, sprime, m: int | None = None,
     equal = all(np.array_equal(table[:, a], table[:, b]) for a, b in zip(dx, dy))
     rep.expect(f"traces equal through t={t_max}", equal)
     # cross-check the projected values against the sparse engine at small t
+    cross_t = min(8, t_max)
     rule = lambda_rule(n)
     cx = Configuration(lat, 2, {x: 1})
     cy = Configuration(lat, 2, {y: 1})
     ok = True
     cur_x, cur_y = cx, cy
-    for t in range(cross_check_t + 1):
+    for t in range(cross_t + 1):
         if t > 0:
             cur_x = engine.step(rule, cur_x)
             cur_y = engine.step(rule, cur_y)
@@ -230,12 +230,12 @@ def fg_non2exp_witness(n: int, z, sprime, m: int | None = None,
         for w, d in zip(window, dy):
             if cur_y.get(w) != int(table[t, d]):
                 ok = False
-    rep.expect(f"projection matches sparse engine through t={cross_check_t}", ok)
+    rep.expect(f"projection matches sparse engine through t={cross_t}", ok)
     return rep
 
 
-def fg_oddk_check(n: int, k: int, R: int, t_max: int | None = None,
-                  sample_cap: int = 5000, seed: int = 0) -> Report:
+def fg_oddk_check(n: int, k: int, R: int, sample_cap: int = 5000,
+                  seed: int = 0) -> Report:
     """Every k-cell sum of spots (k odd) shows at the origin at the first
     layer with odd occupancy."""
     if k < 1 or k % 2 == 0:
@@ -245,8 +245,6 @@ def fg_oddk_check(n: int, k: int, R: int, t_max: int | None = None,
     lat = free(n)
     rule = lambda_rule(n)
     ball = lat.origin_ball(R)
-    if t_max is not None and t_max < R:
-        raise UsageError("t_max must cover the ball radius")
     import itertools
     import math
     import random

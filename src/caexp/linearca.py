@@ -4,16 +4,20 @@ In prime characteristic p the p^k-th power of a linear rule is the same rule
 with its neighborhood scaled by p^k; ``fast_iterate`` composes those spread
 rules along the base-p digits of t, so the cost scales with the digit count
 rather than t for sparse configurations.  Composite moduli are handled by
-Chinese-remainder decomposition instead.
+Chinese-remainder decomposition instead.  The same fact decides null traces
+for all time (``null_trace_forever``), the one exact oracle of the package.
 """
 from __future__ import annotations
 
 from . import engine
 from .config import Configuration
-from .errors import UsageError
-from .lattice import Site
+from .errors import ResourceLimitError, UsageError
+from .lattice import Site, Z2Lattice, ZLattice
 from .rules import (LayeredFlipRule, LinearRule, Rule, SecondOrderInverseRule,
                     SecondOrderRule)
+
+# cells null_trace_forever may read; every state holds one, so states too
+_CELL_CAP = 1_000_000
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -83,6 +87,74 @@ def fast_iterate(rule: LinearRule, c: Configuration, t: int) -> Configuration:
     return cur
 
 
+def null_trace_decidable(rule: Rule) -> bool:
+    """Does null_trace_forever cover the rule: linear, prime m, Z or Z^2?"""
+    return (isinstance(rule, LinearRule)
+            and isinstance(rule.lattice, (ZLattice, Z2Lattice))
+            and is_prime(rule.m))
+
+
+def _coset(s: Site, p: int) -> tuple[Site, Site]:
+    """(y, r) with s = p*y + r and every coordinate of r in [0, p)."""
+    if isinstance(s, int):
+        return divmod(s, p)
+    (y0, r0), (y1, r1) = divmod(s[0], p), divmod(s[1], p)
+    return (y0, y1), (r0, r1)
+
+
+def null_trace_forever(rule: LinearRule, c: Configuration, m: int) -> bool:
+    """Exact decision: is the radius-m trace of c null at every t >= 0?
+
+    Decimation (Allouche, von Haeseler, Peitgen and Skordev, Discrete Appl.
+    Math. 66, 1996): over F_p, F^(j + p*t)(e)(p*y + r) = F^t(e_jr)(y) with
+    e_jr(y) = F^j(e)(p*y + r).  So the state (e, W), "F^t(e) vanishes on W
+    for all t", splits into the states (e_jr, {y : p*y + r in W}), j < p.
+    Supports and windows shrink towards the neighbourhood, so finitely many
+    states are reachable; by induction on t the trace is null iff none of
+    them is nonzero on its own window.
+    """
+    if not null_trace_decidable(rule):
+        raise UsageError("exact null-trace decision needs a linear rule with "
+                         "prime modulus on Z or Z^2")
+    if m < 0:
+        raise UsageError("window radius must be >= 0")
+    engine._check_match(rule, c)
+    p = rule.m
+    start = (c, frozenset(rule.lattice.origin_ball(m)))
+    seen = {start}
+    todo = [start]
+    cells_read = 0
+    while todo:
+        e, window = todo.pop()
+        if any(s in window for s in e.cells):
+            return False
+        windows: dict[Site, set] = {}
+        for w in window:
+            y, r = _coset(w, p)
+            windows.setdefault(r, set()).add(y)
+        for j in range(p):
+            if j:
+                e = engine._step_linear(rule, e)
+            if e.is_zero():
+                break
+            cells_read += len(e)
+            if cells_read > _CELL_CAP:
+                raise ResourceLimitError(
+                    f"null-trace decision read more than {_CELL_CAP} cells")
+            cosets: dict[Site, dict] = {}
+            for s, v in e.cells.items():
+                y, r = _coset(s, p)
+                if r in windows:
+                    cosets.setdefault(r, {})[y] = v
+            for r, cells in cosets.items():
+                state = (Configuration(rule.lattice, p, cells, _validated=True),
+                         frozenset(windows[r]))
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
+    return True
+
+
 def crt_decompose(rule: LinearRule) -> list[LinearRule]:
     """One linear rule per prime power of m, coefficients reduced mod p^e."""
     parts = []
@@ -122,11 +194,6 @@ def amplify(rule: LinearRule, c: Configuration, m_target: int) -> Configuration:
     factor = p ** k
     cells = {_scale_site(rule.lattice, s, factor): v for s, v in c.cells.items()}
     return Configuration(c.lattice, c.q, cells, _validated=True)
-
-
-def second_order(rule: Rule) -> SecondOrderRule:
-    """Reversible second-order wrapper (c, d) -> (d, F(d) (+) c)."""
-    return SecondOrderRule(rule)
 
 
 def second_order_inverse(rule: SecondOrderRule) -> SecondOrderInverseRule:

@@ -51,8 +51,7 @@ def render_frames(rule: Rule, c: Configuration, width_window: int,
 
 def render_spacetime(rule: Rule, c: Configuration, width_window: int,
                      t_max: int, fmt: str = "pgm",
-                     out_dir: str | None = None,
-                     basename: str = "spacetime") -> list[str] | bytes | str:
+                     out_dir: str | None = None) -> list[str] | bytes | str:
     """Render to PGM bytes/files or a text dump.
 
     With ``out_dir`` set, files are written and their paths returned;
@@ -64,9 +63,9 @@ def render_spacetime(rule: Rule, c: Configuration, width_window: int,
         if fmt == "text":
             txt = "\n".join("".join(str((int(v) * (rule.q - 1) + 254) // 255) for v in row)
                             for row in img) + "\n"
-            return _write_or_return(txt.encode(), out_dir, f"{basename}.txt", text=True)
+            return _write_or_return(txt.encode(), out_dir, "spacetime.txt", text=True)
         data = _pgm_bytes(img)
-        return _write_or_return(data, out_dir, f"{basename}.pgm", text=False)
+        return _write_or_return(data, out_dir, "spacetime.pgm", text=False)
     if isinstance(lat, Z2Lattice):
         if fmt == "text":
             raise UsageError("text format is only available for Z strips")
@@ -75,7 +74,7 @@ def render_spacetime(rule: Rule, c: Configuration, width_window: int,
             raise UsageError("Z^2 rendering writes frame files; pass out_dir")
         paths = []
         for t, img in enumerate(frames):
-            path = os.path.join(out_dir, f"{basename}_{t:04d}.pgm")
+            path = os.path.join(out_dir, f"spacetime_{t:04d}.pgm")
             with open(path, "wb") as fh:
                 fh.write(_pgm_bytes(img))
             paths.append(path)

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from caexp import configio
 from caexp.cli import main
@@ -76,6 +81,13 @@ def test_verify_list(capsys):
     assert "tri-null" in out and "psi-relation" in out
 
 
+def test_check_kexp_certifies_tri2_witness(capsys):
+    assert run(["check-kexp", "--rule", "tri2", "--k", "1",
+                "--support-radius", "40", "--window", "2", "--tmax", "512"]) == 0
+    out = capsys.readouterr().out
+    assert "found=true" in out and "certified=true" in out
+
+
 def test_check_kexp_writes_witness(tmp_path, capsys):
     out = tmp_path / "w"
     code = run(["check-kexp", "--rule", "linear m=4 coeffs=1:2", "--k", "1",
@@ -115,6 +127,10 @@ def test_check_kexp_negative_tmax_is_usage_error(capsys):
      "--out", "{tmp}"],
     ["simulate", "--rule", "f2", "--init", "spot:x", "--out", "{tmp}"],
     ["simulate", "--rule", "psi", "--init", "spot:1,x", "--out", "{tmp}"],
+    ["check-kexp", "--rule", "linear m=4 coeffs=1:2", "--k", "1",
+     "--support-radius", "4", "--window", "1", "--tmax", "16", "--alpha", "abc"],
+    ["check-kexp", "--rule", "linear m=4 coeffs=1:2", "--k", "1",
+     "--support-radius", "4", "--window", "1", "--tmax", "16", "--alpha", "1/0"],
 ], ids=" ".join)
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
@@ -135,6 +151,10 @@ def test_freegroup_commands(capsys):
                 "--window", "3", "--tmax", "32"])
     assert code == 0
     assert "pass" in capsys.readouterr().out
+    # a horizon shorter than the 8-step engine cross-check
+    assert run(["freegroup", "--witness", "z=2a", "sprime=b", "--window", "2",
+                "--tmax", "3"]) == 0
+    assert "sparse engine through t=3" in capsys.readouterr().out
 
 
 def test_z2_commands(tmp_path, capsys):
@@ -144,7 +164,7 @@ def test_z2_commands(tmp_path, capsys):
     cfg.write_text("lattice=z2 q=2 quiescent=0\n-8,4\t1\n8,4\t1\n")
     assert run(["z2", "--null-check", str(cfg), "--window", "3"]) == 0
     assert "True" in capsys.readouterr().out
-    assert run(["z2", "--tri-claim", "--tsim", "64", "--kmax", "6"]) == 0
+    assert run(["z2", "--tri-claim", "--tsim", "64"]) == 0
 
 
 def test_z2_uv_scale_capped_up_front(capsys):
@@ -189,3 +209,106 @@ def test_verify_reports_failures_with_exit_1(capsys):
         assert "status=fail" in out
     finally:
         del claims.CLAIMS["test-injected"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract: argvs drawn from small pools of flags and
+# values, malformed ones included, every one kept cheap to run
+
+_RULES = ["f2", "f3", "psi", "upsilon", "vn2", "tri2", "mult:3,2", "lambda:2",
+          "layered:2", "linear m=5 coeffs=1:2,2:3", "linear m=4 coeffs=1:2",
+          "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1", "linear m=0 coeffs=1:1",
+          "linear m=3 coeffs=1:0", "linear m=2 lattice=z2 coeffs=1:1",
+          "mult:x", "lambda:0", "nope", ""]
+_SMALL = ["-1", "0", "1", "2", "x", ""]
+
+
+def _flag(name, values):
+    return [[name, v] for v in values]
+
+
+_SUBCOMMANDS = {
+    # each: (tokens always given, groups of alternative optional flags);
+    # the fixed tokens make a cheap run that does real work (a found witness,
+    # a passing report) and a drawn flag overrides a fixed one
+    "simulate": (["--out", "{tmp}", "--rule", "f2", "--steps", "8"], [
+        _flag("--rule", _RULES),
+        _flag("--init", ["spot:1", "spot:2", "spot:1,1", "spot:1@3",
+                         "spot:1@1,2", "zero", "spot:0", "spot:", "spot:x",
+                         "file:{tmp}/w.cfg", "file:{tmp}/missing.cfg",
+                         "file:{tmp}/bad.cfg", "nope"]),
+        _flag("--steps", _SMALL), [["--render"]],
+        _flag("--window", _SMALL), _flag("--format", ["pgm", "text", "gif"])]),
+    "verify": ([], [
+        _flag("--only", ["vn-kexp1", "vn-2exp-witness", "nope", ","]),
+        [["--list"]]]),
+    "bench": (["--window", "16", "--steps", "2"], [
+        _flag("--window", ["8", "0", "1", "-1", "x"]),
+        _flag("--steps", ["0", "1", "-1", "x"])]),
+    "check-kexp": (["--out", "{tmp}", "--rule", "linear m=4 coeffs=1:2",
+                    "--k", "1", "--support-radius", "2", "--window", "1",
+                    "--tmax", "8"], [
+        _flag("--rule", _RULES), _flag("--k", ["-1", "0", "1", "2", "x"]),
+        _flag("--support-radius", ["-1", "0", "1", "3", "x"]),
+        _flag("--window", _SMALL), _flag("--tmax", ["-1", "0", "4", "16", "x"]),
+        _flag("--alpha", ["1/2", "-3", "0", "abc", "1/0", ""]),
+        [["--pairs"]]]),
+    "freegroup": (["--tmax", "8", "--witness", "z=2a", "sprime=b",
+                   "--window", "2"], [
+        _flag("--n", ["0", "1", "2", "3", "x"]),
+        _flag("--profile", ["2,3", "1", "x,1", "-1,2", "3,-1", ""]),
+        [["--witness", *v] for v in (["z=2a", "sprime=b"], ["z=a", "sprime=a"],
+                                     ["z=xa", "sprime=b"], ["z=", "sprime="],
+                                     ["z=2a", "s=b"])],
+        _flag("--window", _SMALL), _flag("--tmax", ["-1", "0", "3", "8", "x"])]),
+    "z2": (["--tsim", "64", "--null-check", "{tmp}/w.cfg", "--window", "3"], [
+        [["--uv", *v] for v in (["z=1,0", "k=3"], ["z=0,0", "k=0"],
+                                ["z=9,9", "k=2"], ["z=1,0", "k=-1"],
+                                ["z=1,0", "k=x"], ["z=1", "k=2"],
+                                ["k=2", "z=0,1"])],
+        _flag("--null-check", ["{tmp}/w.cfg", "{tmp}/z.cfg", "{tmp}/bad.cfg",
+                               "{tmp}/missing.cfg"]),
+        _flag("--window", _SMALL), [["--tri-claim"]],
+        _flag("--tsim", ["-1", "0", "5", "x"])]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    head = draw(st.sampled_from([[], ["--seed", "3"]]))
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    fixed, groups = _SUBCOMMANDS[name]
+    argv = head + [name] + fixed
+    for group in draw(st.permutations(groups)):
+        if draw(st.booleans()):
+            argv += draw(st.sampled_from(group))
+    if name == "verify" and "--only" not in argv:
+        argv.append("--list")  # the whole registry is too slow to fuzz
+    if draw(st.booleans()) and draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-", "x", "--k",
+                                          "--seed=x"])))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argvs())
+def test_cli_fuzz_holds_exit_code_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/w.cfg", "w") as fh:
+            fh.write("lattice=z2 q=2 quiescent=0\n-8,4\t1\n8,4\t1\n")
+        with open(f"{tmp}/z.cfg", "w") as fh:
+            fh.write("lattice=z q=3 quiescent=0\n0\t1\n")
+        with open(f"{tmp}/bad.cfg", "wb") as fh:
+            fh.write(b"\xff\xfe not a configuration\n")
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.chdir(tmp), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects or prints help
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

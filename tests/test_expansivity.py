@@ -56,8 +56,7 @@ def test_kexp_no_witness_for_permutive_rule():
 def test_kexp_vn_quick():
     vn = presets.vn2()
     assert not kexp_search(vn, k=1, support_radius=4, window=1, t_max=64).found
-    verdict = kexp_search(vn, k=2, support_radius=8, window=3, t_max=128,
-                          certify=exact_trace_null)
+    verdict = kexp_search(vn, k=2, support_radius=8, window=3, t_max=128)
     assert verdict.found and verdict.certified_exact
     # the construction from the doubling geometry is itself a witness
     from caexp.z2subst import vn_witness

@@ -4,7 +4,7 @@ import pytest
 
 from caexp import bitgrid, engine, linearca, presets
 from caexp.config import Configuration, random_config
-from caexp.errors import UsageError
+from caexp.errors import ResourceLimitError, UsageError
 from caexp.lattice import Z, Z2
 from caexp.rules import LinearRule
 from caexp.z2subst import exact_trace_null
@@ -223,3 +223,92 @@ def test_rule_radius():
 
 def test_empty_config_size():
     assert Configuration.zero(Z2, 2).size() == 0
+
+
+# ---------------------------------------------------------------------------
+# the exact null-trace oracle
+
+def test_null_trace_oracle_matches_uv_oracle():
+    vn = presets.vn2()
+    rng = random.Random(31)
+    nulls = 0
+    for _ in range(60):
+        c = random_config(Z2, 2, rng, radius=8, max_cells=5)
+        m = rng.randint(0, 3)
+        got = linearca.null_trace_forever(vn, c, m)
+        assert got == exact_trace_null(c, m)
+        nulls += got
+    assert nulls > 0
+    from caexp.z2subst import vn_witness
+    for k in (3, 4, 5):
+        w = vn_witness(k)
+        shielded = (1 << (k - 1)) - 1
+        for m in (shielded, shielded + 1, shielded + 2):
+            assert linearca.null_trace_forever(vn, w, m) == exact_trace_null(w, m)
+
+
+def test_null_trace_oracle_decides_tri_spots():
+    tri = presets.tri2()
+    assert linearca.null_trace_forever(tri, Configuration.spot(Z2, 2, 1, (0, 36)), 2)
+    assert not linearca.null_trace_forever(
+        tri, Configuration.spot(Z2, 2, 1, (0, -36)), 2)
+
+
+@pytest.mark.parametrize("rule", [
+    presets.f2(), presets.f3(),
+    LinearRule(Z, 5, {1: 2, 2: 3}),
+    LinearRule(Z, 5, {-1: 1, 0: 4, 2: 2}),
+    LinearRule(Z2, 3, {(1, 0): 1, (0, 1): 2, (1, 1): 1}),
+], ids=lambda r: r.describe())
+def test_null_trace_oracle_matches_simulation(rule):
+    # oracle-null implies simulated-null; a simulated nonzero implies not null
+    rng = random.Random(37)
+    t_max = 160 if rule.lattice == Z else 48  # Z^2 mod 3 steps sparsely
+    for _ in range(40):
+        c = random_config(rule.lattice, rule.q, rng, radius=6, max_cells=4)
+        m = rng.randint(0, 2)
+        ball = rule.lattice.origin_ball(m)
+        if linearca.null_trace_forever(rule, c, m):
+            assert not engine.window_series(rule, c, ball, t_max).any()
+
+
+def test_null_trace_oracle_certifies_mod3_z2_witness():
+    rule = LinearRule(Z2, 3, {(1, 0): 1, (0, 1): 2, (1, 1): 1})
+    c = Configuration(Z2, 3, {(-4, 0): 1, (-5, 2): 2})
+    assert linearca.null_trace_forever(rule, c, 1)
+    assert not engine.window_series(rule, c, Z2.origin_ball(1), 243).any()
+
+
+def test_null_trace_oracle_scope():
+    spot = Configuration.spot
+    for rule in (LinearRule(Z, 6, {1: 1, -1: 1}), LinearRule(Z, 4, {1: 1}),
+                 presets.psi(), presets.mult(3, 2), presets.lambda_rule(2)):
+        assert not linearca.null_trace_decidable(rule)
+        with pytest.raises(UsageError):
+            linearca.null_trace_forever(rule, spot(rule.lattice, rule.q, 1), 1)
+    for rule in (presets.f2(), presets.f3(), presets.vn2(), presets.tri2()):
+        assert linearca.null_trace_decidable(rule)
+    with pytest.raises(UsageError):
+        linearca.null_trace_forever(presets.f3(), spot(Z, 3, 1), -1)
+    assert linearca.null_trace_forever(presets.f3(), Configuration.zero(Z, 3), 2)
+
+
+def test_null_trace_oracle_cap(monkeypatch):
+    from caexp.expansivity import kexp_search
+    from caexp.z2subst import vn_witness
+    monkeypatch.setattr(linearca, "_CELL_CAP", 3)
+    with pytest.raises(ResourceLimitError):
+        linearca.null_trace_forever(presets.vn2(), vn_witness(3), 3)
+    verdict = kexp_search(presets.vn2(), k=2, support_radius=8, window=3,
+                          t_max=128)
+    assert verdict.found and not verdict.certified_exact
+
+
+def test_kexp_certifies_prime_z_witness():
+    from caexp.expansivity import kexp_search
+    rule = LinearRule(Z, 5, {1: 2, 2: 3})
+    verdict = kexp_search(rule, k=1, support_radius=4, window=1, t_max=16)
+    assert verdict.found and verdict.certified_exact
+    composite = LinearRule(Z, 4, {1: 2})
+    verdict = kexp_search(composite, k=1, support_radius=4, window=1, t_max=16)
+    assert verdict.found and not verdict.certified_exact

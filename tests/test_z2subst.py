@@ -7,11 +7,9 @@ from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.lattice import Z2
 from caexp.z2subst import (TRI_OFFSETS, VN_OFFSETS, exact_trace_null,
-                           first_one_index, scale_for_norm,
-                           tri_claim_check, tri_min_influence_time,
-                           tri_window_reach_time, uv_structure_checks,
-                           uv_vs_simulation, uv_words, vn_witness,
-                           word_is_square)
+                           first_one_index, scale_for_norm, tri_claim_check,
+                           uv_structure_checks, uv_vs_simulation, uv_words,
+                           vn_witness, word_is_square)
 
 
 def test_uv_base_cases():
@@ -155,32 +153,6 @@ def test_three_trace_constructed_instance():
     assert not exact_trace_null(triple, 1)
 
 
-def test_tri_min_influence_time():
-    assert tri_min_influence_time((0, 0)) == 0
-    assert tri_min_influence_time((1, -1)) == 1
-    assert tri_min_influence_time((0, 1)) == 1
-    assert tri_min_influence_time((2, 0)) == 4
-    assert tri_min_influence_time((0, -34)) == 34
-    assert tri_window_reach_time((0, 36), 2) == 34
-
-
-def test_tri_cone_agrees_with_simulation():
-    # the closed form equals the first time a spot's cone reaches a cell
-    for src in ((0, 5), (3, -2), (-4, 1)):
-        reach = {}
-        support = {src}
-        for t in range(1, 12):
-            support = {(x - v[0], y - v[1]) for (x, y) in support
-                       for v in TRI_OFFSETS}
-            for cell in support:
-                reach.setdefault(cell, t)
-        for cell, t in reach.items():
-            delta = (cell[0] - src[0], cell[1] - src[1])
-            if tri_min_influence_time(delta) <= 11:
-                assert tri_min_influence_time(delta) == (
-                    0 if cell == src else reach.get(cell))
-
-
 def test_tri_lucas_support_k3():
     spot = Configuration.spot(Z2, 2, 1, (0, 36))
     out = engine.iterate(presets.tri2(), spot, 8)
@@ -188,7 +160,7 @@ def test_tri_lucas_support_k3():
 
 
 def test_tri_claim_quick():
-    rep = tri_claim_check(t_sim=64, k_max=8)
+    rep = tri_claim_check(t_sim=64)
     assert rep.ok
 
 
