@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_array_bytes
 
 _U64 = np.uint64
 _SHIFT = [_U64(s) for s in range(64)]
@@ -116,6 +116,7 @@ class BitGrid:
         self.height = ymax - ymin + 1
         self.nwords = (self.width + 63) // 64
         shape = (self.height, self.nwords)
+        check_array_bytes(8 * self.height * self.nwords, "a bit grid buffer")
         self.words = np.zeros(shape, dtype=_U64)
         self._back = np.zeros(shape, dtype=_U64)
         self._scratch = np.empty(shape, dtype=_U64)

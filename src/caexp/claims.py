@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import bitgrid, engine, linearca, presets, z2subst
+from . import engine, linearca, presets, z2subst
 from .config import Configuration, random_config
 from .errors import UsageError
 from .expansivity import (kexp_search, mult_front_checks, mult_params,
@@ -153,7 +153,7 @@ def claim_freegroup(seed: int = 0) -> Report:
     except RuntimeError as exc:
         rep.expect("layer profile to norm 8, t<=16 (cell-by-cell)", False,
                    str(exc))
-    rep.merge(fg_non2exp_witness(2, (1, 1, 1), (2,), m=3, t_max=64))
+    rep.merge(fg_non2exp_witness(2, (1, 1, 1), (2,), t_max=64))
     rep.merge(fg_oddk_check(2, 3, 2))
     return rep
 
@@ -171,7 +171,6 @@ def claim_vn_structure(seed: int = 0) -> Report:
 def claim_vn_oracle_sim(seed: int = 0) -> Report:
     rep = Report("vn-oracle-sim")
     rng = random.Random(seed)
-    window_cache = {m: Z2.origin_ball(m) for m in range(4)}
     vn2 = presets.vn2()
     agree = 0
     oracles_agree = 0
@@ -181,9 +180,7 @@ def claim_vn_oracle_sim(seed: int = 0) -> Report:
         m = rng.randint(0, 3)
         oracle = z2subst.exact_trace_null(c, m)
         oracles_agree += oracle == linearca.null_trace_forever(vn2, c, m)
-        # only the first nonzero time matters: stop there, no full series
-        hit = bitgrid.first_nonzero_window_time(
-            z2subst.VN_OFFSETS, sorted(c.cells), 512, window_cache[m])
+        hit = engine.first_nonzero_time(vn2, c, Z2.origin_ball(m), 512)
         if oracle == (hit is None):
             agree += 1
         nulls += oracle
@@ -234,11 +231,6 @@ def claim_tri_null(seed: int = 0) -> Report:
                           t_max=512)
     rep.expect("single-spot search finds a witness, certified exact",
                verdict.found and verdict.certified_exact, str(verdict))
-    # only the first nonzero time matters: stop there, no full series
-    spot_hit = bitgrid.first_nonzero_window_time(
-        z2subst.TRI_OFFSETS, [(0, 36)], 512, Z2.origin_ball(2))
-    rep.expect("the (0,36) spot is among the bounded witnesses",
-               spot_hit is None)
     return rep
 
 
@@ -342,10 +334,7 @@ def claim_witness_additivity(seed: int = 0) -> Report:
                f"{sorted(both.cells)}")
     rep.expect("superposed trace null at m=3 (exact oracle)",
                z2subst.exact_trace_null(both, 3))
-    # only the first nonzero time matters: stop there, no full series
-    hit = bitgrid.first_nonzero_window_time(z2subst.VN_OFFSETS,
-                                            sorted(both.cells), 512,
-                                            Z2.origin_ball(3))
+    hit = engine.first_nonzero_time(presets.vn2(), both, Z2.origin_ball(3), 512)
     rep.expect("simulation cross-check through t=512", hit is None)
     return rep
 

@@ -28,6 +28,11 @@ from .lattice import Z2, free
 from .rules import Rule
 
 
+# support cap of a simulated orbit, which the sparse engine holds cell by
+# cell: the lambda:2 spot orbit passes it at step 11 (325 021 cells)
+_MAX_CELLS = 100_000
+
+
 def _parse_init(text: str, rule: Rule) -> Configuration:
     """spot:<state>[@<site>], file:<path>, or zero."""
     if text == "zero":
@@ -85,7 +90,7 @@ def cmd_simulate(args) -> int:
     init = _parse_init(args.init, rule)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    final = engine.iterate(rule, init, args.steps)
+    final = engine.iterate(rule, init, args.steps, max_cells=_MAX_CELLS)
     dump_path = os.path.join(out_dir, "final.cfg")
     configio.save(final, dump_path)
     artifacts = [dump_path]
@@ -174,13 +179,13 @@ def cmd_check_kexp(args) -> int:
     print(f"command: check-kexp --rule {args.rule} --k {args.k} "
           f"--support-radius {args.support_radius} --window {args.window} "
           f"--tmax {args.tmax}")
-    if args.pairs or not rule.is_linear:
-        verdict = pair_preexp_probe(rule, k=args.k, R=args.support_radius,
-                                    m=args.window, t_max=args.tmax)
-    else:
+    if rule.is_linear:
         verdict = kexp_search(rule, k=args.k,
                               support_radius=args.support_radius,
                               window=args.window, t_max=args.tmax)
+    else:
+        verdict = pair_preexp_probe(rule, k=args.k, R=args.support_radius,
+                                    m=args.window, t_max=args.tmax)
     print(f"verdict: {verdict}")
     artifacts = 0
     witness = verdict.witness or (verdict.pair[1] if verdict.pair else None)
@@ -224,8 +229,7 @@ def cmd_freegroup(args) -> int:
         gen = lat.parse_site(ztext[-1:])
         z = tuple(gen * power)
         sprime = lat.parse_site(fields["sprime"])
-        rep = fg_non2exp_witness(args.n, z, sprime, m=args.window,
-                                 t_max=args.tmax)
+        rep = fg_non2exp_witness(args.n, z, sprime, t_max=args.tmax)
         print(rep)
         failed += 0 if rep.ok else 1
     _summary(sys.stdout, status="ok" if failed == 0 else "fail",
@@ -291,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--tmax", type=int, required=True)
     p.add_argument("--alpha", help="rational drift p/q for directional fronts")
-    p.add_argument("--pairs", action="store_true",
-                   help="force the general pair probe")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_check_kexp)
 
@@ -300,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--profile", help="L,T layer profile bounds")
     p.add_argument("--witness", nargs=2, metavar=("z=POWgen", "sprime=gen"))
-    p.add_argument("--window", type=int, default=3)
     p.add_argument("--tmax", type=int, default=64)
     p.set_defaults(fn=cmd_freegroup)
 

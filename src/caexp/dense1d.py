@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import Configuration
-from .errors import UsageError
+from .errors import UsageError, check_array_bytes
 from .lattice import Z
 from .rules import LinearRule, MultRule, Rule, SecondOrderRule
 
@@ -22,6 +22,7 @@ def _space_time(cells, offsets, t_max: int):
     disp = [-v for v in offsets] + [0]
     lo = min(xs) + t_max * min(disp) - 1
     hi = max(xs) + t_max * max(disp) + 1
+    check_array_bytes(8 * (t_max + 1) * (hi - lo + 1), "a space-time array")
     return lo, np.zeros((t_max + 1, hi - lo + 1), dtype=np.int64)
 
 

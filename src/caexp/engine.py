@@ -5,16 +5,18 @@ at site s seen through a neighborhood offset v contributes to the image at
 ``s - v``.  A dedicated test pins this.
 
 The sparse step below is the reference semantics for every rule and lattice.
-``window_series`` is the one place that picks a dense backend for reading an
-orbit at fixed sites: ``bitgrid`` for mod-2 linear rules on Z^2 whose x
-offsets are below 64 cells, ``dense1d`` for linear, multiplication and
-linear second-order rules on Z, and the sparse step otherwise.  A ``dense1d``
-kernel runs only when int64 arithmetic is exact for the rule:
-n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Neither dense backend
-runs where the cells it would span (the support, and on Z^2 the read sites)
-leave a gap wider than the light cone spreads plus one 64-cell word: the
-sparse step skips such gaps, a dense array would allocate them.  Every
-backend is cross-checked against the sparse step; results are bit-identical.
+``window_series`` and its early-exit twin ``first_nonzero_time`` are the one
+place that picks a backend for reading an orbit at fixed sites: ``bitgrid``
+for mod-2 linear rules on Z^2 whose x offsets are below 64 cells (one
+predicate for both), ``dense1d`` for linear, multiplication and linear
+second-order rules on Z (``window_series`` only), and the sparse step
+otherwise.  A ``dense1d`` kernel runs only when int64 arithmetic is exact for
+the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Neither dense
+backend runs where the cells it would span (the support, and on Z^2 the read
+sites) leave a gap wider than the light cone spreads plus one 64-cell word:
+the sparse step skips such gaps, a dense array would allocate them.  Arrays
+past ``errors.MAX_ARRAY_BYTES`` are refused up front.  Every backend is
+cross-checked against the sparse step; results are bit-identical.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import bitgrid, dense1d
 from .config import Configuration
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, check_array_bytes
 from .lattice import Site, Z2Lattice, ZLattice
 from .rules import LinearRule, ProductRule, Rule
 
@@ -94,10 +96,35 @@ def iterate(rule: Rule, c: Configuration, t: int,
     return cur
 
 
-def _gaps_within(coords, reach: int) -> bool:
-    """Is no gap between neighbouring coordinates wider than reach?"""
+def _gaps_within(coords, rule: Rule, t_max: int) -> bool:
+    """Is no gap between neighbouring coordinates wider than the light cone of
+    a t_max-step run spreads, plus one 64-cell word?"""
+    reach = 2 * t_max * rule.radius + 64
     xs = sorted(set(coords))
     return all(b - a <= reach for a, b in zip(xs, xs[1:]))
+
+
+def _bitgrid_runs(rule: Rule, c: Configuration, sites, t_max: int) -> bool:
+    """The one bitgrid test: a mod-2 linear rule on Z^2 with |dx| < 64, over
+    support and read sites without a gap the grid would allocate."""
+    return (isinstance(rule, LinearRule) and isinstance(rule.lattice, Z2Lattice)
+            and rule.m == 2 and all(-64 < dx < 64 for dx, _ in rule.neighborhood)
+            and all(_gaps_within([s[i] for s in [*c.cells, *sites]], rule, t_max)
+                    for i in (0, 1)))
+
+
+def _sparse_orbit(rule: Rule, c: Configuration, t_max: int):
+    """c, F(c), ..., F^t_max(c) through the sparse step."""
+    yield c
+    for _ in range(t_max):
+        c = step(rule, c)
+        yield c
+
+
+def _check_run(rule: Rule, c: Configuration, t_max: int) -> None:
+    if t_max < 0:
+        raise UsageError("step count t_max must be >= 0")
+    _check_match(rule, c)
 
 
 def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray:
@@ -106,18 +133,11 @@ def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray
     The one backend dispatch (see the module docstring); it accepts every
     input the sparse step accepts.
     """
-    if t_max < 0:
-        raise UsageError("step count t_max must be >= 0")
-    _check_match(rule, c)
-    lat = rule.lattice
-    reach = 2 * t_max * rule.radius + 64
-    if isinstance(rule, LinearRule) and isinstance(lat, Z2Lattice) \
-            and rule.m == 2 and all(-64 < dx < 64 for dx, _ in rule.neighborhood) \
-            and all(_gaps_within([s[i] for s in [*c.cells, *sites]], reach)
-                    for i in (0, 1)):
+    _check_run(rule, c, t_max)
+    if _bitgrid_runs(rule, c, sites, t_max):
         return bitgrid.simulate_series(rule.neighborhood, sorted(c.cells),
                                        t_max, list(sites))
-    if isinstance(lat, ZLattice) and _gaps_within(c.cells, reach):
+    if isinstance(rule.lattice, ZLattice) and _gaps_within(c.cells, rule, t_max):
         dense = dense1d.orbit(rule, c, t_max)
         if dense is not None:
             x0, rows = dense
@@ -127,15 +147,28 @@ def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray
             out = rows.take(cols, axis=1, mode="clip")
             out[:, (cols < 0) | (cols >= rows.shape[1])] = 0
             return out
+    check_array_bytes(8 * (t_max + 1) * len(sites), "an orbit window series")
     # states past int64 stay Python ints
     out = np.zeros((t_max + 1, len(sites)),
                    dtype=np.int64 if rule.q <= 2 ** 63 else object)
-    cur = c
-    for t in range(t_max + 1):
-        if t > 0:
-            cur = step(rule, cur)
+    for t, cur in enumerate(_sparse_orbit(rule, c, t_max)):
         out[t] = cur.restrict(sites)
     return out
+
+
+def first_nonzero_time(rule: Rule, c: Configuration, sites,
+                       t_max: int) -> int | None:
+    """First t <= t_max at which F^t(c) is nonzero at some site, else None:
+    the early-exit twin of ``window_series``, through bitgrid where that runs
+    it and otherwise the sparse step."""
+    _check_run(rule, c, t_max)
+    if _bitgrid_runs(rule, c, sites, t_max):
+        return bitgrid.first_nonzero_window_time(
+            rule.neighborhood, sorted(c.cells), t_max, list(sites))
+    for t, cur in enumerate(_sparse_orbit(rule, c, t_max)):
+        if any(cur.restrict(sites)):
+            return t
+    return None
 
 
 @dataclass(frozen=True)
@@ -170,20 +203,12 @@ def traces_equal(rule: Rule, c: Configuration, d: Configuration,
     Steps the sparse engine on purpose: most pairs differ within a few steps,
     and a full dense orbit of each pair costs far more than those steps.
     """
-    if t_max < 0:
-        raise UsageError("step count t_max must be >= 0")
-    _check_match(rule, c)
+    _check_run(rule, c, t_max)
     _check_match(rule, d)
     ball = tuple(rule.lattice.origin_ball(m))
-    cc, dd = c, d
-    if cc.restrict(ball) != dd.restrict(ball):
-        return False
-    for _ in range(t_max):
-        cc = step(rule, cc)
-        dd = step(rule, dd)
-        if cc.restrict(ball) != dd.restrict(ball):
-            return False
-    return True
+    return all(cc.restrict(ball) == dd.restrict(ball)
+               for cc, dd in zip(_sparse_orbit(rule, c, t_max),
+                                 _sparse_orbit(rule, d, t_max)))
 
 
 @dataclass

@@ -21,3 +21,15 @@ class ResourceLimitError(RuntimeError):
         super().__init__(message)
         self.last_completed = last_completed
         self.requested = requested
+
+
+
+# the largest array one orbit may allocate: above the 1.07 GB space-time array
+# of the f3 spot orbit through t=8192, the largest a benchmark search builds
+MAX_ARRAY_BYTES = 1_100_000_000
+
+
+def check_array_bytes(nbytes: int, what: str) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ResourceLimitError(f"{what} needs {nbytes} bytes, above the "
+                                 f"{MAX_ARRAY_BYTES}-byte cap", requested=nbytes)

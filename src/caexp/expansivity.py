@@ -212,8 +212,8 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int, t_max: int,
     """Search unordered pairs c !=_k d (supports of size-<=R sites) for a
     radius-m trace collision through t_max.
 
-    Pairs are enumerated by combined support weight |supp c| + |supp d| up to
-    k, the least weight a k-difference pair can have; the search-space size
+    Only pairs of combined support weight |supp c| + |supp d| = k are
+    enumerated, the least weight a k-difference pair can have; their number
     is counted up front and refused when it exceeds the pair budget.
     """
     if k < 1:
@@ -221,41 +221,31 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int, t_max: int,
     if t_max < 0:
         raise UsageError("step count t_max must be >= 0")
     domain = size_domain(rule.lattice, R)
-    W = k
     counts = [math.comb(len(domain), s) * (rule.q - 1) ** s
-              for s in range(W + 1)]
-    total_pairs = 0
-    for a in range(W + 1):
-        for b in range(a, W - a + 1):
-            if a == b:
-                total_pairs += counts[a] * (counts[a] - 1) // 2
-            else:
-                total_pairs += counts[a] * counts[b]
-    bounds = {"R": R, "m": m, "t_max": t_max, "k": k, "weight_max": W}
+              for s in range(k + 1)]
+    sizes = [(a, k - a) for a in range(k // 2 + 1)]
+    total_pairs = sum(counts[a] * (counts[a] - 1) // 2 if a == b
+                      else counts[a] * counts[b] for a, b in sizes)
+    bounds = {"R": R, "m": m, "t_max": t_max, "k": k}
     if total_pairs > max_pairs:
         raise ResourceLimitError(
             f"pair search space {total_pairs} exceeds the {max_pairs} budget",
             requested=total_pairs)
     lat = rule.lattice
     by_size = [list(_configs_of_size(lat, rule.q, domain, s))
-               for s in range(W + 1)]
+               for s in range(k + 1)]
     searched = 0
-    for a in range(W + 1):
-        for b in range(a, W - a + 1):
-            if a + b < k:
-                continue  # too few occupied sites to differ k times
-            group_a, group_b = by_size[a], by_size[b]
-            for i, c in enumerate(group_a):
-                start = i + 1 if a == b else 0
-                for d in group_b[start:]:
-                    searched += 1
-                    if c.diff_count(d) != k:
-                        continue
-                    if engine.traces_equal(rule, c, d, m, t_max):
-                        return ExpansivityVerdict(found=True, bounds=bounds,
-                                                  pair=(c, d),
-                                                  null_through=t_max,
-                                                  searched=searched)
+    for a, b in sizes:
+        group_b = by_size[b]
+        for i, c in enumerate(by_size[a]):
+            for d in group_b[i + 1 if a == b else 0:]:
+                searched += 1
+                if c.diff_count(d) != k:
+                    continue
+                if engine.traces_equal(rule, c, d, m, t_max):
+                    return ExpansivityVerdict(found=True, bounds=bounds,
+                                              pair=(c, d), null_through=t_max,
+                                              searched=searched)
     return ExpansivityVerdict(found=False, bounds=bounds, searched=searched)
 
 
@@ -310,7 +300,9 @@ def _psi_identity_failures(c: Configuration, ks, ts) -> int:
     if c.q != 9 or not isinstance(c.lattice, ZLattice):
         raise UsageError("expected a 9-state Z configuration")
     top = 2 * 3 ** max(ks) + max(ts)
-    _, a, b = dense1d.orbit_second_order(make_psi(), c, top)
+    xs = list(c.cells) or [0]
+    cone = range(min(xs) - top - 1, max(xs) + top + 2)  # psi has radius 1
+    a, b = divmod(engine.window_series(make_psi(), c, cone, top), 3)
     bad = 0
     for k in ks:
         d = 3 ** k
@@ -365,22 +357,17 @@ def psi_landmarks(a: int, b: int, M: int, k: int) -> Report:
     rep = Report(f"psi-landmarks a={a} b={b} M={M} k={k}")
     T = M * 3 ** (k + 1)
     c = Configuration(Z, 9, {0: a * 3 + b})
-    x0, arr_a, arr_b = dense1d.orbit_second_order(make_psi(), c, T)
     pos = M * 3 ** (k + 1) - 2 * 3 ** k
-    expect = (a, (2 * b) % 3)
-    for sign in (1, -1):
-        idx = sign * pos - x0
-        got = (int(arr_a[T, idx]), int(arr_b[T, idx]))
-        rep.expect(f"value at {sign * pos}", got == expect,
-                   f"got {got}, want {expect}")
     lo = (M - 1) * 3 ** (k + 1)
     hi = lo + 3 ** k
-    band_ok = True
-    for i in list(range(lo, hi)) + list(range(-hi + 1, -lo + 1)):
-        idx = i - x0
-        if arr_a[T, idx] or arr_b[T, idx]:
-            band_ok = False
-    rep.expect(f"zero band {lo} <= |i| < {hi}", band_ok)
+    band = [*range(lo, hi), *range(-hi + 1, -lo + 1)]
+    final = engine.window_series(make_psi(), c, [pos, -pos, *band], T)[T]
+    expect = (a, (2 * b) % 3)
+    for sign, state in zip((1, -1), final):
+        got = divmod(int(state), 3)
+        rep.expect(f"value at {sign * pos}", got == expect,
+                   f"got {got}, want {expect}")
+    rep.expect(f"zero band {lo} <= |i| < {hi}", not final[2:].any())
     return rep
 
 

@@ -183,21 +183,17 @@ def _single_generator_power(lat: FreeLattice, z) -> tuple[int, int]:
     return z[0], len(z)
 
 
-def fg_non2exp_witness(n: int, z, sprime, m: int | None = None,
-                       t_max: int = 64) -> Report:
-    """Two equidistant spots hanging off the tip of z share their radius-m
-    trace, so the rule is not 2-expansive for n >= 2."""
+def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
+    """Two equidistant spots hanging off the tip of z share their radius-|z|
+    trace, so the rule is not 2-expansive for n >= 2; the construction
+    shields exactly the ball B_{|z|}."""
     if n < 2:
         raise UsageError("the two-spot witness needs at least 2 generators")
     lat = free(n)
-    s, power = _single_generator_power(lat, z)
+    s, m = _single_generator_power(lat, z)
     lat.validate_site(sprime)
     if len(sprime) != 1 or abs(sprime[0]) == abs(s):
         raise UsageError("s' must be a generator distinct from +-s")
-    if m is None:
-        m = power
-    if m != power:
-        raise UsageError("the construction shields exactly B_{|z|}; m must equal |z|")
     rep = Report(f"fg-witness n={n} z={lat.format_site(z)} "
                  f"s'={lat.format_site(sprime)} m={m} t_max={t_max}")
     x = lat.add(z, sprime)
@@ -216,20 +212,10 @@ def fg_non2exp_witness(n: int, z, sprime, m: int | None = None,
     # cross-check the projected values against the sparse engine at small t
     cross_t = min(8, t_max)
     rule = lambda_rule(n)
-    cx = Configuration(lat, 2, {x: 1})
-    cy = Configuration(lat, 2, {y: 1})
-    ok = True
-    cur_x, cur_y = cx, cy
-    for t in range(cross_t + 1):
-        if t > 0:
-            cur_x = engine.step(rule, cur_x)
-            cur_y = engine.step(rule, cur_y)
-        for w, d in zip(window, dx):
-            if cur_x.get(w) != int(table[t, d]):
-                ok = False
-        for w, d in zip(window, dy):
-            if cur_y.get(w) != int(table[t, d]):
-                ok = False
+    ok = all(np.array_equal(
+        engine.window_series(rule, Configuration(lat, 2, {site: 1}), window,
+                             cross_t), table[:cross_t + 1, dists])
+        for site, dists in ((x, dx), (y, dy)))
     rep.expect(f"projection matches sparse engine through t={cross_t}", ok)
     return rep
 

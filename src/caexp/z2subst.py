@@ -22,15 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bitgrid, linearca
+import numpy as np
+
+from . import engine, linearca
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
 from .lattice import Z2
-from .presets import tri2
+from .presets import tri2, vn2
 from .report import Report
 
-VN_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))
-TRI_OFFSETS = ((-1, 1), (1, 1), (0, 0), (0, -1))
 # largest scale k whose 2^k-bit trace words are built (uv_words, exact_trace_null)
 _K_CAP = 12
 
@@ -149,15 +149,14 @@ def uv_vs_simulation(k_max: int) -> Report:
     radius = (1 << k_max) - 1
     cells = Z2.origin_ball(radius)
     t_max = (1 << (k_max + 1)) - 1
-    series = bitgrid.simulate_series(VN_OFFSETS, [(0, 0)], t_max, cells)
+    series = engine.window_series(vn2(), Configuration.spot(Z2, 2, 1), cells,
+                                  t_max)
+    packed = np.packbits(series, axis=0, bitorder="little")  # bit t = time t
     length = 1 << k_max
     bad = 0
     for i, z in enumerate(cells):
         expected = _u(z, k_max) | (_v(z, k_max) << length)
-        simulated = 0
-        for t in range(t_max + 1):
-            if series[t, i]:
-                simulated |= 1 << t
+        simulated = int.from_bytes(packed[:, i].tobytes(), "little")
         if expected != simulated:
             bad += 1
             rep.expect(f"cell {z}", False,
@@ -317,12 +316,10 @@ def tri_claim_check(t_sim: int) -> Report:
     through t_sim, then decided for all time by the general oracle."""
     spot, m = (0, 36), 2
     rep = Report(f"tri-null spot={spot} m={m}")
-    # only the first nonzero time matters: stop there, no full series
-    hit = bitgrid.first_nonzero_window_time(TRI_OFFSETS, [spot], t_sim,
-                                            Z2.origin_ball(m))
+    c = Configuration.spot(Z2, 2, 1, spot)
+    hit = engine.first_nonzero_time(tri2(), c, Z2.origin_ball(m), t_sim)
     rep.expect(f"simulated trace null through t={t_sim}", hit is None,
                "" if hit is None else f"window first nonzero at t={hit}")
-    c = Configuration.spot(Z2, 2, 1, spot)
     rep.expect("trace null for all time (exact decision)",
                linearca.null_trace_forever(tri2(), c, m))
     return rep

@@ -105,8 +105,8 @@ def test_check_kexp_usage_error():
 
 
 def test_check_kexp_negative_tmax_is_usage_error(capsys):
-    # kexp_search on the two linear rules, the pair probe on the other two
-    for extra in (["vn2"], ["f2"], ["f2", "--pairs"], ["mult:3,2"]):
+    # kexp_search on the two linear rules, the pair probe on mult:3,2
+    for extra in (["vn2"], ["f2"], ["mult:3,2"]):
         assert run(["check-kexp", "--rule", *extra, "--k", "1",
                     "--support-radius", "3", "--window", "1",
                     "--tmax", "-1"]) == 2
@@ -143,16 +143,33 @@ def test_check_kexp_resource_error():
                 "--support-radius", "30", "--window", "1", "--tmax", "4"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-kexp", "--rule", "f3", "--k", "1", "--support-radius", "1",
+     "--window", "1", "--tmax", "100000000"],
+    ["check-kexp", "--rule", "vn2", "--k", "1", "--support-radius", "1",
+     "--window", "1", "--tmax", "100000000"],
+    ["bench", "--window", "100000000", "--steps", "1"],
+    # the spot orbit's support passes the cap at step 11
+    ["simulate", "--rule", "lambda:2", "--out", "{tmp}"],
+], ids=" ".join)
+def test_oversized_run_is_refused(argv, tmp_path, capsys):
+    # refused at the allocation, not by a numpy memory error or an
+    # unbounded support
+    assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit" in err and "Traceback" not in err
+
+
 def test_freegroup_commands(capsys):
     code = run(["freegroup", "--n", "2", "--profile", "4,8"])
     assert code == 0
     assert "layer profile" in capsys.readouterr().out
     code = run(["freegroup", "--n", "2", "--witness", "z=3a", "sprime=b",
-                "--window", "3", "--tmax", "32"])
+                "--tmax", "32"])
     assert code == 0
     assert "pass" in capsys.readouterr().out
     # a horizon shorter than the 8-step engine cross-check
-    assert run(["freegroup", "--witness", "z=2a", "sprime=b", "--window", "2",
+    assert run(["freegroup", "--witness", "z=2a", "sprime=b",
                 "--tmax", "3"]) == 0
     assert "sparse engine through t=3" in capsys.readouterr().out
 
@@ -237,13 +254,13 @@ _SUBCOMMANDS = {
                          "spot:1@1,2", "zero", "spot:0", "spot:", "spot:x",
                          "file:{tmp}/w.cfg", "file:{tmp}/missing.cfg",
                          "file:{tmp}/bad.cfg", "nope"]),
-        _flag("--steps", _SMALL), [["--render"]],
+        _flag("--steps", [*_SMALL, "64"]), [["--render"]],
         _flag("--window", _SMALL), _flag("--format", ["pgm", "text", "gif"])]),
     "verify": ([], [
         _flag("--only", ["vn-kexp1", "vn-2exp-witness", "nope", ","]),
         [["--list"]]]),
     "bench": (["--window", "16", "--steps", "2"], [
-        _flag("--window", ["8", "0", "1", "-1", "x"]),
+        _flag("--window", ["8", "0", "1", "-1", "x", "100000000"]),
         _flag("--steps", ["0", "1", "-1", "x"])]),
     "check-kexp": (["--out", "{tmp}", "--rule", "linear m=4 coeffs=1:2",
                     "--k", "1", "--support-radius", "2", "--window", "1",
@@ -251,16 +268,14 @@ _SUBCOMMANDS = {
         _flag("--rule", _RULES), _flag("--k", ["-1", "0", "1", "2", "x"]),
         _flag("--support-radius", ["-1", "0", "1", "3", "x"]),
         _flag("--window", _SMALL), _flag("--tmax", ["-1", "0", "4", "16", "x"]),
-        _flag("--alpha", ["1/2", "-3", "0", "abc", "1/0", ""]),
-        [["--pairs"]]]),
-    "freegroup": (["--tmax", "8", "--witness", "z=2a", "sprime=b",
-                   "--window", "2"], [
+        _flag("--alpha", ["1/2", "-3", "0", "abc", "1/0", ""])]),
+    "freegroup": (["--tmax", "8", "--witness", "z=2a", "sprime=b"], [
         _flag("--n", ["0", "1", "2", "3", "x"]),
         _flag("--profile", ["2,3", "1", "x,1", "-1,2", "3,-1", ""]),
         [["--witness", *v] for v in (["z=2a", "sprime=b"], ["z=a", "sprime=a"],
                                      ["z=xa", "sprime=b"], ["z=", "sprime="],
                                      ["z=2a", "s=b"])],
-        _flag("--window", _SMALL), _flag("--tmax", ["-1", "0", "3", "8", "x"])]),
+        _flag("--tmax", ["-1", "0", "3", "8", "x"])]),
     "z2": (["--tsim", "64", "--null-check", "{tmp}/w.cfg", "--window", "3"], [
         [["--uv", *v] for v in (["z=1,0", "k=3"], ["z=0,0", "k=0"],
                                 ["z=9,9", "k=2"], ["z=1,0", "k=-1"],
@@ -273,6 +288,13 @@ _SUBCOMMANDS = {
 }
 
 
+# oversized searches, each refused up front; drawn after the flags above so
+# that their rule and horizon win (with a pooled rule on the sparse path, such
+# as mult:3,2, a horizon of 10^8 steps would run for hours)
+_OVERSIZED_KEXP = [["--rule", rule, "--tmax", "100000000"]
+                   for rule in ("f3", "psi", "vn2", "tri2")]
+
+
 @st.composite
 def _argvs(draw):
     head = draw(st.sampled_from([[], ["--seed", "3"]]))
@@ -282,6 +304,8 @@ def _argvs(draw):
     for group in draw(st.permutations(groups)):
         if draw(st.booleans()):
             argv += draw(st.sampled_from(group))
+    if name == "check-kexp" and draw(st.booleans()) and draw(st.booleans()):
+        argv += draw(st.sampled_from(_OVERSIZED_KEXP))
     if name == "verify" and "--only" not in argv:
         argv.append("--list")  # the whole registry is too slow to fuzz
     if draw(st.booleans()) and draw(st.booleans()):

@@ -258,7 +258,8 @@ def test_bitgrid_matches_sparse_on_random_mod2_rules():
     # cone and the window's backward cone, rounded out to whole words.  Each
     # case checks all three entry points against the sparse engine.step orbit.
     from caexp import bitgrid
-    from caexp.z2subst import TRI_OFFSETS, VN_OFFSETS
+    vn_offsets = presets.vn2().neighborhood
+    tri_offsets = presets.tri2().neighborhood
     ball = Z2.origin_ball(2)
 
     def check(offsets, cells, t_max):
@@ -275,10 +276,10 @@ def test_bitgrid_matches_sparse_on_random_mod2_rules():
         assert bitgrid.simulate_support(offsets, cells, t_max) \
             == set(orbit[-1].cells), case
 
-    check(VN_OFFSETS, [(0, 0), (1, 1)], 0)
+    check(vn_offsets, [(0, 0), (1, 1)], 0)
     # the triangular rule's (0,36) spot: its light cone reaches the window at
     # t=34, yet its radius-2 trace stays null (the tri-null claim)
-    check(TRI_OFFSETS, [(0, 36)], 48)
+    check(tri_offsets, [(0, 36)], 48)
     # pure shifts, each way, by two words' worth of cells and without (0,0):
     # the spot enters the window at t=2; stopped at t_max=1 it cannot reach
     # it, the window stays outside the forward cone and the clip box is empty
@@ -307,10 +308,10 @@ def test_bitgrid_matches_sparse_on_random_mod2_rules():
     grid.step([(-1, 0)])
     grid.step([(1, 0)])
     assert not grid.words.any()
-    for run in (lambda: bitgrid.simulate_series(VN_OFFSETS, [(0, 0)], -1, ball),
-                lambda: bitgrid.first_nonzero_window_time(VN_OFFSETS, [(0, 0)],
+    for run in (lambda: bitgrid.simulate_series(vn_offsets, [(0, 0)], -1, ball),
+                lambda: bitgrid.first_nonzero_window_time(vn_offsets, [(0, 0)],
                                                           -1, ball),
-                lambda: bitgrid.simulate_support(VN_OFFSETS, [(0, 0)], -1)):
+                lambda: bitgrid.simulate_support(vn_offsets, [(0, 0)], -1)):
         with pytest.raises(UsageError):
             run()
     # a 64-cell x offset is refused even where no step computes anything: the
@@ -353,7 +354,8 @@ def _window_series_cases():
 @pytest.mark.parametrize("name", list(_window_series_cases()))
 def test_window_series_and_fronts_match_sparse(name):
     # every fast path behind window_series is bit-identical to stepping the
-    # sparse engine, and so are the fronts read through it
+    # sparse engine, and so are first_nonzero_time and the fronts read
+    # through the same dispatch
     rule = _window_series_cases()[name]
     lat = rule.lattice
     far = {"z": [-40, 40], "z2": [(70, -1), (-3, 40)]}.get(lat.kind, [])
@@ -369,6 +371,11 @@ def test_window_series_and_fronts_match_sparse(name):
         orbit = _sparse_orbit(rule, c, t_max)
         want = [[cur.get(s) for s in sites] for cur in orbit]
         assert engine.window_series(rule, c, sites, t_max).tolist() == want
+        # on the whole window, and on its last two sites (the far ones, or the
+        # ball's edge), where a nonzero value arrives later or never
+        for cols in (slice(None), slice(-2, None)):
+            hit = next((t for t, row in enumerate(want) if any(row[cols])), None)
+            assert engine.first_nonzero_time(rule, c, sites[cols], t_max) == hit
         if lat != Z:
             continue
         d = random_config(Z, rule.q, rng, radius=4, max_cells=4, states=states)
@@ -379,6 +386,16 @@ def test_window_series_and_fronts_match_sparse(name):
         fr = engine.fronts(rule, c, d, t_max)
         assert fr.l == [min(x) if x else None for x in diffs]
         assert fr.r == [max(x) if x else None for x in diffs]
+
+
+def test_first_nonzero_time_counts_the_last_step():
+    # a spot four cells from the read site first reaches it at t=4, through
+    # bitgrid (vn2) and through the sparse step (f3)
+    for rule, spot in ((presets.vn2(), (0, 4)), (presets.f3(), 4)):
+        c = Configuration.spot(rule.lattice, rule.q, 1, spot)
+        origin = [rule.lattice.origin]
+        assert engine.first_nonzero_time(rule, c, origin, 4) == 4
+        assert engine.first_nonzero_time(rule, c, origin, 3) is None
 
 
 def test_window_series_steps_far_apart_cells_sparsely():

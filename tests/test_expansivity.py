@@ -72,6 +72,8 @@ def test_probe_agrees_with_kexp_on_linear_rules():
     k2 = kexp_search(f3, k=2, support_radius=3, window=1, t_max=32)
     p2 = pair_preexp_probe(f3, k=2, R=3, m=1, t_max=32)
     assert k2.found == p2.found == False  # noqa: E712
+    # every (0, 2)- and (1, 1)-support pair: 84 + 14*13/2
+    assert p2.searched == 175
 
 
 def test_probe_vacuous_when_k_too_large():
@@ -90,9 +92,11 @@ def test_probe_finds_glider_collision():
 
 
 def test_probe_budget():
-    with pytest.raises(ResourceLimitError):
+    # the budget counts only the pairs searched: 7722 + 39*702
+    with pytest.raises(ResourceLimitError) as exc:
         pair_preexp_probe(presets.upsilon(), k=3, R=6, m=1, t_max=8,
                           max_pairs=100)
+    assert exc.value.requested == 35_100
 
 
 def test_directional_alpha_zero_reduces_to_fronts():

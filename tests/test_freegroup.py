@@ -110,8 +110,9 @@ def test_profiles_agree_across_rank_at_depth_one():
 
 
 def test_witness_basic():
-    rep = fg_non2exp_witness(2, (1, 1, 1), (2,), m=3, t_max=32)
+    rep = fg_non2exp_witness(2, (1, 1, 1), (2,), t_max=32)
     assert rep.ok
+    assert " m=3 " in str(rep).splitlines()[0]  # the window radius is |z|
 
 
 def test_witness_norms():

@@ -6,10 +6,13 @@ from caexp import bitgrid, engine, presets, z2subst
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.lattice import Z2
-from caexp.z2subst import (TRI_OFFSETS, VN_OFFSETS, exact_trace_null,
-                           first_one_index, scale_for_norm, tri_claim_check,
-                           uv_structure_checks, uv_vs_simulation, uv_words,
-                           vn_witness, word_is_square)
+from caexp.z2subst import (exact_trace_null, first_one_index, scale_for_norm,
+                           tri_claim_check, uv_structure_checks,
+                           uv_vs_simulation, uv_words, vn_witness,
+                           word_is_square)
+
+VN_OFFSETS = presets.vn2().neighborhood
+TRI_OFFSETS = presets.tri2().neighborhood
 
 
 def test_uv_base_cases():
