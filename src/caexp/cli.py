@@ -202,6 +202,8 @@ def cmd_check_kexp(args) -> int:
               f"escapes_above={d.escapes_above} threshold={d.threshold}")
     _summary(sys.stdout, status="ok", found=str(verdict.found).lower(),
              searched=verdict.searched,
+             kernel_dim=("none" if verdict.kernel_dim is None
+                         else verdict.kernel_dim),
              certified=str(verdict.certified_exact).lower(),
              artifacts=artifacts,
              wall_seconds=f"{time.perf_counter() - t0:.3f}")

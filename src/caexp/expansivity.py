@@ -7,6 +7,9 @@ NoWitness verdict carries the bounds that were searched.  Searches over
 trace-additive rules reduce to cached single-cell traces: the trace of a
 finite sum of spots is the componentwise sum of the spot traces, and the
 trace of value a at a cell is a times the value-1 trace (cyclic factors).
+Over a prime field those traces form the columns of the bounded trace map,
+and a trivial GF(p) kernel of that map decides every candidate of a k >= 2
+search at once, exactly and relative to the same t_max.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dense1d, engine, linearca
+from . import dense1d, engine, errors, linearca
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
 from .lattice import Lattice, Z, Z2Lattice, ZLattice
@@ -40,6 +43,7 @@ class ExpansivityVerdict:
     null_through: int | None = None
     certified_exact: bool = False
     searched: int = 0
+    kernel_dim: int | None = None  # of the bounded trace map; None: not taken
 
     def __str__(self):
         b = " ".join(f"{k}={v}" for k, v in sorted(self.bounds.items()))
@@ -133,6 +137,29 @@ class TraceTable:
                 return False
         return True
 
+    def trace_map(self, domain, window):
+        """The bounded trace map of configurations on ``domain``, column by
+        column.
+
+        Column (z, b), z-major, is basis state b at site z: the spot series at
+        offsets w - z, stacked over the window cells w, the components and
+        t = 0..t_max.  The bit lane yields packed ints, each series padded to
+        whole bytes (zero rows leave the rank as it is); the other lane
+        yields int64 arrays.
+        """
+        lat = self.rule.lattice
+        nbytes = (self.t_max + 8) // 8
+        for z in domain:
+            idxs = [self._index[lat.sub(w, z)] for w in window]
+            if self.bit_lane:
+                for words in self._bits:
+                    yield int.from_bytes(b"".join(
+                        series[i].to_bytes(nbytes, "little")
+                        for i in idxs for series in words), "little")
+            else:
+                for spots in self._comp:  # [ci, t, offset]
+                    yield spots[:, :, idxs].transpose(2, 0, 1).ravel()
+
 
 # ---------------------------------------------------------------------------
 # the bounded k-expansivity search
@@ -143,21 +170,54 @@ def _verify_witness(rule: Rule, cfg: Configuration, m: int, t_max: int) -> bool:
     return engine.trace(rule, cfg, m, t_max).is_null()
 
 
+def _bounded_kernel_dim(table: TraceTable, domain, window,
+                        budget: int) -> int | None:
+    """Dimension over GF(p) of the kernel of the bounded trace map on
+    ``domain``, or None when the alphabet is not a power of one prime field,
+    when the elimination takes more than ``budget`` entry operations
+    (rows * columns * min(rows, columns)) or when the map's entries need
+    more than ``errors.MAX_ARRAY_BYTES``."""
+    p = table.moduli[0]
+    if any(m != p for m in table.moduli) or not linearca.is_prime(p):
+        return None
+    ncomp = len(table.moduli)
+    rows = len(window) * ncomp * (table.t_max + 1)
+    cols = len(domain) * ncomp
+    if rows * cols * min(rows, cols) > budget:
+        return None
+    series_bytes = ((table.t_max + 8) // 8 if table.bit_lane
+                    else 8 * (table.t_max + 1))
+    if cols * len(window) * ncomp * series_bytes > errors.MAX_ARRAY_BYTES:
+        return None
+    columns = table.trace_map(domain, window)
+    rank = (linearca.gf2_rank(columns) if table.bit_lane
+            else linearca.gfp_rank(columns, p))
+    return cols - rank
+
+
 def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
                 t_max: int, max_candidates: int = 5_000_000) -> ExpansivityVerdict:
     """Hunt for a k-cell configuration whose radius-``window`` trace is null
     through t_max.
 
-    Enumerates the k-subsets of the size-``support_radius`` domain (each once,
-    sites in sorted order) with all nonzero value assignments, summing cached
-    single-cell traces.  A found witness is re-verified by direct simulation
-    and certified for all time where ``linearca.null_trace_forever`` decides
-    the rule within its budget.
+    For k >= 2 over a prime field GF(p)^n, the rank of the bounded trace map
+    on the size-``support_radius`` box is computed first, wherever that
+    elimination reads no more entries than the loop would.  A trivial kernel
+    means that no nonzero configuration on the box has a trace null through
+    t_max, which decides every candidate at once, exactly and relative to the
+    same t_max; the verdict then counts them all as searched.  Otherwise this
+    enumerates the k-subsets of the box (each once, sites in sorted order)
+    with all nonzero value assignments, summing cached single-cell traces.
+    A found witness is re-verified by direct simulation and certified for all
+    time where ``linearca.null_trace_forever`` decides the rule within its
+    budget.  ``kernel_dim`` on the verdict is None when no rank was computed.
     """
     if k < 1:
         raise UsageError("difference count k must be >= 1")
     if t_max < 0:
         raise UsageError("step count t_max must be >= 0")
+    if window < 0:
+        raise UsageError("window radius must be >= 0")
     domain = size_domain(rule.lattice, support_radius)
     nonzero = [s for s in range(1, rule.q)]
     count = math.comb(len(domain), k) * len(nonzero) ** k
@@ -170,6 +230,14 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     lat = rule.lattice
     offsets = sorted({lat.sub(w, z) for w in window_ball for z in domain})
     table = TraceTable(rule, offsets, t_max)
+    # the loop reads about t_max + 1 entries per component and candidate; for
+    # k = 1 it is one zero test per column and value, which no rank undercuts
+    loop_work = count * (t_max + 1) * len(rule.alphabet.moduli)
+    kernel_dim = (_bounded_kernel_dim(table, domain, window_ball, loop_work)
+                  if k >= 2 else None)
+    if kernel_dim == 0:
+        return ExpansivityVerdict(found=False, bounds=bounds, searched=count,
+                                  kernel_dim=0)
     searched = 0
     for sites in itertools.combinations(domain, k):
         for values in itertools.product(nonzero, repeat=k):
@@ -189,8 +257,10 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
                 return ExpansivityVerdict(found=True, bounds=bounds, witness=cfg,
                                           null_through=t_max,
                                           certified_exact=certified,
-                                          searched=searched)
-    return ExpansivityVerdict(found=False, bounds=bounds, searched=searched)
+                                          searched=searched,
+                                          kernel_dim=kernel_dim)
+    return ExpansivityVerdict(found=False, bounds=bounds, searched=searched,
+                              kernel_dim=kernel_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +290,8 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int, t_max: int,
         raise UsageError("difference count k must be >= 1")
     if t_max < 0:
         raise UsageError("step count t_max must be >= 0")
+    if m < 0:
+        raise UsageError("window radius must be >= 0")
     domain = size_domain(rule.lattice, R)
     counts = [math.comb(len(domain), s) * (rule.q - 1) ** s
               for s in range(k + 1)]

@@ -1,13 +1,20 @@
-"""Fast algebra special to linear rules.
+"""Exact algebra special to linear rules.
+
+Over GF(p) a bounded trace map is a matrix: column (z, b) is the trace of
+basis state b at site z, stacked over the window cells, components and
+times.  Its rank decides at once whether any nonzero configuration on the
+support box has a trace null through the bound.  ``gf2_rank`` eliminates
+packed-int columns by XOR, ``gfp_rank`` int64 columns mod p; both keep only
+an echelon basis of the columns they have read.
 
 In prime characteristic p the p^k-th power of a linear rule is the same rule
-with its neighborhood scaled by p^k; ``fast_iterate`` composes those spread
-rules along the base-p digits of t, so the cost scales with the digit count
-rather than t for sparse configurations.  Composite moduli are handled by
-Chinese-remainder decomposition instead.  The same fact decides null traces
-for all time (``null_trace_forever``), the one exact oracle of the package.
+with its neighborhood scaled by p^k.  The same fact decides null traces for
+all time (``null_trace_forever``), the one exact oracle of the package.
+Composite moduli are handled by Chinese-remainder decomposition instead.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from . import engine
 from .config import Configuration
@@ -43,48 +50,53 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == [(n, 1)]
 
 
+def gf2_rank(columns) -> int:
+    """Rank over GF(2) of columns packed into ints (bit i is row i).
+
+    An XOR basis keyed by each vector's leading bit: a column reduces to zero
+    exactly when it lies in the span of the columns before it.
+    """
+    basis: dict[int, int] = {}
+    for v in columns:
+        while v:
+            lead = v.bit_length()
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = v
+                break
+            v ^= b
+    return len(basis)
+
+
+def gfp_rank(columns, p: int) -> int:
+    """Rank over GF(p) of 1-D integer arrays (the columns), by an echelon basis.
+
+    Each column, reduced mod p, is cleared against the basis vectors at their
+    pivots (first nonzero entries) in the order they joined; a column left
+    nonzero joins the basis, scaled to pivot 1.  Entries stay below p, so the
+    products are exact in int64 for every p < 3 * 10^9.
+    """
+    if not is_prime(p):
+        raise UsageError("row reduction needs a prime modulus")
+    basis: list[tuple[int, np.ndarray]] = []
+    for v in columns:
+        v = np.asarray(v, dtype=np.int64) % p
+        for j, b in basis:
+            if v[j]:
+                v = (v - v[j] * b) % p
+        nz = np.flatnonzero(v)
+        if nz.size:
+            j = int(nz[0])
+            basis.append((j, v * pow(int(v[j]), -1, p) % p))
+    return len(basis)
+
+
 def _scale_site(lattice, v: Site, factor: int) -> Site:
     if isinstance(v, int):
         return v * factor
     if isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v):
         return (v[0] * factor, v[1] * factor)
     raise UsageError("neighborhood scaling needs a Z or Z^2 site")
-
-
-def lucas_power_coeffs(rule: LinearRule, k: int) -> dict[Site, int]:
-    """Coefficient map of F^{p^k}: each coefficient relocated to p^k * v."""
-    if not is_prime(rule.m):
-        raise UsageError("prime modulus required; crt_decompose composite rules first")
-    if k < 0:
-        raise UsageError("k must be >= 0")
-    p = rule.m
-    factor = p ** k
-    return {_scale_site(rule.lattice, v, factor): a
-            for v, a in rule.coeffs.items()}
-
-
-def spread_rule(rule: LinearRule, k: int) -> LinearRule:
-    return LinearRule(rule.lattice, rule.m, lucas_power_coeffs(rule, k),
-                      name=f"{rule.name}^({rule.m}^{k})")
-
-
-def fast_iterate(rule: LinearRule, c: Configuration, t: int) -> Configuration:
-    """Exactly iterate(rule, c, t), via the base-p digits of t."""
-    if t < 0:
-        raise UsageError("iteration count must be >= 0")
-    if not is_prime(rule.m):
-        raise UsageError("prime modulus required; crt_decompose composite rules first")
-    p = rule.m
-    cur = c
-    k = 0
-    while t > 0:
-        t, digit = divmod(t, p)
-        if digit:
-            power = spread_rule(rule, k)
-            for _ in range(digit):
-                cur = engine.step(power, cur)
-        k += 1
-    return cur
 
 
 def null_trace_decidable(rule: Rule) -> bool:

@@ -131,6 +131,10 @@ def test_check_kexp_negative_tmax_is_usage_error(capsys):
      "--support-radius", "4", "--window", "1", "--tmax", "16", "--alpha", "abc"],
     ["check-kexp", "--rule", "linear m=4 coeffs=1:2", "--k", "1",
      "--support-radius", "4", "--window", "1", "--tmax", "16", "--alpha", "1/0"],
+    ["check-kexp", "--rule", "f2", "--k", "1", "--support-radius", "2",
+     "--window", "-1", "--tmax", "8"],
+    ["check-kexp", "--rule", "mult:3,2", "--k", "1", "--support-radius", "2",
+     "--window", "-1", "--tmax", "8"],
 ], ids=" ".join)
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2

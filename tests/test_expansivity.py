@@ -1,9 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from caexp import engine, presets
+from caexp import engine, errors, expansivity, presets
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.expansivity import (CoprimeFronts, coprime_fronts,
@@ -266,3 +268,97 @@ def test_kexp_on_second_order_rule_finds_glider():
     w = verdict.witness
     assert len(w) == 2
     assert engine.trace(ups, w, 1, 64).is_null()
+
+
+def _kernel_dim(rule, R, m, t_max, budget=math.inf):
+    # the pre-check on the table kexp_search builds, past its work gate
+    box = size_domain(rule.lattice, R)
+    window = rule.lattice.origin_ball(m)
+    offsets = sorted({rule.lattice.sub(w, z) for w in window for z in box})
+    table = expansivity.TraceTable(rule, offsets, t_max)
+    return expansivity._bounded_kernel_dim(table, box, window, budget)
+
+
+@pytest.mark.parametrize("name,R,m,t_max,dim", [
+    ("f2", 2, 1, 16, 0),        # mod-2 lane
+    ("f3", 2, 0, 27, 2),        # mod-p lane
+    ("vn2", 1, 0, 16, 7),
+    ("upsilon", 2, 1, 32, 0),   # mod-2 lane, two components
+    ("psi", 1, 0, 27, 2),       # mod-p lane, two components
+])
+def test_kernel_dim_counts_null_traces_on_the_box(name, R, m, t_max, dim):
+    # every configuration on the box, the zero one included, by simulation:
+    # the null-trace ones form the kernel, p^kernel_dim of them
+    rule = presets.parse_rule(name)
+    p = rule.alphabet.moduli[0]
+    box = size_domain(rule.lattice, R)
+    nulls = 0
+    for values in itertools.product(range(rule.q), repeat=len(box)):
+        cells = {z: v for z, v in zip(box, values) if v}
+        cfg = Configuration(rule.lattice, rule.q, cells)
+        nulls += engine.trace(rule, cfg, m, t_max).is_null()
+    assert _kernel_dim(rule, R, m, t_max) == dim
+    assert nulls == p ** dim
+
+
+# each case passes the work gate; the first two have more columns than rows
+@pytest.mark.parametrize("rule,k,R,m,t_max", [
+    (presets.f2(), 2, 8, 0, 4),
+    (presets.f2(), 3, 8, 0, 8),
+    (presets.f2(), 4, 8, 1, 64),
+    (presets.f3(), 2, 6, 0, 81),
+    (presets.f3(), 3, 6, 1, 81),
+    (presets.psi(), 2, 4, 1, 64),
+    (presets.upsilon(), 2, 6, 0, 64),
+    (presets.vn2(), 2, 8, 0, 32),
+    (LinearRule(Z, 5, {-1: 1, 1: 1}), 2, 3, 1, 25),
+    (LinearRule(Z, 5, {-2: 1, 2: 1}), 2, 3, 1, 25),
+], ids=lambda v: getattr(v, "name", None))
+def test_rank_precheck_agrees_with_enumeration(rule, k, R, m, t_max,
+                                               monkeypatch):
+    fast = kexp_search(rule, k=k, support_radius=R, window=m, t_max=t_max)
+    assert fast.kernel_dim is not None
+    monkeypatch.setattr(expansivity, "_bounded_kernel_dim",
+                        lambda table, domain, window, budget: None)
+    slow = kexp_search(rule, k=k, support_radius=R, window=m, t_max=t_max)
+    assert slow.kernel_dim is None
+    assert (fast.found, fast.witness, fast.searched, fast.certified_exact) == \
+        (slow.found, slow.witness, slow.searched, slow.certified_exact)
+    if fast.kernel_dim == 0:
+        assert not fast.found
+
+
+def test_rank_precheck_scope(monkeypatch):
+    # prime-power and composite moduli and k = 1 keep enumerating only; the
+    # one-column f3 box would pass the work gate
+    for m in (4, 6):
+        rule = LinearRule(Z, m, {-1: 1, 1: 1})
+        assert kexp_search(rule, k=2, support_radius=3, window=1,
+                           t_max=16).kernel_dim is None
+    assert kexp_search(presets.f3(), k=1, support_radius=0, window=0,
+                       t_max=16).kernel_dim is None
+    # where the loop is cheaper: 21 candidates of 17 steps, against a rank of
+    # 7 columns and 3 * 17 rows; and a wide window over a small box
+    verdict = kexp_search(presets.f2(), k=2, support_radius=3, window=1,
+                          t_max=16)
+    assert verdict.kernel_dim is None and verdict.searched == 21
+    verdict = kexp_search(presets.f3(), k=2, support_radius=1, window=2000,
+                          t_max=64)
+    assert verdict.kernel_dim is None and verdict.searched == 12
+    # a map whose entries pass the array cap: 18 columns of 5 * 2 * 65
+    # int64 entries, 93 600 bytes, above the 68 120-byte space-time array
+    # of the table build
+    args = dict(k=2, support_radius=4, window=2, t_max=64)
+    assert kexp_search(presets.psi(), **args).kernel_dim == 0
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 93_600)
+    assert kexp_search(presets.psi(), **args).kernel_dim == 0
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 93_599)
+    verdict = kexp_search(presets.psi(), **args)
+    assert verdict.kernel_dim is None and verdict.searched == 2304
+
+
+def test_negative_window_is_usage_error():
+    with pytest.raises(UsageError):
+        kexp_search(presets.f2(), k=1, support_radius=2, window=-1, t_max=8)
+    with pytest.raises(UsageError):
+        pair_preexp_probe(presets.mult(3, 2), k=1, R=2, m=-1, t_max=8)

@@ -1,8 +1,10 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from caexp import bitgrid, engine, linearca, presets
+from caexp import engine, linearca, presets
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.lattice import Z, Z2
@@ -10,70 +12,28 @@ from caexp.rules import LinearRule
 from caexp.z2subst import exact_trace_null
 
 
-def test_lucas_vn_k1():
-    coeffs = linearca.lucas_power_coeffs(presets.vn2(), 1)
-    assert coeffs == {(0, 0): 1, (0, 2): 1, (2, 0): 1, (0, -2): 1, (-2, 0): 1}
-
-
-def test_lucas_f3_k2():
-    coeffs = linearca.lucas_power_coeffs(presets.f3(), 2)
-    assert coeffs == {9: 1, -9: 1}
-
-
-def test_lucas_k0_is_identity():
-    rule = presets.tri2()
-    assert linearca.lucas_power_coeffs(rule, 0) == rule.coeffs
-
-
-def test_lucas_requires_prime():
-    rule = LinearRule(Z, 6, {-1: 1, 1: 1})
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_counts_the_kernel(p):
+    # rank = columns - log_p |kernel|, the kernel counted by enumeration;
+    # low-rank products and repeated rows exercise the dependent cases
+    rng = np.random.default_rng(p)
+    for trial in range(12):
+        rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        a = rng.integers(0, p, size=(rows, cols))
+        if trial % 3 == 1:
+            a = rng.integers(0, p, size=(rows, 2)) @ rng.integers(0, p, size=(2, cols))
+        if trial % 3 == 2:
+            a = np.vstack([a, a])
+        kernel = sum(not np.any(a @ np.array(x) % p)
+                     for x in itertools.product(range(p), repeat=cols))
+        rank = linearca.gfp_rank(a, p)
+        assert p ** (cols - rank) == kernel
+        if p == 2:
+            packed = [int("".join(map(str, a[::-1, j] % 2)), 2)
+                      for j in range(cols)]
+            assert linearca.gf2_rank(packed) == rank
     with pytest.raises(UsageError):
-        linearca.lucas_power_coeffs(rule, 1)
-
-
-def test_lucas_spread_matches_iterate():
-    # one application of the spread rule equals p^k plain steps on a spot
-    for rule, lat in ((presets.vn2(), Z2), (presets.f3(), Z)):
-        spotc = Configuration.spot(lat, rule.m, 1)
-        for k in (1, 2, 3, 4):
-            spread = linearca.spread_rule(rule, k)
-            assert engine.step(spread, spotc) == \
-                engine.iterate(rule, spotc, rule.m ** k)
-
-
-def test_fast_iterate_zero():
-    c = Configuration.spot(Z2, 2, 1)
-    assert linearca.fast_iterate(presets.vn2(), c, 0) == c
-
-
-def test_fast_iterate_agrees_with_iterate():
-    rng = random.Random(9)
-    vn = presets.vn2()
-    for _ in range(30):
-        c = random_config(Z2, 2, rng, radius=4, max_cells=4)
-        t = rng.randint(0, 32)
-        assert linearca.fast_iterate(vn, c, t) == engine.iterate(vn, c, t)
-
-
-def test_fast_iterate_agrees_with_dense_backend_large_t():
-    # large t: compare against the independent bit-packed backend
-    rng = random.Random(10)
-    vn = presets.vn2()
-    for t in (100, 157, 200):
-        c = random_config(Z2, 2, rng, radius=3, max_cells=3)
-        fast = linearca.fast_iterate(vn, c, t)
-        dense = bitgrid.simulate_support(vn.neighborhood, sorted(c.cells), t)
-        assert set(fast.cells) == dense
-
-
-def test_fast_iterate_spot_powers_of_two():
-    vn = presets.vn2()
-    c = Configuration.spot(Z2, 2, 1)
-    for k in (2, 5):
-        out = linearca.fast_iterate(vn, c, 2 ** k)
-        d = 2 ** k
-        assert sorted(out.cells) == sorted(
-            [(0, 0), (0, d), (d, 0), (0, -d), (-d, 0)])
+        linearca.gfp_rank(np.eye(2, dtype=np.int64), 4)
 
 
 def test_crt_decompose_m6():
