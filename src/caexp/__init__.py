@@ -2,24 +2,23 @@
 free groups, with exact oracles and bounded searches for expansivity-style
 properties of the example families."""
 
-from .alphabet import Bits, Cyclic, Pair, Product
+from .alphabet import Bits, Cyclic, Pair
 from .config import Configuration, random_config
-from .engine import FrontSeries, TracePrefix, fronts, iterate, product, step, trace
+from .engine import FrontSeries, TracePrefix, fronts, iterate, step, trace
 from .errors import ResourceLimitError, UsageError
 from .lattice import Z, Z2, FreeLattice, branch_of, free, lattice_by_kind
-from .rules import (LayeredFlipRule, LinearRule, MultRule, ProductRule, Rule,
-                    SecondOrderInverseRule, SecondOrderRule, TableRule,
-                    identity_rule)
+from .rules import (LayeredFlipRule, LinearRule, MultRule, Rule,
+                    SecondOrderInverseRule, SecondOrderRule)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bits", "Cyclic", "Pair", "Product",
+    "Bits", "Cyclic", "Pair",
     "Configuration", "random_config",
-    "FrontSeries", "TracePrefix", "fronts", "iterate", "product", "step", "trace",
+    "FrontSeries", "TracePrefix", "fronts", "iterate", "step", "trace",
     "ResourceLimitError", "UsageError",
     "Z", "Z2", "FreeLattice", "branch_of", "free", "lattice_by_kind",
-    "LayeredFlipRule", "LinearRule", "MultRule", "ProductRule", "Rule",
-    "SecondOrderInverseRule", "SecondOrderRule", "TableRule", "identity_rule",
+    "LayeredFlipRule", "LinearRule", "MultRule", "Rule",
+    "SecondOrderInverseRule", "SecondOrderRule",
     "__version__",
 ]

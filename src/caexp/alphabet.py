@@ -1,7 +1,7 @@
 """State alphabets and the group laws rules are linear for.
 
 States are stored as integers 0..size-1 everywhere; structured alphabets
-(pairs, bit vectors, products) define how those integers encode tuples and
+(pairs, bit vectors) define how those integers encode tuples and
 what the componentwise addition law is.
 """
 from __future__ import annotations
@@ -134,43 +134,3 @@ class Bits(Alphabet):
 
     def __repr__(self):
         return f"(Z_2)^{self.layers}"
-
-
-class Product(Alphabet):
-    """Q_A x Q_B for two arbitrary alphabets, encoded as a*|B| + b."""
-
-    def __init__(self, a: Alphabet, b: Alphabet):
-        self.a = a
-        self.b = b
-        self.size = a.size * b.size
-
-    def encode(self, sa: int, sb: int) -> int:
-        return sa * self.b.size + sb
-
-    def decode(self, s: int) -> tuple[int, int]:
-        return divmod(s, self.b.size)
-
-    def add(self, s, t):
-        sa, sb = self.decode(s)
-        ta, tb = self.decode(t)
-        return self.encode(self.a.add(sa, ta), self.b.add(sb, tb))
-
-    def neg(self, s):
-        sa, sb = self.decode(s)
-        return self.encode(self.a.neg(sa), self.b.neg(sb))
-
-    @property
-    def moduli(self):
-        return self.a.moduli + self.b.moduli
-
-    def components(self, s):
-        sa, sb = self.decode(s)
-        return self.a.components(sa) + self.b.components(sb)
-
-    def from_components(self, comps):
-        na = len(self.a.moduli)
-        return self.encode(self.a.from_components(comps[:na]),
-                           self.b.from_components(comps[na:]))
-
-    def __repr__(self):
-        return f"{self.a!r}x{self.b!r}"

@@ -21,7 +21,7 @@ from .expansivity import (kexp_search, mult_front_checks, mult_params,
 from .freegroup import fg_non2exp_witness, fg_oddk_check, layer_profile
 from .lattice import Z, Z2
 from .report import Report
-from .rules import LinearRule
+from .rules import LinearRule, SecondOrderInverseRule
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def claim_second_order(seed: int = 0) -> Report:
     rep = Report("second-order")
     rng = random.Random(seed)
     for name, rule in (("psi", presets.psi()), ("upsilon", presets.upsilon())):
-        inv = linearca.second_order_inverse(rule)
+        inv = SecondOrderInverseRule(rule)
         bad_inv = 0
         for _ in range(200):
             c = random_config(Z, rule.q, rng, radius=10, max_cells=8)

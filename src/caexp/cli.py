@@ -51,9 +51,10 @@ def _parse_init(text: str, rule: Rule) -> Configuration:
         if "," in body:
             parts = [_int(x, "state component") for x in body.split(",")]
             alpha = rule.alphabet
-            state = alpha.from_components(tuple(parts)) if hasattr(alpha, "from_components") else None
-            if state is None or len(parts) != len(alpha.moduli):
+            if len(parts) != len(alpha.moduli) or not all(
+                    0 <= x < m for x, m in zip(parts, alpha.moduli)):
                 raise UsageError(f"state {body!r} does not fit alphabet {alpha!r}")
+            state = alpha.from_components(tuple(parts))
         else:
             state = _int(body, "spot state")
         if not 0 < state < rule.q:

@@ -28,7 +28,7 @@ from . import bitgrid, dense1d
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError, check_array_bytes
 from .lattice import Site, Z2Lattice, ZLattice
-from .rules import LinearRule, ProductRule, Rule
+from .rules import LinearRule, Rule
 
 
 def _check_match(rule: Rule, c: Configuration) -> None:
@@ -248,8 +248,3 @@ def fronts(rule: Rule, c: Configuration, d: Configuration,
     ls = [lo + int(i) if ok else None for i, ok in zip(first, some)]
     rs = [lo + int(i) if ok else None for i, ok in zip(last, some)]
     return FrontSeries(l=ls, r=rs, radius=rule.radius)
-
-
-def product(rule_a: Rule, rule_b: Rule) -> ProductRule:
-    """Componentwise product rule on the product alphabet."""
-    return ProductRule(rule_a, rule_b)

@@ -226,6 +226,8 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
         raise ResourceLimitError(
             f"search space {count} exceeds the {max_candidates} candidate budget",
             requested=count)
+    if count == 0:  # k exceeds the box: no candidate, so no table to build
+        return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
     window_ball = rule.lattice.origin_ball(window)
     lat = rule.lattice
     offsets = sorted({lat.sub(w, z) for w in window_ball for z in domain})

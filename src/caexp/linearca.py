@@ -10,7 +10,8 @@ an echelon basis of the columns they have read.
 In prime characteristic p the p^k-th power of a linear rule is the same rule
 with its neighborhood scaled by p^k.  The same fact decides null traces for
 all time (``null_trace_forever``), the one exact oracle of the package.
-Composite moduli are handled by Chinese-remainder decomposition instead.
+For a composite modulus ``crt_decompose`` splits the rule into one rule per
+prime-power factor; nothing here decides those parts yet.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ from . import engine
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
 from .lattice import Site, Z2Lattice, ZLattice
-from .rules import (LayeredFlipRule, LinearRule, Rule, SecondOrderInverseRule,
-                    SecondOrderRule)
+from .rules import LinearRule, Rule
 
 # cells null_trace_forever may read; every state holds one, so states too
 _CELL_CAP = 1_000_000
@@ -91,7 +91,7 @@ def gfp_rank(columns, p: int) -> int:
     return len(basis)
 
 
-def _scale_site(lattice, v: Site, factor: int) -> Site:
+def _scale_site(v: Site, factor: int) -> Site:
     if isinstance(v, int):
         return v * factor
     if isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v):
@@ -178,16 +178,6 @@ def crt_decompose(rule: LinearRule) -> list[LinearRule]:
     return parts
 
 
-def crt_recombine(values: list[int], moduli: list[int]) -> int:
-    x, m = 0, 1
-    for v, mod in zip(values, moduli):
-        # solve x' = x (mod m), x' = v (mod mod)
-        inv = pow(m % mod, -1, mod)
-        x = x + m * (((v - x) * inv) % mod)
-        m *= mod
-    return x % m
-
-
 def amplify(rule: LinearRule, c: Configuration, m_target: int) -> Configuration:
     """Dilate a null-trace witness: c'(p^k x) = c(x), minimal k with
     m_target <= p^k - 1 (and k >= 1).
@@ -204,15 +194,5 @@ def amplify(rule: LinearRule, c: Configuration, m_target: int) -> Configuration:
     while p ** k - 1 < m_target:
         k += 1
     factor = p ** k
-    cells = {_scale_site(rule.lattice, s, factor): v for s, v in c.cells.items()}
+    cells = {_scale_site(s, factor): v for s, v in c.cells.items()}
     return Configuration(c.lattice, c.q, cells, _validated=True)
-
-
-def second_order_inverse(rule: SecondOrderRule) -> SecondOrderInverseRule:
-    if not isinstance(rule, SecondOrderRule):
-        raise UsageError("expected a second-order rule")
-    return SecondOrderInverseRule(rule)
-
-
-def layered_flip(inner: Rule, k: int) -> LayeredFlipRule:
-    return LayeredFlipRule(inner, k)

@@ -1,6 +1,5 @@
-"""Rule variants: table rules, linear rules, second-order wrappers, the
-base-kk' multiplication rule, componentwise products and the layered flip
-family.
+"""Rule variants: linear rules, second-order wrappers and their inverses, the
+base-kk' multiplication rule and the layered flip family.
 
 Every rule knows its lattice, its alphabet (with the group law it is linear
 for, when it is linear) and its neighborhood V; the semantics is always
@@ -10,11 +9,10 @@ preserved and ``step`` never fails on data.
 """
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .alphabet import Alphabet, Bits, Cyclic, Pair, Product
-from .errors import ResourceLimitError, UsageError
+from .alphabet import Alphabet, Bits, Cyclic, Pair
+from .errors import UsageError
 from .lattice import Lattice, Site, Z
 
 
@@ -52,35 +50,6 @@ class Rule:
             seen.add(v)
         if self.local(tuple(0 for _ in self.neighborhood)) != 0:
             raise UsageError("rule does not fix the quiescent state")
-
-
-class TableRule(Rule):
-    """Exhaustive lookup over Q^V."""
-
-    def __init__(self, lattice: Lattice, q: int, neighborhood: Sequence[Site],
-                 table: Mapping[tuple[int, ...], int] | Callable[[tuple[int, ...]], int],
-                 name: str = "table", alphabet: Alphabet | None = None):
-        self.lattice = lattice
-        self.alphabet = alphabet if alphabet is not None else Cyclic(q)
-        if self.alphabet.size != q:
-            raise UsageError("alphabet size disagrees with q")
-        self.neighborhood = tuple(neighborhood)
-        self.name = name
-        if callable(table):
-            self.table = {key: table(key) for key in
-                          itertools.product(range(q), repeat=len(self.neighborhood))}
-        else:
-            self.table = dict(table)
-        expected = q ** len(self.neighborhood)
-        if len(self.table) != expected:
-            raise UsageError(f"table must be exhaustive ({expected} entries)")
-        for key, val in self.table.items():
-            if not 0 <= val < q:
-                raise UsageError(f"table value {val!r} outside alphabet")
-        self._check_neighborhood()
-
-    def local(self, values):
-        return self.table[tuple(values)]
 
 
 class LinearRule(Rule):
@@ -173,6 +142,8 @@ class SecondOrderInverseRule(Rule):
     """Inverse of the second-order wrapper: (c, d) -> (inv(F(c)) (+) d, c)."""
 
     def __init__(self, forward: SecondOrderRule):
+        if not isinstance(forward, SecondOrderRule):
+            raise UsageError("expected a second-order rule")
         inner = forward.inner
         self.inner = inner
         self.forward = forward
@@ -191,32 +162,6 @@ class SecondOrderInverseRule(Rule):
         a_here, b_here = pairs[self._origin_idx]
         f_val = self.inner.local([pairs[i][0] for i in self._inner_idx])
         return ((b_here - f_val) % q) * q + a_here
-
-
-class ProductRule(Rule):
-    """Componentwise action of two rules on the product alphabet."""
-
-    def __init__(self, rule_a: Rule, rule_b: Rule):
-        if rule_a.lattice != rule_b.lattice:
-            raise UsageError("product of rules on different lattices")
-        self.rule_a = rule_a
-        self.rule_b = rule_b
-        self.lattice = rule_a.lattice
-        self.alphabet = Product(rule_a.alphabet, rule_b.alphabet)
-        nbhd = sorted(set(rule_a.neighborhood) | set(rule_b.neighborhood))
-        self.neighborhood = tuple(nbhd)
-        self._a_idx = [nbhd.index(v) for v in rule_a.neighborhood]
-        self._b_idx = [nbhd.index(v) for v in rule_b.neighborhood]
-        self.is_linear = rule_a.is_linear and rule_b.is_linear
-        self.name = f"{rule_a.name}x{rule_b.name}"
-        self._check_neighborhood()
-
-    def local(self, values):
-        alpha: Product = self.alphabet  # type: ignore[assignment]
-        decoded = [alpha.decode(s) for s in values]
-        va = self.rule_a.local([decoded[i][0] for i in self._a_idx])
-        vb = self.rule_b.local([decoded[i][1] for i in self._b_idx])
-        return alpha.encode(va, vb)
 
 
 class LayeredFlipRule(Rule):
@@ -257,41 +202,3 @@ class LayeredFlipRule(Rule):
             flip = (values[self._flip_idx[i]] >> flip_layer) & 1
             out |= ((f_val ^ flip) & 1) << i
         return out
-
-
-def identity_rule(lattice: Lattice, q: int) -> LinearRule:
-    return LinearRule(lattice, q, {lattice.origin: 1}, name="id")
-
-
-def is_lr_permutive(rule: Rule) -> bool:
-    """Both boundary maps of a Z rule are permutations for every fixed middle.
-
-    Defined only for neighborhoods [-l, r] with l, r > 0; one-sided rules are
-    rejected rather than silently classified.
-    """
-    import itertools as _it
-    if rule.lattice != Z:
-        raise UsageError("LR-permutivity is a Z notion")
-    nbhd = rule.neighborhood
-    lo, hi = min(nbhd), max(nbhd)
-    if lo >= 0 or hi <= 0:
-        raise UsageError("LR-permutivity needs a neighborhood [-l, r] with l, r > 0")
-    span = list(range(lo, hi + 1))
-    idx = {v: i for i, v in enumerate(nbhd)}
-    q = rule.q
-    if q ** len(span) > 1 << 20:
-        raise ResourceLimitError("alphabet too large for the exhaustive check")
-
-    def value(cells):
-        return rule.local([cells[span.index(v)] for v in nbhd])
-
-    for middle in _it.product(range(q), repeat=len(span) - 1):
-        for fixed_left in (True, False):
-            seen = set()
-            for a in range(q):
-                cells = ((middle[:0] + (a,) + middle) if fixed_left
-                         else (middle + (a,)))
-                seen.add(value(cells))
-            if len(seen) != q:
-                return False
-    return True

@@ -326,9 +326,11 @@ def tri_claim_check(t_sim: int) -> Report:
 
 
 def vn_witness(k: int) -> Configuration:
-    """The two-spot non-2-expansivity witness at scale k."""
+    """The two-spot non-2-expansivity witness at scale k: the scale-1 pair
+    {(-2, 1), (2, 1)} dilated by 2^(k-1) (``linearca.amplify``)."""
     if k < 1:
         raise UsageError("scale k must be >= 1")
-    d = 1 << k
-    h = 1 << (k - 1)
-    return Configuration(Z2, 2, {(-d, h): 1, (d, h): 1}, _validated=True)
+    base = Configuration(Z2, 2, {(-2, 1): 1, (2, 1): 1}, _validated=True)
+    if k == 1:
+        return base
+    return linearca.amplify(vn2(), base, (1 << (k - 1)) - 1)

@@ -135,11 +135,22 @@ def test_check_kexp_negative_tmax_is_usage_error(capsys):
      "--window", "-1", "--tmax", "8"],
     ["check-kexp", "--rule", "mult:3,2", "--k", "1", "--support-radius", "2",
      "--window", "-1", "--tmax", "8"],
+    # state components outside 0..m_i-1 are refused, not wrapped
+    ["simulate", "--rule", "psi", "--init", "spot:4,0", "--out", "{tmp}"],
+    ["simulate", "--rule", "psi", "--init", "spot:-1,0", "--out", "{tmp}"],
+    ["simulate", "--rule", "layered:2", "--init", "spot:3,0,0", "--out", "{tmp}"],
 ], ids=" ".join)
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
+
+
+def test_check_kexp_empty_search(capsys):
+    # k above the box size: no candidate and no table at any horizon
+    assert run(["check-kexp", "--rule", "f3", "--k", "6", "--support-radius", "2",
+                "--window", "1", "--tmax", "200000"]) == 0
+    assert "searched=0" in capsys.readouterr().out
 
 
 def test_check_kexp_resource_error():

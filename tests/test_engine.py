@@ -6,7 +6,7 @@ from caexp import configio, engine, presets, render
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.lattice import Z, Z2
-from caexp.rules import LinearRule, identity_rule
+from caexp.rules import LinearRule
 
 
 def spot(lat, q, state=1, site=None):
@@ -112,38 +112,12 @@ def test_fronts_need_z():
                       Configuration.zero(Z2, 2), 4)
 
 
-def test_product_componentwise():
-    f3 = presets.f3()
-    prod = engine.product(f3, f3)
-    alpha = prod.alphabet
-    c = Configuration(Z, 9, {0: alpha.encode(1, 0)})
-    out = engine.step(prod, c)
-    assert out.cells == {-1: alpha.encode(1, 0), 1: alpha.encode(1, 0)}
-
-    ident = identity_rule(Z, 3)
-    prod2 = engine.product(ident, f3)
-    c2 = Configuration(Z, 9, {0: prod2.alphabet.encode(2, 1)})
-    out2 = engine.step(prod2, c2)
-    assert out2.cells == {0: prod2.alphabet.encode(2, 0),
-                          -1: prod2.alphabet.encode(0, 1),
-                          1: prod2.alphabet.encode(0, 1)}
-    assert prod.radius == max(f3.radius, ident.radius)
-
-
-def test_product_collision_transfers():
-    # differences confined to one component collide iff that component does
-    from caexp.expansivity import _glider
-    ups = presets.upsilon()
-    f2 = presets.f2()
-    prod = engine.product(ups, f2)
-    alpha = prod.alphabet
-    g = _glider(-6, 3)
-    c = Configuration(Z, prod.q, {s: alpha.encode(v, 0) for s, v in g.cells.items()})
-    zero = Configuration.zero(Z, prod.q)
-    assert engine.traces_equal(prod, c, zero, 1, 40)
-    # a difference in the expansive component separates quickly
-    d = Configuration(Z, prod.q, {-6: alpha.encode(0, 1)})
-    assert not engine.traces_equal(prod, d, zero, 1, 40)
+def test_star_import_resolves_every_export():
+    import caexp
+    namespace = {}
+    exec("from caexp import *", namespace)
+    missing = [name for name in caexp.__all__ if name not in namespace]
+    assert not missing
 
 
 def test_step_rejects_mismatches():
@@ -172,12 +146,6 @@ def test_linearity_quick():
             lhs = engine.step(rule, c.add(d, rule.alphabet))
             rhs = engine.step(rule, c).add(engine.step(rule, d), rule.alphabet)
             assert lhs == rhs
-
-
-def test_table_rule_must_fix_quiescent():
-    from caexp.rules import TableRule
-    with pytest.raises(UsageError):
-        TableRule(Z, 2, (0,), {(0,): 1, (1,): 0})
 
 
 # --- configuration file format --------------------------------------------
@@ -332,7 +300,7 @@ def _sparse_orbit(rule, c, t_max):
 
 
 def _window_series_cases():
-    from caexp.rules import ProductRule, SecondOrderInverseRule
+    from caexp.rules import SecondOrderInverseRule
     big = 2 ** 40 + 15  # int64 products of states and coefficients overflow
     return {
         "f2": presets.f2(), "f3": presets.f3(), "psi": presets.psi(),
@@ -342,7 +310,6 @@ def _window_series_cases():
         "lambda:2": presets.lambda_rule(2),
         "mod5": LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}),
         # inputs no dense kernel covers
-        "product": ProductRule(presets.f3(), presets.f2()),
         "so-inverse": SecondOrderInverseRule(presets.psi()),
         "z2-mod3": LinearRule(Z2, 3, {(0, 0): 1, (1, 0): 2, (0, -1): 1}),
         "z2-dx64": LinearRule(Z2, 2, {(0, 0): 1, (64, 0): 1, (-1, 1): 1}),
@@ -406,20 +373,6 @@ def test_window_series_steps_far_apart_cells_sparsely():
         sites = lat.origin_ball(2)
         want = [[cur.get(s) for s in sites] for cur in _sparse_orbit(rule, c, 6)]
         assert engine.window_series(rule, c, sites, 6).tolist() == want
-
-
-def test_lr_permutivity():
-    from caexp.rules import is_lr_permutive
-    assert is_lr_permutive(presets.f2())
-    assert is_lr_permutive(presets.f3())
-    # non-unit boundary coefficient breaks the left permutation
-    assert not is_lr_permutive(LinearRule(Z, 4, {-1: 2, 1: 1}))
-    # the reversible wrapper is not permutive on the pair alphabet
-    assert not is_lr_permutive(presets.psi())
-    with pytest.raises(UsageError):
-        is_lr_permutive(presets.mult(3, 2))   # one-sided neighborhood
-    with pytest.raises(UsageError):
-        is_lr_permutive(presets.vn2())
 
 
 def test_front_escape_tracks_expansivity():

@@ -362,3 +362,15 @@ def test_negative_window_is_usage_error():
         kexp_search(presets.f2(), k=1, support_radius=2, window=-1, t_max=8)
     with pytest.raises(UsageError):
         pair_preexp_probe(presets.mult(3, 2), k=1, R=2, m=-1, t_max=8)
+
+
+def test_empty_search_builds_no_table(monkeypatch):
+    # six cells do not fit the five-site box: no candidate, so the verdict comes
+    # before a TraceTable (a 640 GB dense1d array at this horizon) is built
+    def no_table(*args):
+        raise AssertionError("TraceTable built for an empty search")
+    monkeypatch.setattr(expansivity, "TraceTable", no_table)
+    verdict = kexp_search(presets.f3(), 6, 2, 1, 200000)
+    assert not verdict.found
+    assert verdict.searched == 0 and verdict.kernel_dim is None
+

@@ -8,7 +8,7 @@ from caexp import engine, linearca, presets
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.lattice import Z, Z2
-from caexp.rules import LinearRule
+from caexp.rules import LayeredFlipRule, LinearRule, SecondOrderInverseRule
 from caexp.z2subst import exact_trace_null
 
 
@@ -51,25 +51,20 @@ def test_crt_decompose_prime_power_unchanged():
 
 
 def test_crt_recombination_matches_direct_step():
+    # each prime-power part steps the residues of c exactly as the direct
+    # step does, reduced mod p^e
     rng = random.Random(17)
     rule = LinearRule(Z, 6, {-1: 5, 0: 2, 2: 3})
     parts = linearca.crt_decompose(rule)
-    moduli = [p.m for p in parts]
+    assert [p.m for p in parts] == [2, 3]
     for _ in range(100):
         c = random_config(Z, 6, rng, radius=6, max_cells=6)
         direct = engine.step(rule, c)
-        comps = [engine.step(p, Configuration(
-            Z, p.m, {s: v % p.m for s, v in c.cells.items()}))
-            for p in parts]
-        sites = set()
-        for comp in comps:
-            sites |= set(comp.cells)
-        rebuilt = {}
-        for s in sites:
-            val = linearca.crt_recombine([comp.get(s) for comp in comps], moduli)
-            if val:
-                rebuilt[s] = val
-        assert rebuilt == direct.cells
+        for part in parts:
+            mod = part.m
+            residues = Configuration(Z, mod, {s: v % mod for s, v in c.cells.items()})
+            want = {s: v % mod for s, v in direct.cells.items() if v % mod}
+            assert engine.step(part, residues).cells == want
 
 
 def test_amplify_minimal_scale():
@@ -104,7 +99,7 @@ def test_second_order_spot():
 def test_second_order_inverse_composition():
     rng = random.Random(23)
     for rule in (presets.psi(), presets.upsilon()):
-        inv = linearca.second_order_inverse(rule)
+        inv = SecondOrderInverseRule(rule)
         for _ in range(100):
             c = random_config(Z, rule.q, rng, radius=6, max_cells=6)
             assert engine.step(inv, engine.step(rule, c)) == c
@@ -113,7 +108,7 @@ def test_second_order_inverse_composition():
 
 def test_second_order_inverse_needs_wrapper():
     with pytest.raises(UsageError):
-        linearca.second_order_inverse(presets.f3())
+        SecondOrderInverseRule(presets.f3())
 
 
 def test_layered_flip_resets_last_layer():
@@ -168,9 +163,9 @@ def test_layered_flip_collision_beyond_k():
 
 def test_layered_flip_validation():
     with pytest.raises(UsageError):
-        linearca.layered_flip(LinearRule(Z, 2, {-2: 1, 2: 1}), 2)  # radius 2
+        LayeredFlipRule(LinearRule(Z, 2, {-2: 1, 2: 1}), 2)  # radius 2
     with pytest.raises(UsageError):
-        linearca.layered_flip(presets.f3(), 2)  # not binary
+        LayeredFlipRule(presets.f3(), 2)  # not binary
 
 
 def test_rule_radius():

@@ -109,6 +109,15 @@ def test_block_substitution_reduction():
             assert block == (acc_u if letter == "U" else acc_v), f"block {j}"
 
 
+def test_vn_witness_cells():
+    # the scale-1 pair dilated by 2^(k-1)
+    for k in range(1, 7):
+        d, h = 1 << k, 1 << (k - 1)
+        assert vn_witness(k).cells == {(-d, h): 1, (d, h): 1}
+    with pytest.raises(UsageError):
+        vn_witness(0)
+
+
 def test_exact_trace_null_examples():
     assert not exact_trace_null(Configuration.spot(Z2, 2, 1), 0)
     w = vn_witness(3)
