@@ -6,7 +6,7 @@ from .alphabet import Bits, Cyclic, Pair
 from .config import Configuration, random_config
 from .engine import FrontSeries, TracePrefix, fronts, iterate, step, trace
 from .errors import ResourceLimitError, UsageError
-from .lattice import Z, Z2, FreeLattice, branch_of, free, lattice_by_kind
+from .lattice import Z, Z2, FreeLattice, free, lattice_by_kind
 from .rules import (LayeredFlipRule, LinearRule, MultRule, Rule,
                     SecondOrderInverseRule, SecondOrderRule)
 
@@ -17,7 +17,7 @@ __all__ = [
     "Configuration", "random_config",
     "FrontSeries", "TracePrefix", "fronts", "iterate", "step", "trace",
     "ResourceLimitError", "UsageError",
-    "Z", "Z2", "FreeLattice", "branch_of", "free", "lattice_by_kind",
+    "Z", "Z2", "FreeLattice", "free", "lattice_by_kind",
     "LayeredFlipRule", "LinearRule", "MultRule", "Rule",
     "SecondOrderInverseRule", "SecondOrderRule",
     "__version__",

@@ -15,9 +15,6 @@ class Alphabet:
     def add(self, s: int, t: int) -> int:
         raise NotImplementedError
 
-    def neg(self, s: int) -> int:
-        raise NotImplementedError
-
     @property
     def moduli(self) -> tuple[int, ...]:
         """Cyclic factors: every alphabet here is a product of Z_{m_i}."""
@@ -46,9 +43,6 @@ class Cyclic(Alphabet):
 
     def add(self, s, t):
         return (s + t) % self.size
-
-    def neg(self, s):
-        return (-s) % self.size
 
     @property
     def moduli(self):
@@ -85,11 +79,6 @@ class Pair(Alphabet):
         ta, tb = divmod(t, q)
         return ((sa + ta) % q) * q + (sb + tb) % q
 
-    def neg(self, s):
-        q = self.q
-        a, b = divmod(s, q)
-        return ((-a) % q) * q + (-b) % q
-
     @property
     def moduli(self):
         return (self.q, self.q)
@@ -115,9 +104,6 @@ class Bits(Alphabet):
 
     def add(self, s, t):
         return s ^ t
-
-    def neg(self, s):
-        return s
 
     @property
     def moduli(self):

@@ -131,10 +131,6 @@ class BitGrid:
             b = x - self.xmin
             self.words[y - self.ymin, b >> 6] ^= _U64(1) << _U64(b & 63)
 
-    def get(self, x: int, y: int) -> int:
-        b = x - self.xmin
-        return int((self.words[y - self.ymin, b >> 6] >> _U64(b & 63)) & _U64(1))
-
     def step(self, offsets) -> None:
         """new(x, y) = XOR over (dx, dy) in offsets of old(x+dx, y+dy)."""
         if self._cone is None:  # a clipped grid's offsets are checked by _grid

@@ -79,6 +79,15 @@ def _int(text: str, what: str) -> int:
         raise UsageError(f"bad {what} {text!r}") from None
 
 
+def _out_dir(path: str) -> str:
+    """Create the output directory, or refuse a path that cannot be one."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory: {exc}") from None
+    return path
+
+
 def _summary(fh, **fields):
     fh.write("== summary ==\n")
     for key, val in fields.items():
@@ -89,16 +98,14 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     rule = presets.parse_rule(args.rule)
     init = _parse_init(args.init, rule)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out)
     final = engine.iterate(rule, init, args.steps, max_cells=_MAX_CELLS)
     dump_path = os.path.join(out_dir, "final.cfg")
     configio.save(final, dump_path)
     artifacts = [dump_path]
     if args.render:
-        paths = render.render_spacetime(rule, init, args.window, args.steps,
-                                        fmt=args.format, out_dir=out_dir)
-        artifacts.extend(paths if isinstance(paths, list) else [])
+        artifacts += render.render_spacetime(rule, init, args.window, args.steps,
+                                             args.format, out_dir)
     print(f"command: simulate --rule {args.rule} --init {args.init} "
           f"--steps {args.steps}")
     print(f"rule: {rule.describe()} radius={rule.radius} q={rule.q}")
@@ -191,8 +198,7 @@ def cmd_check_kexp(args) -> int:
     artifacts = 0
     witness = verdict.witness or (verdict.pair[1] if verdict.pair else None)
     if verdict.found and args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "witness.cfg")
+        path = os.path.join(_out_dir(args.out), "witness.cfg")
         configio.save(witness, path)
         print(f"artifact: {path}")
         artifacts = 1

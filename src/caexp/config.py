@@ -107,11 +107,6 @@ class Configuration:
                 out.pop(site, None)
         return Configuration(self.lattice, self.q, out, _validated=True)
 
-    def neg(self, alphabet: Alphabet) -> "Configuration":
-        return Configuration(self.lattice, self.q,
-                             {s: alphabet.neg(v) for s, v in self.cells.items()},
-                             _validated=True)
-
     def diff_count(self, other: "Configuration") -> int:
         """Number of sites where the two configurations differ."""
         self._check_compatible(other)
@@ -123,12 +118,6 @@ class Configuration:
             if site not in self.cells:
                 n += 1
         return n
-
-    def diff_sites(self, other: "Configuration") -> list[Site]:
-        self._check_compatible(other)
-        sites = set(self.cells) | set(other.cells)
-        return sorted(s for s in sites
-                      if self.cells.get(s, 0) != other.cells.get(s, 0))
 
     def restrict(self, sites: Iterable[Site]) -> tuple[int, ...]:
         return tuple(self.cells.get(s, 0) for s in sites)

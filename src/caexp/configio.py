@@ -54,8 +54,11 @@ def loads(text: str) -> Configuration:
 
 
 def save(c: Configuration, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(c))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(c))
+    except OSError as exc:
+        raise UsageError(f"cannot write configuration file: {exc}") from None
 
 
 def load(path) -> Configuration:

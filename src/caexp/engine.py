@@ -10,7 +10,8 @@ place that picks a backend for reading an orbit at fixed sites: ``bitgrid``
 for mod-2 linear rules on Z^2 whose x offsets are below 64 cells (one
 predicate for both), ``dense1d`` for linear, multiplication and linear
 second-order rules on Z (``window_series`` only), and the sparse step
-otherwise.  A ``dense1d`` kernel runs only when int64 arithmetic is exact for
+otherwise, which keeps only the cells that can still reach a read site by
+t_max.  A ``dense1d`` kernel runs only when int64 arithmetic is exact for
 the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Neither dense
 backend runs where the cells it would span (the support, and on Z^2 the read
 sites) leave a gap wider than the light cone spreads plus one 64-cell word:
@@ -113,11 +114,24 @@ def _bitgrid_runs(rule: Rule, c: Configuration, sites, t_max: int) -> bool:
                     for i in (0, 1)))
 
 
-def _sparse_orbit(rule: Rule, c: Configuration, t_max: int):
-    """c, F(c), ..., F^t_max(c) through the sparse step."""
+def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
+    """c, F(c), ..., F^t_max(c) through the sparse step, exact at ``sites``
+    only: before step t+1 it drops each cell s with norm(s) > max norm(site)
+    + (t_max - t) * radius, which by the triangle inequality lies farther from
+    every site than F^(t_max - t) reads."""
+    norm = rule.lattice.norm
+    reach = max((norm(s) for s in sites), default=0)
+    span = max((norm(s) for s in c.cells), default=0)  # bounds the support
     yield c
-    for _ in range(t_max):
+    for t in range(t_max):
+        keep = reach + (t_max - t) * rule.radius
+        if span > keep:
+            c = Configuration(c.lattice, c.q, {s: v for s, v in c.cells.items()
+                                               if norm(s) <= keep},
+                              _validated=True)
+            span = keep
         c = step(rule, c)
+        span += rule.radius
         yield c
 
 
@@ -151,7 +165,7 @@ def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray
     # states past int64 stay Python ints
     out = np.zeros((t_max + 1, len(sites)),
                    dtype=np.int64 if rule.q <= 2 ** 63 else object)
-    for t, cur in enumerate(_sparse_orbit(rule, c, t_max)):
+    for t, cur in enumerate(_sparse_orbit(rule, c, t_max, sites)):
         out[t] = cur.restrict(sites)
     return out
 
@@ -165,7 +179,7 @@ def first_nonzero_time(rule: Rule, c: Configuration, sites,
     if _bitgrid_runs(rule, c, sites, t_max):
         return bitgrid.first_nonzero_window_time(
             rule.neighborhood, sorted(c.cells), t_max, list(sites))
-    for t, cur in enumerate(_sparse_orbit(rule, c, t_max)):
+    for t, cur in enumerate(_sparse_orbit(rule, c, t_max, sites)):
         if any(cur.restrict(sites)):
             return t
     return None
@@ -178,10 +192,6 @@ class TracePrefix:
     m: int
     ball: tuple[Site, ...]
     patterns: tuple[tuple[int, ...], ...]
-
-    @property
-    def t_max(self) -> int:
-        return len(self.patterns) - 1
 
     def is_null(self) -> bool:
         return all(not any(p) for p in self.patterns)
@@ -207,8 +217,8 @@ def traces_equal(rule: Rule, c: Configuration, d: Configuration,
     _check_match(rule, d)
     ball = tuple(rule.lattice.origin_ball(m))
     return all(cc.restrict(ball) == dd.restrict(ball)
-               for cc, dd in zip(_sparse_orbit(rule, c, t_max),
-                                 _sparse_orbit(rule, d, t_max)))
+               for cc, dd in zip(_sparse_orbit(rule, c, t_max, ball),
+                                 _sparse_orbit(rule, d, t_max, ball)))
 
 
 @dataclass
@@ -218,13 +228,6 @@ class FrontSeries:
     l: list[int | None]
     r: list[int | None]
     radius: int
-
-    @property
-    def t_max(self) -> int:
-        return len(self.l) - 1
-
-    def defined(self, t: int) -> bool:
-        return self.l[t] is not None
 
 
 def fronts(rule: Rule, c: Configuration, d: Configuration,

@@ -28,8 +28,11 @@ from .lattice import Lattice, Z, Z2Lattice, ZLattice
 from .presets import psi as make_psi
 from .presets import upsilon as make_upsilon
 from .report import Report
-from .rules import LinearRule, MultRule, Rule
+from .rules import MultRule, Rule
 
+# candidate budget of kexp_search and pair budget of pair_preexp_probe
+_MAX_CANDIDATES = 5_000_000
+_MAX_PAIRS = 2_000_000
 
 # ---------------------------------------------------------------------------
 # verdicts and search domains
@@ -196,7 +199,7 @@ def _bounded_kernel_dim(table: TraceTable, domain, window,
 
 
 def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
-                t_max: int, max_candidates: int = 5_000_000) -> ExpansivityVerdict:
+                t_max: int) -> ExpansivityVerdict:
     """Hunt for a k-cell configuration whose radius-``window`` trace is null
     through t_max.
 
@@ -222,9 +225,9 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     nonzero = [s for s in range(1, rule.q)]
     count = math.comb(len(domain), k) * len(nonzero) ** k
     bounds = {"R": support_radius, "m": window, "t_max": t_max, "k": k}
-    if count > max_candidates:
+    if count > _MAX_CANDIDATES:
         raise ResourceLimitError(
-            f"search space {count} exceeds the {max_candidates} candidate budget",
+            f"search space {count} exceeds the {_MAX_CANDIDATES} candidate budget",
             requested=count)
     if count == 0:  # k exceeds the box: no candidate, so no table to build
         return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
@@ -279,8 +282,8 @@ def _configs_of_size(lattice, q, domain, size):
                                 _validated=True)
 
 
-def pair_preexp_probe(rule: Rule, k: int, R: int, m: int, t_max: int,
-                      max_pairs: int = 2_000_000) -> ExpansivityVerdict:
+def pair_preexp_probe(rule: Rule, k: int, R: int, m: int,
+                      t_max: int) -> ExpansivityVerdict:
     """Search unordered pairs c !=_k d (supports of size-<=R sites) for a
     radius-m trace collision through t_max.
 
@@ -301,9 +304,9 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int, t_max: int,
     total_pairs = sum(counts[a] * (counts[a] - 1) // 2 if a == b
                       else counts[a] * counts[b] for a, b in sizes)
     bounds = {"R": R, "m": m, "t_max": t_max, "k": k}
-    if total_pairs > max_pairs:
+    if total_pairs > _MAX_PAIRS:
         raise ResourceLimitError(
-            f"pair search space {total_pairs} exceeds the {max_pairs} budget",
+            f"pair search space {total_pairs} exceeds the {_MAX_PAIRS} budget",
             requested=total_pairs)
     lat = rule.lattice
     by_size = [list(_configs_of_size(lat, rule.q, domain, s))
@@ -567,54 +570,3 @@ def mult_front_checks(k: int, kp: int, samples: int = 30, t_max: int = 100,
         rep.expect("right front eventually constant", never_constant == 0)
     return rep
 
-
-# ---------------------------------------------------------------------------
-# coprime fronts for prime-power cyclic alphabets
-
-@dataclass
-class CoprimeFronts:
-    l: list[int | None]
-    r: list[int | None]
-    report: Report
-
-
-def coprime_fronts(rule: LinearRule, t_max: int) -> CoprimeFronts:
-    """Leftmost/rightmost cells of the spot orbit whose value is a unit mod p,
-    plus the joint check against the ordinary fronts of the c^{p^(e-1)} orbit."""
-    if not isinstance(rule.lattice, ZLattice):
-        raise UsageError("coprime fronts are a Z analysis")
-    fac = linearca.factorize(rule.m)
-    if len(fac) != 1:
-        raise UsageError("modulus must be a prime power; crt_decompose first")
-    p, e = fac[0]
-    threshold = max(1, (t_max * rule.radius) // 2)
-    spot = Configuration(Z, rule.m, {0: 1})
-    sat = Configuration(Z, rule.m, {0: p ** (e - 1)}) if e > 1 else spot
-    x0 = -t_max * rule.radius  # both orbits stay inside [x0, -x0]
-    sites = range(x0, -x0 + 1)
-    rows = engine.window_series(rule, spot, sites, t_max)
-    rows_s = engine.window_series(rule, sat, sites, t_max)
-    ls: list[int | None] = []
-    rs: list[int | None] = []
-    rep = Report(f"coprime-fronts {rule.describe()} t_max={t_max}")
-    joint_ok = True
-    for t in range(t_max + 1):
-        coprime = np.nonzero(rows[t] % p)[0]
-        if coprime.size:
-            ls.append(int(coprime[0]) + x0)
-            rs.append(int(coprime[-1]) + x0)
-        else:
-            ls.append(None)
-            rs.append(None)
-        nz = np.nonzero(rows_s[t])[0]
-        lzero = int(nz[0]) + x0 if nz.size else None
-        if lzero != ls[t]:
-            joint_ok = False
-    rep.expect("l^U of the unit spot = left front of the p^(e-1) spot", joint_ok)
-    esc_l = any(v is not None and v <= -threshold for v in ls)
-    esc_r = any(v is not None and v >= threshold for v in rs)
-    rep.note("escapes", f"left {'<= -' if esc_l else 'stays above -'}{threshold}, "
-                        f"right {'>= +' if esc_r else 'stays below +'}{threshold}")
-    rep.expect("defined-or-dead consistently", all(
-        (a is None) == (b is None) for a, b in zip(ls, rs)))
-    return CoprimeFronts(l=ls, r=rs, report=rep)

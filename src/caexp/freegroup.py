@@ -11,6 +11,8 @@ impossible (the support of a t-step orbit is the whole ball B_t).
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,10 @@ from .report import Report
 __all__ = ["lambda_rule", "BallTree", "walk_parity_table", "LayerProfile",
            "layer_profile", "fg_non2exp_witness", "fg_oddk_check"]
 
+# node budget of a BallTree, and subset budget of fg_oddk_check's enumeration
+_MAX_NODES = 4_000_000
+_MAX_SUBSETS = 5000
+
 
 class BallTree:
     """Implicit BFS indexing of the ball B_L in F_n.
@@ -35,7 +41,7 @@ class BallTree:
     identity; the generator order is a, a^-1, b, b^-1, ...
     """
 
-    def __init__(self, n: int, depth: int, max_nodes: int = 4_000_000):
+    def __init__(self, n: int, depth: int):
         if n < 1 or depth < 0:
             raise UsageError("need n >= 1 and depth >= 0")
         q = 2 * n
@@ -46,12 +52,10 @@ class BallTree:
         for c in counts:
             starts.append(starts[-1] + c)
         total = starts[-1]
-        if total > max_nodes:
+        if total > _MAX_NODES:
             raise ResourceLimitError(
-                f"ball B_{depth} of F_{n} has {total} nodes (> {max_nodes})",
+                f"ball B_{depth} of F_{n} has {total} nodes (> {_MAX_NODES})",
                 requested=total)
-        self.n = n
-        self.depth = depth
         self.counts = counts
         self.starts = starts
         self.total = total
@@ -82,42 +86,26 @@ class BallTree:
         gathered = ext[self.nei]
         return (values ^ np.bitwise_xor.reduce(gathered, axis=1)).astype(np.uint8)
 
-    def words(self) -> list[tuple[int, ...]]:
-        """Reduced words in index order (small depths only; for cross-checks)."""
-        order = [g for i in range(1, self.n + 1) for g in (i, -i)]
-        out: list[tuple[int, ...]] = [()]
-        frontier: list[tuple[int, ...]] = [()]
-        for _ in range(self.depth):
-            nxt = []
-            for w in frontier:
-                last = w[-1] if w else 0
-                for g in order:
-                    if g != -last:
-                        nxt.append(w + (g,))
-            out.extend(nxt)
-            frontier = nxt
-        return out
 
-
-def walk_parity_table(n: int, d_max: int, t_max: int) -> np.ndarray:
-    """table[t, d] = parity of lazy t-step walks between vertices at distance d.
+def walk_parity_table(d_max: int, t_max: int) -> np.ndarray:
+    """table[t, d] = parity of lazy t-step walks between vertices at distance d
+    on the 2n-regular tree, the same table for every n.
 
     Recurrence (distance projection of the tree walk): for d > 0 the count
     pulls from d-1 once, d+1 with multiplicity 2n-1 and d itself once; at the
-    root all 2n neighbors sit at distance 1.
+    root all 2n neighbors sit at distance 1.  Mod 2 those multiplicities are
+    1 and 0, so n drops out and the root keeps its value.
     """
     if d_max < 0 or t_max < 0:
         raise UsageError("need d_max >= 0 and t_max >= 0")
     width = d_max + t_max + 2
     table = np.zeros((t_max + 1, width), dtype=np.uint8)
     table[0, 0] = 1
-    far_mult = (2 * n - 1) % 2  # always 1
-    root_mult = (2 * n) % 2     # always 0
     for t in range(1, t_max + 1):
         prev = table[t - 1]
         cur = table[t]
-        cur[0] = prev[0] ^ (root_mult & prev[1])
-        cur[1:-1] = prev[1:-1] ^ prev[:-2] ^ (far_mult * prev[2:])
+        cur[0] = prev[0]
+        cur[1:-1] = prev[1:-1] ^ prev[:-2] ^ prev[2:]
     return table[:, :d_max + 1]
 
 
@@ -129,9 +117,6 @@ class LayerProfile:
     L: int
     t_max: int
     values: tuple[tuple[int, ...], ...]  # values[t][l]
-
-    def value(self, t: int, level: int) -> int:
-        return self.values[t][level]
 
 
 def _sim_depth(L: int, t_max: int) -> int:
@@ -150,7 +135,7 @@ def layer_profile(n: int, L: int, t_max: int) -> LayerProfile:
         raise UsageError("need L >= 0 and t_max >= 0")
     depth = _sim_depth(L, t_max)
     tree = BallTree(n, depth)
-    dp = walk_parity_table(n, L, t_max)
+    dp = walk_parity_table(L, t_max)
     values = np.zeros(tree.total, dtype=np.uint8)
     values[0] = 1
     rows = []
@@ -206,7 +191,7 @@ def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
     dy = [lat.norm(lat.add(lat.neg(w), y)) for w in window]
     rep.expect("windows are equidistant cell-by-cell", dx == dy,
                f"{len(window)} window cells")
-    table = walk_parity_table(n, max(max(dx), max(dy)), t_max)
+    table = walk_parity_table(max(max(dx), max(dy)), t_max)
     equal = all(np.array_equal(table[:, a], table[:, b]) for a, b in zip(dx, dy))
     rep.expect(f"traces equal through t={t_max}", equal)
     # cross-check the projected values against the sparse engine at small t
@@ -220,10 +205,10 @@ def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
     return rep
 
 
-def fg_oddk_check(n: int, k: int, R: int, sample_cap: int = 5000,
-                  seed: int = 0) -> Report:
-    """Every k-cell sum of spots (k odd) shows at the origin at the first
-    layer with odd occupancy."""
+def fg_oddk_check(n: int, k: int, R: int) -> Report:
+    """Every k-cell sum of spots (k odd) in B_R shows at the origin at the
+    first layer with odd occupancy; all k-subsets are enumerated, up to
+    ``_MAX_SUBSETS`` of them."""
     if k < 1 or k % 2 == 0:
         raise UsageError("k must be odd; for even k see fg_non2exp_witness")
     if R < 0:
@@ -231,23 +216,15 @@ def fg_oddk_check(n: int, k: int, R: int, sample_cap: int = 5000,
     lat = free(n)
     rule = lambda_rule(n)
     ball = lat.origin_ball(R)
-    import itertools
-    import math
-    import random
     total = math.comb(len(ball), k)
+    if total > _MAX_SUBSETS:
+        raise ResourceLimitError(
+            f"{total} {k}-subsets of B_{R} in F_{n} exceed the "
+            f"{_MAX_SUBSETS} subset budget", requested=total)
     rep = Report(f"fg-oddk n={n} k={k} R={R}")
-    if total <= sample_cap:
-        subsets = itertools.combinations(range(len(ball)), k)
-        rep.note("enumeration", f"exhaustive, {total} subsets")
-    else:
-        rng = random.Random(seed)
-        subsets = (tuple(sorted(rng.sample(range(len(ball)), k)))
-                   for _ in range(sample_cap))
-        rep.note("enumeration", f"sampled {sample_cap} of {total} subsets")
+    rep.note("enumeration", f"exhaustive, {total} subsets")
     bad = 0
-    checked = 0
-    for subset in subsets:
-        sites = [ball[i] for i in subset]
+    for sites in itertools.combinations(ball, k):
         occupancy: dict[int, int] = {}
         for s in sites:
             lev = lat.norm(s)
@@ -257,7 +234,6 @@ def fg_oddk_check(n: int, k: int, R: int, sample_cap: int = 5000,
         out = engine.iterate(rule, cfg, lbar)
         if out.get(lat.origin) != 1:
             bad += 1
-        checked += 1
     rep.expect("origin value 1 at the first odd layer", bad == 0,
-               f"{checked} subsets")
+               f"{total} subsets")
     return rep

@@ -50,12 +50,6 @@ class Lattice:
         raise NotImplementedError
 
     # -- balls ------------------------------------------------------------
-    def ball(self, center: Site, r: int) -> list[Site]:
-        """Sites at word distance <= r from center, in a deterministic order."""
-        if r < 0:
-            raise UsageError("ball radius must be >= 0")
-        return [self.add(center, x) for x in self.origin_ball(r)]
-
     def origin_ball(self, r: int) -> list[Site]:
         raise NotImplementedError
 
@@ -265,18 +259,8 @@ class FreeLattice(Lattice):
             for g in a)
 
 
-def branch_of(lattice: Lattice, s: Site):
-    """First letter of a reduced free-group word, or "root" for the identity."""
-    if not isinstance(lattice, FreeLattice):
-        raise UsageError("branch_of is only defined on free-group lattices")
-    lattice.validate_site(s)
-    if not s:
-        return "root"
-    return s[0]
-
-
 @lru_cache(maxsize=None)
-def _lattice_singleton(kind: str) -> Lattice:
+def lattice_by_kind(kind: str) -> Lattice:
     if kind == "z":
         return ZLattice()
     if kind == "z2":
@@ -288,10 +272,6 @@ def _lattice_singleton(kind: str) -> Lattice:
             raise UsageError(f"bad free-group rank in lattice kind {kind!r}") from None
         return FreeLattice(rank)
     raise UsageError(f"unknown lattice kind: {kind!r}")
-
-
-def lattice_by_kind(kind: str) -> Lattice:
-    return _lattice_singleton(kind)
 
 
 Z = lattice_by_kind("z")

@@ -11,7 +11,8 @@ In prime characteristic p the p^k-th power of a linear rule is the same rule
 with its neighborhood scaled by p^k.  The same fact decides null traces for
 all time (``null_trace_forever``), the one exact oracle of the package.
 For a composite modulus ``crt_decompose`` splits the rule into one rule per
-prime-power factor; nothing here decides those parts yet.
+prime-power factor.  For a squarefree modulus every part is prime, and the
+oracle decides each of them; prime powers p^e with e > 1 stay undecided.
 """
 from __future__ import annotations
 
@@ -100,10 +101,10 @@ def _scale_site(v: Site, factor: int) -> Site:
 
 
 def null_trace_decidable(rule: Rule) -> bool:
-    """Does null_trace_forever cover the rule: linear, prime m, Z or Z^2?"""
+    """Does null_trace_forever cover the rule: linear, squarefree m, Z or Z^2?"""
     return (isinstance(rule, LinearRule)
             and isinstance(rule.lattice, (ZLattice, Z2Lattice))
-            and is_prime(rule.m))
+            and all(e == 1 for _, e in factorize(rule.m)))
 
 
 def _coset(s: Site, p: int) -> tuple[Site, Site]:
@@ -123,21 +124,28 @@ def null_trace_forever(rule: LinearRule, c: Configuration, m: int) -> bool:
     for all t", splits into the states (e_jr, {y : p*y + r in W}), j < p.
     Supports and windows shrink towards the neighbourhood, so finitely many
     states are reachable; by induction on t the trace is null iff none of
-    them is nonzero on its own window.
+    them is nonzero on its own window.  For a squarefree m, Z_m is the
+    product of the Z_p of its primes, so the trace is null iff it is null
+    mod every p: each ``crt_decompose`` part decides the residues of c.
     """
     if not null_trace_decidable(rule):
         raise UsageError("exact null-trace decision needs a linear rule with "
-                         "prime modulus on Z or Z^2")
+                         "squarefree modulus on Z or Z^2")
     if m < 0:
         raise UsageError("window radius must be >= 0")
     engine._check_match(rule, c)
-    p = rule.m
-    start = (c, frozenset(rule.lattice.origin_ball(m)))
-    seen = {start}
-    todo = [start]
+    window = frozenset(rule.lattice.origin_ball(m))
+    if any(s in window for s in c.cells):
+        return False  # t = 0, also for the primes crt_decompose leaves out
+    parts = {part.m: part for part in crt_decompose(rule)}  # a state's q is p
+    todo = [(Configuration(rule.lattice, p, {s: v % p for s, v in c.cells.items()
+                                             if v % p}, _validated=True), window)
+            for p in parts]
+    seen = set(todo)
     cells_read = 0
     while todo:
         e, window = todo.pop()
+        p = e.q
         if any(s in window for s in e.cells):
             return False
         windows: dict[Site, set] = {}
@@ -146,7 +154,7 @@ def null_trace_forever(rule: LinearRule, c: Configuration, m: int) -> bool:
             windows.setdefault(r, set()).add(y)
         for j in range(p):
             if j:
-                e = engine._step_linear(rule, e)
+                e = engine._step_linear(parts[p], e)
             if e.is_zero():
                 break
             cells_read += len(e)
@@ -168,13 +176,18 @@ def null_trace_forever(rule: LinearRule, c: Configuration, m: int) -> bool:
 
 
 def crt_decompose(rule: LinearRule) -> list[LinearRule]:
-    """One linear rule per prime power of m, coefficients reduced mod p^e."""
+    """One linear rule per prime power p^e of m, coefficients reduced mod p^e.
+
+    A prime power on which every coefficient vanishes gets no rule: there
+    the rule maps every configuration to 0.
+    """
     parts = []
     for p, e in factorize(rule.m):
         mod = p ** e
         coeffs = {v: a % mod for v, a in rule.coeffs.items() if a % mod}
-        parts.append(LinearRule(rule.lattice, mod, coeffs,
-                                name=f"{rule.name} mod {mod}"))
+        if coeffs:
+            parts.append(LinearRule(rule.lattice, mod, coeffs,
+                                    name=f"{rule.name} mod {mod}"))
     return parts
 
 

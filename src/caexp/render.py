@@ -1,9 +1,10 @@
-"""Space-time rendering to binary PGM (P5) or plain text.
+"""Space-time rendering to binary PGM (P5) or plain-text files.
 
 Z rules produce one strip image with time running bottom-to-top (the last
 computed step is the top row).  Z^2 rules produce one numbered frame per
-step.  Gray value is floor(255 * state / (q - 1)); output is byte-exact for
-fixed inputs.
+step.  ``render_spacetime`` writes the files into a directory and returns
+their paths.  Gray value is floor(255 * state / (q - 1)); output is
+byte-exact for fixed inputs.
 """
 from __future__ import annotations
 
@@ -50,43 +51,30 @@ def render_frames(rule: Rule, c: Configuration, width_window: int,
 
 
 def render_spacetime(rule: Rule, c: Configuration, width_window: int,
-                     t_max: int, fmt: str = "pgm",
-                     out_dir: str | None = None) -> list[str] | bytes | str:
-    """Render to PGM bytes/files or a text dump.
-
-    With ``out_dir`` set, files are written and their paths returned;
-    otherwise the raw bytes (Z) or text are returned directly.
-    """
+                     t_max: int, fmt: str, out_dir: str) -> list[str]:
+    """Write the render into ``out_dir`` and return the paths written: one
+    ``spacetime.pgm`` or ``spacetime.txt`` strip on Z, one
+    ``spacetime_<t>.pgm`` frame per step on Z^2 (PGM only)."""
     lat = rule.lattice
     if isinstance(lat, ZLattice):
         img = render_strip(rule, c, width_window, t_max)
         if fmt == "text":
             txt = "\n".join("".join(str((int(v) * (rule.q - 1) + 254) // 255) for v in row)
                             for row in img) + "\n"
-            return _write_or_return(txt.encode(), out_dir, "spacetime.txt", text=True)
-        data = _pgm_bytes(img)
-        return _write_or_return(data, out_dir, "spacetime.pgm", text=False)
+            return [_write(out_dir, "spacetime.txt", txt.encode())]
+        return [_write(out_dir, "spacetime.pgm", _pgm_bytes(img))]
     if isinstance(lat, Z2Lattice):
         if fmt == "text":
             raise UsageError("text format is only available for Z strips")
         frames = render_frames(rule, c, width_window, t_max)
-        if out_dir is None:
-            raise UsageError("Z^2 rendering writes frame files; pass out_dir")
-        paths = []
-        for t, img in enumerate(frames):
-            path = os.path.join(out_dir, f"spacetime_{t:04d}.pgm")
-            with open(path, "wb") as fh:
-                fh.write(_pgm_bytes(img))
-            paths.append(path)
-        return paths
+        return [_write(out_dir, f"spacetime_{t:04d}.pgm", _pgm_bytes(img))
+                for t, img in enumerate(frames)]
     raise UsageError("rendering supports Z and Z^2 only; "
                      "use the textual configuration dump for free groups")
 
 
-def _write_or_return(data: bytes, out_dir, name, text: bool):
-    if out_dir is None:
-        return data.decode() if text else data
+def _write(out_dir: str, name: str, data: bytes) -> str:
     path = os.path.join(out_dir, name)
     with open(path, "wb") as fh:
         fh.write(data)
-    return [path]
+    return path

@@ -11,8 +11,8 @@ spots is null iff both the u-sum and the v-sum vanish at a scale covering
 every shifted cell.  That turns null-trace checking into a total, exact
 decision; a unit test checks the block reduction against simulation.
 
-``linearca.null_trace_forever`` decides the same for every prime-modulus
-linear rule; the words stay as the paper's substitution under test, and
+``linearca.null_trace_forever`` decides the same for every linear rule with
+prime or squarefree modulus; the words stay as the paper's substitution under test, and
 because ``three_trace_check``'s 234 136 decisions take about 2 s through them
 against about 28 s through the general oracle (120 us each; 2-core host).
 

@@ -139,8 +139,14 @@ def test_check_kexp_negative_tmax_is_usage_error(capsys):
     ["simulate", "--rule", "psi", "--init", "spot:4,0", "--out", "{tmp}"],
     ["simulate", "--rule", "psi", "--init", "spot:-1,0", "--out", "{tmp}"],
     ["simulate", "--rule", "layered:2", "--init", "spot:3,0,0", "--out", "{tmp}"],
+    # an --out that names a file, not a directory
+    ["simulate", "--rule", "f2", "--steps", "3", "--out", "{tmp}/file"],
+    ["check-kexp", "--rule", "linear m=4 coeffs=1:2", "--k", "1",
+     "--support-radius", "4", "--window", "1", "--tmax", "16",
+     "--out", "{tmp}/file"],
 ], ids=" ".join)
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "file").touch()
     assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
@@ -270,7 +276,8 @@ _SUBCOMMANDS = {
                          "file:{tmp}/w.cfg", "file:{tmp}/missing.cfg",
                          "file:{tmp}/bad.cfg", "nope"]),
         _flag("--steps", [*_SMALL, "64"]), [["--render"]],
-        _flag("--window", _SMALL), _flag("--format", ["pgm", "text", "gif"])]),
+        _flag("--window", _SMALL), _flag("--format", ["pgm", "text", "gif"]),
+        _flag("--out", ["{tmp}/new", "{tmp}/w.cfg"])]),
     "verify": ([], [
         _flag("--only", ["vn-kexp1", "vn-2exp-witness", "nope", ","]),
         [["--list"]]]),
@@ -283,7 +290,8 @@ _SUBCOMMANDS = {
         _flag("--rule", _RULES), _flag("--k", ["-1", "0", "1", "2", "x"]),
         _flag("--support-radius", ["-1", "0", "1", "3", "x"]),
         _flag("--window", _SMALL), _flag("--tmax", ["-1", "0", "4", "16", "x"]),
-        _flag("--alpha", ["1/2", "-3", "0", "abc", "1/0", ""])]),
+        _flag("--alpha", ["1/2", "-3", "0", "abc", "1/0", ""]),
+        _flag("--out", ["{tmp}/new", "{tmp}/w.cfg"])]),
     "freegroup": (["--tmax", "8", "--witness", "z=2a", "sprime=b"], [
         _flag("--n", ["0", "1", "2", "3", "x"]),
         _flag("--profile", ["2,3", "1", "x,1", "-1,2", "3,-1", ""]),

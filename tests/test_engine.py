@@ -180,25 +180,34 @@ def test_render_zero_uniform():
 
 def test_render_deterministic(tmp_path):
     c = spot(Z, 9, 3)  # psi state (1,0)
-    one = render.render_spacetime(presets.psi(), c, 20, 20)
-    two = render.render_spacetime(presets.psi(), c, 20, 20)
-    assert isinstance(one, bytes) and one == two
+    one, two = tmp_path / "one", tmp_path / "two"
+    one.mkdir()
+    two.mkdir()
+    assert render.render_spacetime(presets.psi(), c, 20, 20, "pgm", str(one)) \
+        == [str(one / "spacetime.pgm")]
+    render.render_spacetime(presets.psi(), c, 20, 20, "pgm", str(two))
+    data = (one / "spacetime.pgm").read_bytes()
+    assert data.startswith(b"P5\n41 21\n255\n")
+    assert data == (two / "spacetime.pgm").read_bytes()
 
 
-def test_render_text_digits_are_states():
+def test_render_text_digits_are_states(tmp_path):
     rule = presets.psi()
     c = spot(Z, 9, 3)
-    rows = render.render_spacetime(rule, c, 12, 10, fmt="text").splitlines()
+    [path] = render.render_spacetime(rule, c, 12, 10, "text", str(tmp_path))
+    with open(path) as fh:
+        rows = fh.read().splitlines()
     orbit = _sparse_orbit(rule, c, 10)
     assert rows[::-1] == ["".join(str(cur.get(x)) for x in range(-12, 13))
                           for cur in orbit]
 
 
-def test_render_free_group_rejected():
+def test_render_free_group_rejected(tmp_path):
     lam = presets.lambda_rule(2)
     c = Configuration.spot(lam.lattice, 2, 1)
     with pytest.raises(UsageError):
-        render.render_spacetime(lam, c, 3, 3)
+        render.render_spacetime(lam, c, 3, 3, "pgm", str(tmp_path))
+    assert not any(tmp_path.iterdir())
 
 
 def test_psi_orbit_first_steps_exact():
@@ -307,7 +316,7 @@ def _window_series_cases():
         "upsilon": presets.upsilon(), "vn2": presets.vn2(),
         "tri2": presets.tri2(), "mult:3,2": presets.mult(3, 2),
         "mult:2,4": presets.mult(2, 4), "layered:2": presets.layered(2),
-        "lambda:2": presets.lambda_rule(2),
+        "lambda:2": presets.lambda_rule(2), "lambda:3": presets.lambda_rule(3),
         "mod5": LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}),
         # inputs no dense kernel covers
         "so-inverse": SecondOrderInverseRule(presets.psi()),
@@ -320,12 +329,14 @@ def _window_series_cases():
 
 @pytest.mark.parametrize("name", list(_window_series_cases()))
 def test_window_series_and_fronts_match_sparse(name):
-    # every fast path behind window_series is bit-identical to stepping the
-    # sparse engine, and so are first_nonzero_time and the fronts read
-    # through the same dispatch
+    # every fast path behind window_series, and the cone-pruned sparse orbit,
+    # is bit-identical to stepping the unpruned sparse engine, and so are
+    # first_nonzero_time, traces_equal and the fronts read through the same
+    # dispatch
     rule = _window_series_cases()[name]
     lat = rule.lattice
     far = {"z": [-40, 40], "z2": [(70, -1), (-3, 40)]}.get(lat.kind, [])
+    ball = lat.origin_ball(1)
     sites = lat.origin_ball(3) + far
     # free-group balls grow exponentially, so that orbit stays short
     radius, t_max = (4, 12) if far else (2, 4)
@@ -343,13 +354,19 @@ def test_window_series_and_fronts_match_sparse(name):
         for cols in (slice(None), slice(-2, None)):
             hit = next((t for t, row in enumerate(want) if any(row[cols])), None)
             assert engine.first_nonzero_time(rule, c, sites[cols], t_max) == hit
-        if lat != Z:
+        d = random_config(lat, rule.q, rng, radius=radius, max_cells=4,
+                          states=states)
+        # d with c's window cells, so traces_equal cannot stop at t = 0
+        d_win = Configuration(lat, rule.q,
+                              {**d.cells, **{s: c.get(s) for s in ball}})
+        assert engine.traces_equal(rule, c, d_win, 1, t_max) == all(
+            cur.restrict(ball) == other.restrict(ball)
+            for cur, other in zip(orbit, _sparse_orbit(rule, d_win, t_max)))
+        if lat != Z or c == d:
             continue
-        d = random_config(Z, rule.q, rng, radius=4, max_cells=4, states=states)
-        if c == d:
-            continue
-        diffs = [cur.diff_sites(other) for cur, other
-                 in zip(orbit, _sparse_orbit(rule, d, t_max))]
+        diffs = [[s for s in {*cur.cells, *other.cells}
+                  if cur.get(s) != other.get(s)]
+                 for cur, other in zip(orbit, _sparse_orbit(rule, d, t_max))]
         fr = engine.fronts(rule, c, d, t_max)
         assert fr.l == [min(x) if x else None for x in diffs]
         assert fr.r == [max(x) if x else None for x in diffs]

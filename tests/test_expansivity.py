@@ -8,8 +8,7 @@ import pytest
 from caexp import engine, errors, expansivity, presets
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
-from caexp.expansivity import (CoprimeFronts, coprime_fronts,
-                               directional_fronts, g_value, kexp_search,
+from caexp.expansivity import (directional_fronts, g_value, kexp_search,
                                mult_front_checks, mult_params,
                                pair_preexp_probe, psi_landmarks,
                                psi_relation_check, psi_relation_config_check,
@@ -34,10 +33,10 @@ def test_kexp_rejects_bad_args():
                     t_max=8)  # not linear for its alphabet
 
 
-def test_kexp_budget():
+def test_kexp_budget(monkeypatch):
+    monkeypatch.setattr(expansivity, "_MAX_CANDIDATES", 1000)
     with pytest.raises(ResourceLimitError):
-        kexp_search(presets.vn2(), k=5, support_radius=20, window=1, t_max=8,
-                    max_candidates=1000)
+        kexp_search(presets.vn2(), k=5, support_radius=20, window=1, t_max=8)
 
 
 def test_kexp_finds_nilpotent_witness():
@@ -93,11 +92,11 @@ def test_probe_finds_glider_collision():
     assert engine.traces_equal(ups, c, d, 1, 64)
 
 
-def test_probe_budget():
+def test_probe_budget(monkeypatch):
     # the budget counts only the pairs searched: 7722 + 39*702
+    monkeypatch.setattr(expansivity, "_MAX_PAIRS", 100)
     with pytest.raises(ResourceLimitError) as exc:
-        pair_preexp_probe(presets.upsilon(), k=3, R=6, m=1, t_max=8,
-                          max_pairs=100)
+        pair_preexp_probe(presets.upsilon(), k=3, R=6, m=1, t_max=8)
     assert exc.value.requested == 35_100
 
 
@@ -199,30 +198,6 @@ def test_g_value_spot():
 def test_mult_front_checks_quick():
     assert mult_front_checks(3, 2, samples=40, t_max=60).ok
     assert mult_front_checks(2, 4, samples=40, t_max=60).ok
-
-
-def test_coprime_fronts_unit_endpoints():
-    # 3^25 squared is past int64: that orbit must not wrap
-    for rule in (LinearRule(Z, 4, {-1: 1, 1: 1}),
-                 LinearRule(Z, 3 ** 25, {-1: 3 ** 25 - 2, 1: 5})):
-        cf = coprime_fronts(rule, 12)
-        assert isinstance(cf, CoprimeFronts)
-        assert cf.l == [-t for t in range(13)]
-        assert cf.r == list(range(13))
-        assert cf.report.ok
-
-
-def test_coprime_fronts_doubling_rule_dies():
-    rule = LinearRule(Z, 4, {1: 2})
-    cf = coprime_fronts(rule, 8)
-    assert cf.l[0] == 0 and all(v is None for v in cf.l[1:])
-    assert cf.report.ok
-
-
-def test_coprime_fronts_requires_prime_power():
-    rule = LinearRule(Z, 6, {1: 1})
-    with pytest.raises(UsageError):
-        coprime_fronts(rule, 8)
 
 
 def test_sensitivity_far_perturbation_shows():

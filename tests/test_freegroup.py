@@ -5,7 +5,7 @@ import pytest
 
 from caexp import engine
 from caexp.config import Configuration, random_config
-from caexp.errors import UsageError
+from caexp.errors import ResourceLimitError, UsageError
 from caexp.freegroup import (BallTree, fg_non2exp_witness, fg_oddk_check,
                              lambda_rule, layer_profile, walk_parity_table)
 from caexp.lattice import Z, free
@@ -44,17 +44,31 @@ def test_lambda_fixes_zero():
 
 
 def test_ball_tree_matches_lattice_order():
+    # node i is the i-th word of origin_ball: its parent (nei[i, 0]) is the
+    # word less its last letter, and its other neighbors are its children in
+    # generator order, or the zero pad on the last level
     for n in (1, 2, 3):
+        words = free(n).origin_ball(4)
         tree = BallTree(n, 4)
-        assert tree.words() == free(n).origin_ball(4)
-        assert tree.total == free(n).ball_size(4)
+        assert tree.total == free(n).ball_size(4) == len(words)
+        index = {w: i for i, w in enumerate(words)}
+        children: dict = {}
+        for w in words[1:]:
+            children.setdefault(w[:-1], []).append(index[w])
+        for i, w in enumerate(words):
+            row = tree.nei[i].tolist()
+            if not w:
+                assert row == children[w]
+                continue
+            assert row[0] == index[w[:-1]], w
+            assert row[1:] == children.get(w, [tree.pad] * (2 * n - 1)), w
 
 
 def test_ball_tree_step_matches_sparse_engine():
     n = 2
     depth = 5
     tree = BallTree(n, depth)
-    words = tree.words()
+    words = free(n).origin_ball(depth)
     lam = lambda_rule(n)
     lat = lam.lattice
     values = np.zeros(tree.total, dtype=np.uint8)
@@ -70,7 +84,7 @@ def test_ball_tree_step_matches_sparse_engine():
 
 
 def test_walk_parity_small_values():
-    table = walk_parity_table(2, 5, 5)
+    table = walk_parity_table(5, 5)
     assert table[0, 0] == 1 and not table[0, 1:].any()
     # origin stays 1 forever (2n even neighbors at distance 1)
     assert all(table[t, 0] == 1 for t in range(6))
@@ -83,11 +97,11 @@ def test_walk_parity_small_values():
 
 def test_layer_profile_small():
     prof = layer_profile(2, 5, 10)
-    assert all(prof.value(l, l) == 1 for l in range(6))
+    assert all(prof.values[l][l] == 1 for l in range(6))
     for t in range(11):
         for l in range(5 + 1):
             if l > t:
-                assert prof.value(t, l) == 0
+                assert prof.values[t][l] == 0
 
 
 def test_layer_profile_recurrence():
@@ -96,10 +110,10 @@ def test_layer_profile_recurrence():
     prof = layer_profile(n, 6, 12)
     for t in range(12):
         for l in range(1, 6):
-            expect = (prof.value(t, l) + prof.value(t, l - 1)
-                      + (2 * n - 1) * prof.value(t, l + 1)) % 2
-            assert prof.value(t + 1, l) == expect
-        assert prof.value(t + 1, 0) == prof.value(t, 0)  # 2n even
+            expect = (prof.values[t][l] + prof.values[t][l - 1]
+                      + (2 * n - 1) * prof.values[t][l + 1]) % 2
+            assert prof.values[t + 1][l] == expect
+        assert prof.values[t + 1][0] == prof.values[t][0]  # 2n even
 
 
 def test_profiles_agree_across_rank_at_depth_one():
@@ -171,11 +185,21 @@ def test_oddk_rejects_even_k():
         fg_oddk_check(2, 2, 2)
 
 
+def test_budgets_refuse_up_front():
+    # C(53, 3) = 23 426 subsets of B_3 in F_2; B_12 of F_3 has 3.7e8 nodes
+    with pytest.raises(ResourceLimitError) as exc:
+        fg_oddk_check(2, 3, 3)
+    assert exc.value.requested == 23_426
+    with pytest.raises(ResourceLimitError) as exc:
+        BallTree(3, 12)
+    assert exc.value.requested == free(3).ball_size(12)
+
+
 def test_layer_profile_rank_three():
     # depth-8 ball of F_3 is ~586k nodes; the equivariance and recurrence
     # cross-checks run over all of them
     prof = layer_profile(3, 8, 8)
-    assert all(prof.value(l, l) == 1 for l in range(9))
+    assert all(prof.values[l][l] == 1 for l in range(9))
 
 
 def test_lambda_rejects_bad_rank():

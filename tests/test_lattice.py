@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caexp.errors import UsageError
-from caexp.lattice import (Z, Z2, branch_of, free, lattice_by_kind,
-                           reduce_word)
+from caexp.lattice import Z, Z2, free, lattice_by_kind, reduce_word
 
 F2 = free(2)
 
@@ -42,12 +41,6 @@ def test_size_norm_is_linf_on_z2():
     assert F2.size_norm((1, 2)) == 2
 
 
-def test_balls():
-    assert Z.ball(0, 2) == [-2, -1, 0, 1, 2]
-    assert len(Z2.ball((0, 0), 1)) == 5
-    assert len(F2.ball((), 2)) == 17
-
-
 @pytest.mark.parametrize("r", range(5))
 def test_ball_cardinalities(r):
     assert len(Z.origin_ball(r)) == 2 * r + 1
@@ -57,22 +50,6 @@ def test_ball_cardinalities(r):
     expected = 1 if r == 0 else 1 + 2 * n * ((2 * n - 1) ** r - 1) // (2 * n - 2)
     assert len(f3.origin_ball(r)) == expected
     assert f3.ball_size(r) == expected
-
-
-def test_ball_translation():
-    rng = random.Random(1)
-    for lat in (Z, Z2, F2):
-        z = rng.choice(lat.origin_ball(3))
-        ball = lat.ball(z, 2)
-        assert ball == [lat.add(z, x) for x in lat.origin_ball(2)]
-
-
-def test_branch_of():
-    assert branch_of(F2, (1, 2, 1)) == 1
-    assert branch_of(F2, ()) == "root"
-    assert branch_of(F2, (-2, 1)) == -2
-    with pytest.raises(UsageError):
-        branch_of(Z, 3)
 
 
 sites_z2 = st.tuples(st.integers(-30, 30), st.integers(-30, 30))

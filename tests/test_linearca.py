@@ -235,17 +235,60 @@ def test_null_trace_oracle_certifies_mod3_z2_witness():
 
 
 def test_null_trace_oracle_scope():
+    # prime and squarefree moduli are decided; prime powers are not
     spot = Configuration.spot
-    for rule in (LinearRule(Z, 6, {1: 1, -1: 1}), LinearRule(Z, 4, {1: 1}),
+    for rule in (LinearRule(Z, 4, {1: 1}), LinearRule(Z, 12, {1: 1, -1: 1}),
                  presets.psi(), presets.mult(3, 2), presets.lambda_rule(2)):
         assert not linearca.null_trace_decidable(rule)
         with pytest.raises(UsageError):
             linearca.null_trace_forever(rule, spot(rule.lattice, rule.q, 1), 1)
-    for rule in (presets.f2(), presets.f3(), presets.vn2(), presets.tri2()):
+    for rule in (presets.f2(), presets.f3(), presets.vn2(), presets.tri2(),
+                 LinearRule(Z, 6, {1: 1, -1: 1})):
         assert linearca.null_trace_decidable(rule)
     with pytest.raises(UsageError):
         linearca.null_trace_forever(presets.f3(), spot(Z, 3, 1), -1)
     assert linearca.null_trace_forever(presets.f3(), Configuration.zero(Z, 3), 2)
+
+
+def _vn_sum_mod6():
+    # the von Neumann sum rule mod 6: vn2 mod 2 and its mod-3 twin
+    offsets = [(0, 0), (0, 1), (1, 0), (0, -1), (-1, 0)]
+    return LinearRule(Z2, 6, {v: 1 for v in offsets})
+
+
+def test_null_trace_oracle_squarefree_modulus():
+    # 3 is 1 mod 2 and 0 mod 3: a vn2 null pair on the mod-2 part, nothing on
+    # the mod-3 part; value 1 also puts the pair on the mod-3 part, where
+    # its trace shows
+    rule = _vn_sum_mod6()
+    sites = [(-4, 2), (4, 2)]
+    ball = Z2.origin_ball(1)
+    null = Configuration(Z2, 6, {s: 3 for s in sites})
+    assert linearca.null_trace_forever(rule, null, 1)
+    assert not engine.window_series(rule, null, ball, 64).any()
+    ones = Configuration(Z2, 6, {s: 1 for s in sites})
+    assert not linearca.null_trace_forever(rule, ones, 1)
+    assert engine.window_series(rule, ones, ball, 64).any()
+
+
+def test_null_trace_oracle_vanishing_prime_part():
+    # 2 * c(x+1) mod 6 is the zero map mod 2: crt_decompose leaves that prime
+    # out, and only t = 0 can show there
+    rule = LinearRule(Z, 6, {1: 2})
+    assert [part.m for part in linearca.crt_decompose(rule)] == [3]
+    ball = Z.origin_ball(1)
+    for cells, null in (({2: 3}, True), ({1: 3}, False), ({2: 1}, False),
+                        ({5: 4}, False)):
+        c = Configuration(Z, 6, cells)
+        assert linearca.null_trace_forever(rule, c, 1) == null, cells
+        assert (not engine.window_series(rule, c, ball, 12).any()) == null
+
+
+def test_kexp_certifies_squarefree_z2_witness():
+    from caexp.expansivity import kexp_search
+    verdict = kexp_search(_vn_sum_mod6(), k=2, support_radius=4, window=1,
+                          t_max=16)
+    assert verdict.found and verdict.certified_exact
 
 
 def test_null_trace_oracle_cap(monkeypatch):
