@@ -4,7 +4,7 @@ properties of the example families."""
 
 from .alphabet import Bits, Cyclic, Pair
 from .config import Configuration, random_config
-from .engine import FrontSeries, TracePrefix, fronts, iterate, step, trace
+from .engine import FrontSeries, fronts, iterate, step
 from .errors import ResourceLimitError, UsageError
 from .lattice import Z, Z2, FreeLattice, free, lattice_by_kind
 from .rules import (LayeredFlipRule, LinearRule, MultRule, Rule,
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bits", "Cyclic", "Pair",
     "Configuration", "random_config",
-    "FrontSeries", "TracePrefix", "fronts", "iterate", "step", "trace",
+    "FrontSeries", "fronts", "iterate", "step",
     "ResourceLimitError", "UsageError",
     "Z", "Z2", "FreeLattice", "free", "lattice_by_kind",
     "LayeredFlipRule", "LinearRule", "MultRule", "Rule",

@@ -315,9 +315,9 @@ def claim_engine_invariants(seed: int = 0) -> Report:
         c = random_config(rule.lattice, rule.q, rng, radius=3, max_cells=4)
         m = rng.randint(0, 2)
         t = rng.randint(0, 6)
-        tr = engine.trace(rule, c, m, t)
-        final = engine.iterate(rule, c, t)
-        if tr.patterns[t] != final.restrict(tr.ball):
+        ball = rule.lattice.origin_ball(m)
+        got = engine.window_series(rule, c, ball, t)[t].tolist()
+        if got != list(engine.iterate(rule, c, t).restrict(ball)):
             bad += 1
     rep.expect("trace consistency with iterate", bad == 0, "1000 cases")
     return rep

@@ -1,4 +1,4 @@
-"""Rule evaluation, iteration, windowed orbits, traces and propagation fronts.
+"""Rule evaluation, iteration, windowed orbits and propagation fronts.
 
 Sign convention, fixed package-wide: ``sigma_z(c)(x) = c(z + x)``, so a cell
 at site s seen through a neighborhood offset v contributes to the image at
@@ -16,7 +16,8 @@ the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Neither dense
 backend runs where the cells it would span (the support, and on Z^2 the read
 sites) leave a gap wider than the light cone spreads plus one 64-cell word:
 the sparse step skips such gaps, a dense array would allocate them.  Arrays
-past ``errors.MAX_ARRAY_BYTES`` are refused up front.  Every backend is
+past ``errors.MAX_ARRAY_BYTES`` are refused up front, the (t_max+1, n) output
+of ``window_series`` on every backend.  Every backend is
 cross-checked against the sparse step; results are bit-identical.
 """
 from __future__ import annotations
@@ -148,6 +149,7 @@ def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray
     input the sparse step accepts.
     """
     _check_run(rule, c, t_max)
+    check_array_bytes(8 * (t_max + 1) * len(sites), "an orbit window series")
     if _bitgrid_runs(rule, c, sites, t_max):
         return bitgrid.simulate_series(rule.neighborhood, sorted(c.cells),
                                        t_max, list(sites))
@@ -161,7 +163,6 @@ def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray
             out = rows.take(cols, axis=1, mode="clip")
             out[:, (cols < 0) | (cols >= rows.shape[1])] = 0
             return out
-    check_array_bytes(8 * (t_max + 1) * len(sites), "an orbit window series")
     # states past int64 stay Python ints
     out = np.zeros((t_max + 1, len(sites)),
                    dtype=np.int64 if rule.q <= 2 ** 63 else object)
@@ -183,27 +184,6 @@ def first_nonzero_time(rule: Rule, c: Configuration, sites,
         if any(cur.restrict(sites)):
             return t
     return None
-
-
-@dataclass(frozen=True)
-class TracePrefix:
-    """Orbit restricted to the ball B_m(0): patterns[t][i] = F^t(c)(ball[i])."""
-
-    m: int
-    ball: tuple[Site, ...]
-    patterns: tuple[tuple[int, ...], ...]
-
-    def is_null(self) -> bool:
-        return all(not any(p) for p in self.patterns)
-
-
-def trace(rule: Rule, c: Configuration, m: int, t_max: int) -> TracePrefix:
-    """First t_max+1 window patterns of the orbit."""
-    if m < 0 or t_max < 0:
-        raise UsageError("trace needs m >= 0 and t_max >= 0")
-    ball = tuple(rule.lattice.origin_ball(m))
-    series = window_series(rule, c, ball, t_max)
-    return TracePrefix(m=m, ball=ball, patterns=tuple(map(tuple, series.tolist())))
 
 
 def traces_equal(rule: Rule, c: Configuration, d: Configuration,

@@ -57,34 +57,36 @@ class ExpansivityVerdict:
         return f"{head}{cert} [{b}]"
 
 
-def size_domain(lattice: Lattice, R: int) -> list:
-    """Sites of size <= R: an interval on Z, the L-inf box on Z^2."""
+def _box_dim(lattice: Lattice, R: int) -> int:
+    """1 on Z, 2 on Z^2: the size-<=R box holds (2R + 1)^dim sites."""
     if R < 0:
         raise UsageError("support radius must be >= 0")
     if isinstance(lattice, ZLattice):
-        return list(range(-R, R + 1))
+        return 1
     if isinstance(lattice, Z2Lattice):
-        return lattice.box(R)
+        return 2
     raise UsageError("bounded searches cover Z and Z^2; free-group claims "
                      "live in the freegroup module")
 
 
+def size_domain(lattice: Lattice, R: int) -> list:
+    """Sites of size <= R: an interval on Z, the L-inf box on Z^2."""
+    if _box_dim(lattice, R) == 1:
+        return list(range(-R, R + 1))
+    return lattice.box(R)
+
+
 # ---------------------------------------------------------------------------
 # single-cell trace tables
-
-def _pack_columns(bits: np.ndarray) -> list[int]:
-    """Each column of a 0/1 (t, n) array as an int, bit t = bits[t, i]."""
-    packed = np.packbits(bits, axis=0, bitorder="little")
-    return [int.from_bytes(col.tobytes(), "little")
-            for col in np.ascontiguousarray(packed.T)]
-
 
 class TraceTable:
     """Cached per-offset spot traces of a trace-additive rule.
 
     Keyed by relative offset and basis component; arbitrary states combine by
     componentwise scaling, exploiting shift equivariance and c^a = a * c^1 on
-    each cyclic factor.  All-mod-2 alphabets use packed ints (XOR lane).
+    each cyclic factor.  Each series stays as ``engine.window_series``
+    returns it (uint8 from bitgrid, int64 otherwise), split into components
+    and copied once, so that one offset's series is contiguous.
     """
 
     def __init__(self, rule: Rule, offsets, t_max: int):
@@ -96,72 +98,44 @@ class TraceTable:
         self.t_max = t_max
         self.offsets = list(offsets)
         self._index = {y: i for i, y in enumerate(self.offsets)}
-        self.bit_lane = all(m == 2 for m in self.moduli)
         ncomp = len(self.moduli)
-        self._basis_states = []
+        per_basis = []
         for i in range(ncomp):
             unit = [0] * ncomp
             unit[i] = 1
-            self._basis_states.append(rule.alphabet.from_components(unit))
-        per_basis = []
-        for bs in self._basis_states:
-            spot = Configuration.spot(rule.lattice, rule.q, bs)
+            spot = Configuration.spot(rule.lattice, rule.q,
+                                      rule.alphabet.from_components(unit))
             series = engine.window_series(rule, spot, self.offsets, t_max)
-            comps = self.alphabet.components(series)  # elementwise on arrays
-            per_basis.append([_pack_columns(cs) for cs in comps]
-                             if self.bit_lane else comps)
-        if self.bit_lane:
-            self._bits = per_basis  # [b][ci][offset], bit t = value at time t
-        else:
-            self._comp = np.array(per_basis, dtype=np.int64)  # [b, ci, t, offset]
+            # components work elementwise on arrays: [ci][offset, t]
+            per_basis.append(self.alphabet.components(series.T))
+        self._series = np.array(per_basis)  # [b, ci, offset, t]
 
     def null_at_window_cell(self, support_items, w) -> bool:
         """Is the summed trace at window cell w identically zero through t_max?"""
         lat = self.rule.lattice
-        ncomp = len(self.moduli)
-        if self.bit_lane:
-            acc = [0] * ncomp
-            for z, state in support_items:
-                idx = self._index[lat.sub(w, z)]
-                for b, c in enumerate(self.alphabet.components(state)):
-                    if c:
-                        words = self._bits[b]
-                        for ci in range(ncomp):
-                            acc[ci] ^= words[ci][idx]
-            return not any(acc)
-        acc = np.zeros((ncomp, self.t_max + 1), dtype=np.int64)
+        acc = 0
         for z, state in support_items:
-            idx = self._index[lat.sub(w, z)]
+            spots = self._series[:, :, self._index[lat.sub(w, z)]]
             for b, c in enumerate(self.alphabet.components(state)):
                 if c:
-                    acc += c * self._comp[b, :, :, idx]
-        for ci, m in enumerate(self.moduli):
-            if np.any(acc[ci] % m):
-                return False
-        return True
+                    acc = acc + c * spots[b]
+        # every alphabet here has one modulus for all of its components; the
+        # uint8 bitgrid sums wrap mod 256, which keeps them mod 2
+        return not np.count_nonzero(acc % self.moduli[0])
 
     def trace_map(self, domain, window):
         """The bounded trace map of configurations on ``domain``, column by
         column.
 
         Column (z, b), z-major, is basis state b at site z: the spot series at
-        offsets w - z, stacked over the window cells w, the components and
-        t = 0..t_max.  The bit lane yields packed ints, each series padded to
-        whole bytes (zero rows leave the rank as it is); the other lane
-        yields int64 arrays.
+        offsets w - z, stacked over the components, the window cells w and
+        t = 0..t_max.
         """
         lat = self.rule.lattice
-        nbytes = (self.t_max + 8) // 8
         for z in domain:
             idxs = [self._index[lat.sub(w, z)] for w in window]
-            if self.bit_lane:
-                for words in self._bits:
-                    yield int.from_bytes(b"".join(
-                        series[i].to_bytes(nbytes, "little")
-                        for i in idxs for series in words), "little")
-            else:
-                for spots in self._comp:  # [ci, t, offset]
-                    yield spots[:, :, idxs].transpose(2, 0, 1).ravel()
+            for spots in self._series:  # [ci, offset, t]
+                yield spots[:, idxs].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +144,8 @@ class TraceTable:
 def _verify_witness(rule: Rule, cfg: Configuration, m: int, t_max: int) -> bool:
     """Re-check a candidate by simulating the actual configuration directly
     (independent of the trace-cache composition path)."""
-    return engine.trace(rule, cfg, m, t_max).is_null()
+    return not engine.window_series(rule, cfg, rule.lattice.origin_ball(m),
+                                    t_max).any()
 
 
 def _bounded_kernel_dim(table: TraceTable, domain, window,
@@ -179,7 +154,7 @@ def _bounded_kernel_dim(table: TraceTable, domain, window,
     ``domain``, or None when the alphabet is not a power of one prime field,
     when the elimination takes more than ``budget`` entry operations
     (rows * columns * min(rows, columns)) or when the map's entries need
-    more than ``errors.MAX_ARRAY_BYTES``."""
+    more than ``errors.MAX_ARRAY_BYTES`` as int64."""
     p = table.moduli[0]
     if any(m != p for m in table.moduli) or not linearca.is_prime(p):
         return None
@@ -188,14 +163,9 @@ def _bounded_kernel_dim(table: TraceTable, domain, window,
     cols = len(domain) * ncomp
     if rows * cols * min(rows, cols) > budget:
         return None
-    series_bytes = ((table.t_max + 8) // 8 if table.bit_lane
-                    else 8 * (table.t_max + 1))
-    if cols * len(window) * ncomp * series_bytes > errors.MAX_ARRAY_BYTES:
+    if rows * cols * 8 > errors.MAX_ARRAY_BYTES:
         return None
-    columns = table.trace_map(domain, window)
-    rank = (linearca.gf2_rank(columns) if table.bit_lane
-            else linearca.gfp_rank(columns, p))
-    return cols - rank
+    return cols - linearca.gfp_rank(table.trace_map(domain, window), p)
 
 
 def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
@@ -221,9 +191,10 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
         raise UsageError("step count t_max must be >= 0")
     if window < 0:
         raise UsageError("window radius must be >= 0")
-    domain = size_domain(rule.lattice, support_radius)
-    nonzero = [s for s in range(1, rule.q)]
-    count = math.comb(len(domain), k) * len(nonzero) ** k
+    dim = _box_dim(rule.lattice, support_radius)
+    count = math.comb((2 * support_radius + 1) ** dim, k)
+    if count:  # k fits the box, which bounds the power
+        count *= (rule.q - 1) ** k
     bounds = {"R": support_radius, "m": window, "t_max": t_max, "k": k}
     if count > _MAX_CANDIDATES:
         raise ResourceLimitError(
@@ -231,13 +202,19 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
             requested=count)
     if count == 0:  # k exceeds the box: no candidate, so no table to build
         return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
-    window_ball = rule.lattice.origin_ball(window)
+    # every w - z of a window cell w and a site z lies in the size-(R + m)
+    # box; its spot series are refused here, before any box is listed
+    ncomp = len(rule.alphabet.moduli)
+    errors.check_array_bytes(
+        8 * ncomp * (t_max + 1) * (2 * (support_radius + window) + 1) ** dim,
+        "the trace table")
     lat = rule.lattice
-    offsets = sorted({lat.sub(w, z) for w in window_ball for z in domain})
-    table = TraceTable(rule, offsets, t_max)
+    domain = size_domain(lat, support_radius)
+    window_ball = lat.origin_ball(window)
+    table = TraceTable(rule, size_domain(lat, support_radius + window), t_max)
     # the loop reads about t_max + 1 entries per component and candidate; for
     # k = 1 it is one zero test per column and value, which no rank undercuts
-    loop_work = count * (t_max + 1) * len(rule.alphabet.moduli)
+    loop_work = count * (t_max + 1) * ncomp
     kernel_dim = (_bounded_kernel_dim(table, domain, window_ball, loop_work)
                   if k >= 2 else None)
     if kernel_dim == 0:
@@ -245,7 +222,7 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
                                   kernel_dim=0)
     searched = 0
     for sites in itertools.combinations(domain, k):
-        for values in itertools.product(nonzero, repeat=k):
+        for values in itertools.product(range(1, rule.q), repeat=k):
             searched += 1
             items = list(zip(sites, values))
             if all(table.null_at_window_cell(items, w) for w in window_ball):

@@ -3,9 +3,9 @@
 Over GF(p) a bounded trace map is a matrix: column (z, b) is the trace of
 basis state b at site z, stacked over the window cells, components and
 times.  Its rank decides at once whether any nonzero configuration on the
-support box has a trace null through the bound.  ``gf2_rank`` eliminates
-packed-int columns by XOR, ``gfp_rank`` int64 columns mod p; both keep only
-an echelon basis of the columns they have read.
+support box has a trace null through the bound.  ``gfp_rank`` eliminates
+the int64 columns mod p, p = 2 included, keeping only an echelon basis of the
+columns it has read.
 
 In prime characteristic p the p^k-th power of a linear rule is the same rule
 with its neighborhood scaled by p^k.  The same fact decides null traces for
@@ -51,32 +51,16 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == [(n, 1)]
 
 
-def gf2_rank(columns) -> int:
-    """Rank over GF(2) of columns packed into ints (bit i is row i).
-
-    An XOR basis keyed by each vector's leading bit: a column reduces to zero
-    exactly when it lies in the span of the columns before it.
-    """
-    basis: dict[int, int] = {}
-    for v in columns:
-        while v:
-            lead = v.bit_length()
-            b = basis.get(lead)
-            if b is None:
-                basis[lead] = v
-                break
-            v ^= b
-    return len(basis)
-
-
 def gfp_rank(columns, p: int) -> int:
     """Rank over GF(p) of 1-D integer arrays (the columns), by an echelon basis.
 
     Each column, reduced mod p, is cleared against the basis vectors at their
     pivots (first nonzero entries) in the order they joined; a column left
     nonzero joins the basis, scaled to pivot 1.  Entries stay below p, so the
-    products are exact in int64 for every p < 3 * 10^9.
+    products are exact in int64 for every p < 3 * 10^9; larger p is refused.
     """
+    if p >= 3 * 10 ** 9:  # checked first: is_prime trial-divides up to sqrt(p)
+        raise UsageError("row reduction is exact in int64 for p < 3 * 10^9")
     if not is_prime(p):
         raise UsageError("row reduction needs a prime modulus")
     basis: list[tuple[int, np.ndarray]] = []

@@ -169,6 +169,12 @@ def test_check_kexp_resource_error():
      "--window", "1", "--tmax", "100000000"],
     ["check-kexp", "--rule", "vn2", "--k", "1", "--support-radius", "1",
      "--window", "1", "--tmax", "100000000"],
+    # the candidate count of a modulus near 2^64, before any allocation
+    ["check-kexp", "--rule", "linear m=18446744073709551629 coeffs=-1:3,1:5",
+     "--k", "2", "--support-radius", "2", "--window", "1", "--tmax", "4"],
+    # a 2003^2-offset bitgrid series through t=2000, 64 GB as int64
+    ["check-kexp", "--rule", "vn2", "--k", "1", "--support-radius", "1000",
+     "--window", "2", "--tmax", "2000"],
     ["bench", "--window", "100000000", "--steps", "1"],
     # the spot orbit's support passes the cap at step 11
     ["simulate", "--rule", "lambda:2", "--out", "{tmp}"],

@@ -61,29 +61,33 @@ def test_iterate_resource_limit():
 
 
 def test_trace_of_zero_config():
-    tr = engine.trace(presets.f3(), Configuration.zero(Z, 3), 2, 10)
-    assert tr.is_null()
+    series = engine.window_series(presets.f3(), Configuration.zero(Z, 3),
+                                  Z.origin_ball(2), 10)
+    assert not series.any()
 
 
 def test_trace_vn_origin_prefix():
-    tr = engine.trace(presets.vn2(), spot(Z2, 2), 0, 1)
-    assert tr.patterns == ((1,), (1,))
+    series = engine.window_series(presets.vn2(), spot(Z2, 2),
+                                  Z2.origin_ball(0), 1)
+    assert series.tolist() == [[1], [1]]
 
 
 def test_trace_triangular_spot_null_window():
     c = spot(Z2, 2, 1, (0, 36))
-    tr = engine.trace(presets.tri2(), c, 2, 64)
-    assert tr.is_null()
+    series = engine.window_series(presets.tri2(), c, Z2.origin_ball(2), 64)
+    assert not series.any()
 
 
 def test_trace_consistency_with_iterate():
     rng = random.Random(3)
     rule = presets.upsilon()
+    ball = Z.origin_ball(1)
     for _ in range(20):
         c = random_config(Z, 4, rng, radius=5, max_cells=4)
         t = rng.randint(0, 8)
-        tr = engine.trace(rule, c, 1, t)
-        assert tr.patterns[t] == engine.iterate(rule, c, t).restrict(tr.ball)
+        series = engine.window_series(rule, c, ball, t)
+        final = engine.iterate(rule, c, t)
+        assert tuple(series[t].tolist()) == final.restrict(ball)
 
 
 def test_fronts_f3_spot():

@@ -242,14 +242,14 @@ def test_kexp_on_second_order_rule_finds_glider():
     assert verdict.found
     w = verdict.witness
     assert len(w) == 2
-    assert engine.trace(ups, w, 1, 64).is_null()
+    assert not engine.window_series(ups, w, Z.origin_ball(1), 64).any()
 
 
 def _kernel_dim(rule, R, m, t_max, budget=math.inf):
     # the pre-check on the table kexp_search builds, past its work gate
     box = size_domain(rule.lattice, R)
     window = rule.lattice.origin_ball(m)
-    offsets = sorted({rule.lattice.sub(w, z) for w in window for z in box})
+    offsets = size_domain(rule.lattice, R + m)
     table = expansivity.TraceTable(rule, offsets, t_max)
     return expansivity._bounded_kernel_dim(table, box, window, budget)
 
@@ -267,11 +267,12 @@ def test_kernel_dim_counts_null_traces_on_the_box(name, R, m, t_max, dim):
     rule = presets.parse_rule(name)
     p = rule.alphabet.moduli[0]
     box = size_domain(rule.lattice, R)
+    window = rule.lattice.origin_ball(m)
     nulls = 0
     for values in itertools.product(range(rule.q), repeat=len(box)):
         cells = {z: v for z, v in zip(box, values) if v}
         cfg = Configuration(rule.lattice, rule.q, cells)
-        nulls += engine.trace(rule, cfg, m, t_max).is_null()
+        nulls += not engine.window_series(rule, cfg, window, t_max).any()
     assert _kernel_dim(rule, R, m, t_max) == dim
     assert nulls == p ** dim
 

@@ -28,12 +28,14 @@ def test_rank_counts_the_kernel(p):
                      for x in itertools.product(range(p), repeat=cols))
         rank = linearca.gfp_rank(a, p)
         assert p ** (cols - rank) == kernel
-        if p == 2:
-            packed = [int("".join(map(str, a[::-1, j] % 2)), 2)
-                      for j in range(cols)]
-            assert linearca.gf2_rank(packed) == rank
     with pytest.raises(UsageError):
         linearca.gfp_rank(np.eye(2, dtype=np.int64), 4)
+    # past 3 * 10^9 the int64 products overflow: at the prime 2^40 + 15 six
+    # random columns of length 4 came back with rank 6 before the refusal
+    big = 2 ** 40 + 15
+    columns = np.random.default_rng(0).integers(0, big, size=(4, 6)).T
+    with pytest.raises(UsageError):
+        linearca.gfp_rank(columns, big)
 
 
 def test_crt_decompose_m6():

@@ -165,6 +165,17 @@ def test_three_trace_constructed_instance():
     assert not exact_trace_null(triple, 1)
 
 
+def test_window_words_of_the_vn_witness_cancel():
+    # the scale-1 witness pair has a null radius-1 trace: at the scale
+    # three_trace_check(7) takes, its two cells' window words are equal, so
+    # the triple check's XOR test can fire
+    w = vn_witness(1)
+    assert exact_trace_null(w, 1)
+    k = scale_for_norm(7 + 1)
+    a, b = (z2subst.window_word(z, Z2.origin_ball(1), k) for z in w.cells)
+    assert a == b != 0
+
+
 def test_tri_lucas_support_k3():
     spot = Configuration.spot(Z2, 2, 1, (0, 36))
     out = engine.iterate(presets.tri2(), spot, 8)
