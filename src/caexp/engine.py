@@ -12,13 +12,16 @@ predicate for both), ``dense1d`` for linear, multiplication and linear
 second-order rules on Z (``window_series`` only), and the sparse step
 otherwise, which keeps only the cells that can still reach a read site by
 t_max.  A ``dense1d`` kernel runs only when int64 arithmetic is exact for
-the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Neither dense
-backend runs where the cells it would span (the support, and on Z^2 the read
-sites) leave a gap wider than the light cone spreads plus one 64-cell word:
-the sparse step skips such gaps, a dense array would allocate them.  Arrays
-past ``errors.MAX_ARRAY_BYTES`` are refused up front, the (t_max+1, n) output
-of ``window_series`` on every backend.  Every backend is
-cross-checked against the sparse step; results are bit-identical.
+the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  It steps two
+rows clipped to the light-cone box of the support and the read sites, and
+gathers the read sites straight into the output after each step, so no
+space-time array exists; its cell steps are counted and capped before the
+first step.  Neither dense backend runs where the cells it would span (the
+support, and on Z^2 the read sites) leave a gap wider than the light cone
+spreads plus one 64-cell word: the sparse step skips such gaps, a dense row
+would allocate them.  Arrays past ``errors.MAX_ARRAY_BYTES`` are refused up
+front, the (t_max+1, n) output of ``window_series`` on every backend.  Every
+backend is cross-checked against the sparse step; results are bit-identical.
 """
 from __future__ import annotations
 
@@ -154,15 +157,9 @@ def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray
         return bitgrid.simulate_series(rule.neighborhood, sorted(c.cells),
                                        t_max, list(sites))
     if isinstance(rule.lattice, ZLattice) and _gaps_within(c.cells, rule, t_max):
-        dense = dense1d.orbit(rule, c, t_max)
+        dense = dense1d.orbit(rule, c, sites, t_max)
         if dense is not None:
-            x0, rows = dense
-            cols = np.fromiter((s - x0 for s in sites), dtype=np.intp,
-                               count=len(sites))
-            # mode="clip" gathers straight into the result, no temporary
-            out = rows.take(cols, axis=1, mode="clip")
-            out[:, (cols < 0) | (cols >= rows.shape[1])] = 0
-            return out
+            return dense
     # states past int64 stay Python ints
     out = np.zeros((t_max + 1, len(sites)),
                    dtype=np.int64 if rule.q <= 2 ** 63 else object)

@@ -24,9 +24,10 @@ class ResourceLimitError(RuntimeError):
 
 
 
-# the largest array one orbit may allocate: above the 1.07 GB space-time array
-# of the f3 spot orbit through t=8192, the largest a benchmark search builds
-MAX_ARRAY_BYTES = 1_100_000_000
+# the largest array one orbit or search may allocate: above the 128 MB int64
+# spot series of the vn2 trace table (15 625 offsets through t=1024), the
+# largest a benchmark search builds
+MAX_ARRAY_BYTES = 2 ** 28
 
 
 def check_array_bytes(nbytes: int, what: str) -> None:

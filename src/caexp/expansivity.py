@@ -69,6 +69,13 @@ def _box_dim(lattice: Lattice, R: int) -> int:
                      "live in the freegroup module")
 
 
+def _configs_count(box: int, q: int, s: int) -> int:
+    """Configurations with exactly s nonzero cells on a box of ``box`` sites;
+    the power is taken only where s fits the box, which bounds it."""
+    count = math.comb(box, s)
+    return count * (q - 1) ** s if count else 0
+
+
 def size_domain(lattice: Lattice, R: int) -> list:
     """Sites of size <= R: an interval on Z, the L-inf box on Z^2."""
     if _box_dim(lattice, R) == 1:
@@ -192,9 +199,7 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     if window < 0:
         raise UsageError("window radius must be >= 0")
     dim = _box_dim(rule.lattice, support_radius)
-    count = math.comb((2 * support_radius + 1) ** dim, k)
-    if count:  # k fits the box, which bounds the power
-        count *= (rule.q - 1) ** k
+    count = _configs_count((2 * support_radius + 1) ** dim, rule.q, k)
     bounds = {"R": support_radius, "m": window, "t_max": t_max, "k": k}
     if count > _MAX_CANDIDATES:
         raise ResourceLimitError(
@@ -266,7 +271,8 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int,
 
     Only pairs of combined support weight |supp c| + |supp d| = k are
     enumerated, the least weight a k-difference pair can have; their number
-    is counted up front and refused when it exceeds the pair budget.
+    is counted up front, from the box size alone, and refused when it
+    exceeds the pair budget.
     """
     if k < 1:
         raise UsageError("difference count k must be >= 1")
@@ -274,10 +280,10 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int,
         raise UsageError("step count t_max must be >= 0")
     if m < 0:
         raise UsageError("window radius must be >= 0")
-    domain = size_domain(rule.lattice, R)
-    counts = [math.comb(len(domain), s) * (rule.q - 1) ** s
-              for s in range(k + 1)]
-    sizes = [(a, k - a) for a in range(k // 2 + 1)]
+    box = (2 * R + 1) ** _box_dim(rule.lattice, R)
+    # supports of a and k - a cells, a <= k - a, both fitting the box
+    sizes = [(a, k - a) for a in range(max(0, k - box), k // 2 + 1)]
+    counts = {s: _configs_count(box, rule.q, s) for pair in sizes for s in pair}
     total_pairs = sum(counts[a] * (counts[a] - 1) // 2 if a == b
                       else counts[a] * counts[b] for a, b in sizes)
     bounds = {"R": R, "m": m, "t_max": t_max, "k": k}
@@ -285,9 +291,12 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int,
         raise ResourceLimitError(
             f"pair search space {total_pairs} exceeds the {_MAX_PAIRS} budget",
             requested=total_pairs)
+    if total_pairs == 0:  # no pair of weight k fits the box
+        return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
     lat = rule.lattice
-    by_size = [list(_configs_of_size(lat, rule.q, domain, s))
-               for s in range(k + 1)]
+    domain = size_domain(lat, R)
+    by_size = {s: list(_configs_of_size(lat, rule.q, domain, s))
+               for s in counts}
     searched = 0
     for a, b in sizes:
         group_b = by_size[b]

@@ -159,6 +159,24 @@ def test_check_kexp_empty_search(capsys):
     assert "searched=0" in capsys.readouterr().out
 
 
+def test_pair_probe_counts_before_listing_its_box(monkeypatch, capsys):
+    # the pair budget is checked on the box size alone: a 2*10^8-site box is
+    # refused, and k above twice a three-site box is an empty search, as it
+    # is for kexp_search, without a count per difference size
+    from caexp import expansivity
+
+    def no_domain(*args):
+        raise AssertionError("size_domain listed before the budget check")
+    monkeypatch.setattr(expansivity, "size_domain", no_domain)
+    assert run(["check-kexp", "--rule", "mult:3,2", "--k", "1",
+                "--support-radius", "100000000", "--window", "1",
+                "--tmax", "4"]) == 3
+    assert "resource limit" in capsys.readouterr().err
+    assert run(["check-kexp", "--rule", "mult:3,2", "--k", "100000",
+                "--support-radius", "1", "--window", "1", "--tmax", "4"]) == 0
+    assert "searched=0" in capsys.readouterr().out
+
+
 def test_check_kexp_resource_error():
     assert run(["check-kexp", "--rule", "vn2", "--k", "6",
                 "--support-radius", "30", "--window", "1", "--tmax", "4"]) == 3
@@ -175,6 +193,17 @@ def test_check_kexp_resource_error():
     # a 2003^2-offset bitgrid series through t=2000, 64 GB as int64
     ["check-kexp", "--rule", "vn2", "--k", "1", "--support-radius", "1000",
      "--window", "2", "--tmax", "2000"],
+    # a dense Z orbit of about 5*10^11 cell steps, refused before its first
+    # step by the cell-step cap rather than by any array
+    ["check-kexp", "--rule", "f3", "--k", "1", "--support-radius", "0",
+     "--window", "0", "--tmax", "1000000"],
+    # an 800 MB one-column series, above the array cap
+    ["check-kexp", "--rule", "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1",
+     "--k", "1", "--support-radius", "0", "--window", "0",
+     "--tmax", "100000000"],
+    # the pair probe's box of 2*10^8 + 1 sites is counted, never listed
+    ["check-kexp", "--rule", "mult:3,2", "--k", "1",
+     "--support-radius", "100000000", "--window", "1", "--tmax", "4"],
     ["bench", "--window", "100000000", "--steps", "1"],
     # the spot orbit's support passes the cap at step 11
     ["simulate", "--rule", "lambda:2", "--out", "{tmp}"],

@@ -396,6 +396,101 @@ def test_window_series_steps_far_apart_cells_sparsely():
         assert engine.window_series(rule, c, sites, 6).tolist() == want
 
 
+def _dense_clip_cases():
+    """(rule, support, sites, t_max) runs whose boxes clip the light cone."""
+    f3, psi, mult = presets.f3(), presets.psi(), presets.mult(3, 2)
+    mod5 = LinearRule(Z, 5, {-2: 3, -1: 1, 2: 4})  # radius 2, both sides
+    return [
+        # a narrow window far from the support: the box is the window's
+        # backward cone met with the support's forward cone
+        (f3, {0: 1, 3: 2}, [30, 31], 40),
+        (psi, {0: 1, 2: 5}, [-25, -24], 30),
+        (mult, {0: 5, 1: 3}, [-12, -11, -10], 20),
+        # read sites beyond the forward cone read zeros, on the rows and off
+        (f3, {0: 1}, [-1000, 0, 21, 1000], 20),
+        (psi, {1: 4}, [-50, 1, 50], 20),
+        (mult, {0: 1}, [5, 0, -30], 20),
+        # one-sided rules: the rows end at the cone's edge, which is nonzero
+        # at t_max, so a site off the rows must not read it
+        (LinearRule(Z, 3, {0: 1, 1: 1}), {0: 1}, [-50, 0], 20),
+        (LinearRule(Z, 3, {-1: 1, 0: 1}), {0: 2}, [0, 50], 20),
+        # radius 2: a mis-padded slice near the row's edge would wrap
+        (mod5, {0: 1, 1: 3, 4: 2}, [-40, -9, 0, 7, 40], 16),
+        (mod5, {-3: 4, 3: 1}, [-3, 3], 12),
+        (mod5, {0: 2}, [-4, 4], 2),
+        # no site, and no step
+        (f3, {0: 1}, [], 10),
+        (psi, {0: 7}, [-1, 0, 1], 0),
+        (mod5, {2: 3}, [], 0),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_dense_clip_cases())))
+def test_dense_kernels_match_sparse_where_boxes_clip(case):
+    from caexp import dense1d
+    rule, cells, sites, t_max = _dense_clip_cases()[case]
+    c = Configuration(Z, rule.q, cells)
+    want = [[cur.get(s) for s in sites] for cur in _sparse_orbit(rule, c, t_max)]
+    got = dense1d.orbit(rule, c, sites, t_max)
+    assert got.shape == (t_max + 1, len(sites))
+    assert got.tolist() == want
+    assert engine.window_series(rule, c, sites, t_max).tolist() == want
+
+
+def test_dense_cell_steps_sum_the_boxes():
+    # the closed-form count is the summed box widths plus two per step, and
+    # every box lies inside the rows with the neighbourhood's reach around it
+    from caexp import dense1d
+    rng = random.Random(5)
+    for _ in range(300):
+        offsets = rng.sample(range(-3, 4), rng.randint(1, 3))
+        cells = rng.sample(range(-20, 21), rng.randint(1, 3))
+        sites = rng.sample(range(-40, 41), rng.randint(1, 4))
+        t_max = rng.randint(0, 30)
+        f = dense1d._Frame(cells, sites, offsets, t_max)
+        if f.empty:
+            continue
+        boxes = list(f.boxes())
+        assert f.steps == sum(b - a + 2 for _, a, b in boxes)
+        for _, a, b in boxes:
+            assert 0 <= a + min(offsets) and b + max(offsets) <= f.width
+            assert a < b
+
+
+def test_dense_run_over_the_cell_step_cap_is_refused_up_front(monkeypatch):
+    from caexp import dense1d
+    rule, c, sites = presets.f3(), spot(Z, 3), Z.origin_ball(2)
+    steps, series = dense1d.orbit_linear(rule, c, sites, 50)
+    monkeypatch.setattr(dense1d, "MAX_CELL_STEPS", steps)
+    assert dense1d.orbit_linear(rule, c, sites, 50)[0] == steps
+
+    def no_row(*args):
+        raise AssertionError("a row was allocated for a refused run")
+    monkeypatch.setattr(dense1d._Frame, "row", no_row)
+    monkeypatch.setattr(dense1d, "MAX_CELL_STEPS", steps - 1)
+    for run in (lambda: dense1d.orbit_linear(rule, c, sites, 50),
+                lambda: engine.window_series(rule, c, sites, 50)):
+        with pytest.raises(ResourceLimitError):
+            run()
+
+
+def test_dense_series_peaks_near_its_own_size():
+    # the f3 table build of the benchmark's deepest search holds two rows
+    # besides its 8 MB output; its full space-time array would take 1.07 GB
+    import tracemalloc
+
+    from caexp.expansivity import size_domain
+    rule = presets.f3()
+    tracemalloc.start()
+    try:
+        series = engine.window_series(rule, spot(Z, 3), size_domain(Z, 62), 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.shape == (8193, 125)
+    assert peak < 3 * series.nbytes
+
+
 def test_front_escape_tracks_expansivity():
     # permutive rule: one-sided differences run off both ways; the nilpotent
     # doubling rule loses its differences instead

@@ -322,8 +322,8 @@ def test_rank_precheck_scope(monkeypatch):
                           t_max=64)
     assert verdict.kernel_dim is None and verdict.searched == 12
     # a map whose entries pass the array cap: 18 columns of 5 * 2 * 65
-    # int64 entries, 93 600 bytes, above the 68 120-byte space-time array
-    # of the table build
+    # int64 entries, 93 600 bytes, above the 13 520-byte spot series of the
+    # table build
     args = dict(k=2, support_radius=4, window=2, t_max=64)
     assert kexp_search(presets.psi(), **args).kernel_dim == 0
     monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 93_600)
@@ -342,7 +342,8 @@ def test_negative_window_is_usage_error():
 
 def test_empty_search_builds_no_table(monkeypatch):
     # six cells do not fit the five-site box: no candidate, so the verdict comes
-    # before a TraceTable (a 640 GB dense1d array at this horizon) is built
+    # before a TraceTable (2*10^10 dense1d cell steps at this horizon)
+    # is built
     def no_table(*args):
         raise AssertionError("TraceTable built for an empty search")
     monkeypatch.setattr(expansivity, "TraceTable", no_table)
