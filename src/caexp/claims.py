@@ -18,7 +18,7 @@ from .expansivity import (kexp_search, mult_front_checks, mult_params,
                           pair_preexp_probe, psi_landmarks,
                           psi_relation_config_check, psi_relation_sweep,
                           upsilon_glider, _glider)
-from .freegroup import fg_non2exp_witness, fg_oddk_check, layer_profile
+from .freegroup import fg_non2exp_witness, layer_profile, odd_weight_kernel
 from .lattice import Z, Z2
 from .report import Report
 from .rules import LinearRule, SecondOrderInverseRule
@@ -154,7 +154,12 @@ def claim_freegroup(seed: int = 0) -> Report:
         rep.expect("layer profile to norm 8, t<=16 (cell-by-cell)", False,
                    str(exc))
     rep.merge(fg_non2exp_witness(2, (1, 1, 1), (2,), t_max=64))
-    rep.merge(fg_oddk_check(2, 3, 2))
+    for n in (2, 3):
+        rank, kernel_dim, odd = odd_weight_kernel(presets.lambda_rule(n), 3, 0, 3)
+        rep.expect(f"lambda:{n}: no odd-weight null trace on B_3, every odd k "
+                   f"<= {rank + kernel_dim}", not odd,
+                   f"radius-0 trace through t=3: GF(2) rank {rank}, "
+                   f"kernel dim {kernel_dim}")
     return rep
 
 
@@ -352,7 +357,7 @@ CLAIMS: dict[str, tuple[str, object]] = {
                      claim_second_order),
     "mult-ca": ("multiplication family: bijection, value recurrence, fronts",
                 claim_mult),
-    "freegroup": ("layer structure, two-spot witness, odd-k evidence",
+    "freegroup": ("layer structure, two-spot witness, every odd k by rank",
                   claim_freegroup),
     "vn-uv": ("substitution words equal simulated traces (k=6)", claim_vn_uv),
     "vn-structure": ("square/parity/diagonal structure of the words (k=5)",

@@ -76,6 +76,36 @@ def _configs_count(box: int, q: int, s: int) -> int:
     return count * (q - 1) ** s if count else 0
 
 
+def _search_box(lattice: Lattice, k: int, R: int, m: int, t_max: int) -> int:
+    """Check a search's bounds; the number of sites of its size-<=R box."""
+    if k < 1:
+        raise UsageError("difference count k must be >= 1")
+    if t_max < 0:
+        raise UsageError("step count t_max must be >= 0")
+    if m < 0:
+        raise UsageError("window radius must be >= 0")
+    return (2 * R + 1) ** _box_dim(lattice, R)
+
+
+def _refuse_huge(box: int, q: int, sizes, budget: int, what: str) -> None:
+    """Refuse a search of at least the product over ``sizes`` (each <= box)
+    of _configs_count(box, q, s) where a lower bound alone exceeds the
+    budget, before any exact count, and state it by its digits: Python
+    formats no int of more than 4300.  C(box, s) >= (box/j)^j for j = min(s,
+    box - s); both factors grow with j <= box/2 and with s, so they are
+    taken at most at ``budget``, which keeps the floats finite.  log 4
+    covers the c(c-1)/2 >= c^2/4 pairs of configurations of one size."""
+    log_floor = -math.log(4)
+    for s in sizes:
+        j, s = min(s, box - s, budget), min(s, budget)
+        log_floor += (j * (math.log(box) - math.log(j or 1))
+                      + s * math.log(q - 1))
+    if log_floor > math.log(budget + 1):
+        raise ResourceLimitError(
+            f"{what} of at least 10^{int(log_floor / math.log(10))} exceeds "
+            f"the {budget} budget")
+
+
 def size_domain(lattice: Lattice, R: int) -> list:
     """Sites of size <= R: an interval on Z, the L-inf box on Z^2."""
     if _box_dim(lattice, R) == 1:
@@ -91,7 +121,10 @@ class TraceTable:
 
     Keyed by relative offset and basis component; arbitrary states combine by
     componentwise scaling, exploiting shift equivariance and c^a = a * c^1 on
-    each cyclic factor.  Each series stays as ``engine.window_series``
+    each cyclic factor.  Rules read F(c)(x) = f(c(x + v)), so they commute
+    with left translation: the spot at z reads at w what the spot at the
+    origin reads at (-z) + w, the offset of every lookup, which is w - z only
+    on abelian lattices.  Each series stays as ``engine.window_series``
     returns it (uint8 from bitgrid, int64 otherwise), split into components
     and copied once, so that one offset's series is contiguous.
     """
@@ -122,7 +155,7 @@ class TraceTable:
         lat = self.rule.lattice
         acc = 0
         for z, state in support_items:
-            spots = self._series[:, :, self._index[lat.sub(w, z)]]
+            spots = self._series[:, :, self._index[lat.add(lat.neg(z), w)]]
             for b, c in enumerate(self.alphabet.components(state)):
                 if c:
                     acc = acc + c * spots[b]
@@ -135,12 +168,12 @@ class TraceTable:
         column.
 
         Column (z, b), z-major, is basis state b at site z: the spot series at
-        offsets w - z, stacked over the components, the window cells w and
+        offsets (-z) + w, stacked over the components, the window cells w and
         t = 0..t_max.
         """
         lat = self.rule.lattice
         for z in domain:
-            idxs = [self._index[lat.sub(w, z)] for w in window]
+            idxs = [self._index[lat.add(lat.neg(z), w)] for w in window]
             for spots in self._series:  # [ci, offset, t]
                 yield spots[:, idxs].ravel()
 
@@ -192,14 +225,10 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     time where ``linearca.null_trace_forever`` decides the rule within its
     budget.  ``kernel_dim`` on the verdict is None when no rank was computed.
     """
-    if k < 1:
-        raise UsageError("difference count k must be >= 1")
-    if t_max < 0:
-        raise UsageError("step count t_max must be >= 0")
-    if window < 0:
-        raise UsageError("window radius must be >= 0")
-    dim = _box_dim(rule.lattice, support_radius)
-    count = _configs_count((2 * support_radius + 1) ** dim, rule.q, k)
+    box = _search_box(rule.lattice, k, support_radius, window, t_max)
+    if k <= box:
+        _refuse_huge(box, rule.q, [k], _MAX_CANDIDATES, "search space")
+    count = _configs_count(box, rule.q, k)
     bounds = {"R": support_radius, "m": window, "t_max": t_max, "k": k}
     if count > _MAX_CANDIDATES:
         raise ResourceLimitError(
@@ -207,9 +236,10 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
             requested=count)
     if count == 0:  # k exceeds the box: no candidate, so no table to build
         return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
-    # every w - z of a window cell w and a site z lies in the size-(R + m)
+    # every (-z) + w of a window cell w and a site z lies in the size-(R + m)
     # box; its spot series are refused here, before any box is listed
     ncomp = len(rule.alphabet.moduli)
+    dim = _box_dim(rule.lattice, support_radius)
     errors.check_array_bytes(
         8 * ncomp * (t_max + 1) * (2 * (support_radius + window) + 1) ** dim,
         "the trace table")
@@ -272,17 +302,15 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int,
     Only pairs of combined support weight |supp c| + |supp d| = k are
     enumerated, the least weight a k-difference pair can have; their number
     is counted up front, from the box size alone, and refused when it
-    exceeds the pair budget.
+    exceeds the pair budget, on a lower bound where that alone exceeds it.
     """
-    if k < 1:
-        raise UsageError("difference count k must be >= 1")
-    if t_max < 0:
-        raise UsageError("step count t_max must be >= 0")
-    if m < 0:
-        raise UsageError("window radius must be >= 0")
-    box = (2 * R + 1) ** _box_dim(rule.lattice, R)
+    box = _search_box(rule.lattice, k, R, m, t_max)
+    half = k // 2
+    if max(0, k - box) <= half:  # the pairs of sizes half and k - half alone
+        _refuse_huge(box, rule.q, [half, k - half], _MAX_PAIRS,
+                     "pair search space")
     # supports of a and k - a cells, a <= k - a, both fitting the box
-    sizes = [(a, k - a) for a in range(max(0, k - box), k // 2 + 1)]
+    sizes = [(a, k - a) for a in range(max(0, k - box), half + 1)]
     counts = {s: _configs_count(box, rule.q, s) for pair in sizes for s in pair}
     total_pairs = sum(counts[a] * (counts[a] - 1) // 2 if a == b
                       else counts[a] * counts[b] for a, b in sizes)

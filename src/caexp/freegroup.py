@@ -1,5 +1,5 @@
 """The totalistic mod-2 family on free groups: layer structure, the odd-k
-expansivity evidence and the explicit two-spot non-2-expansivity witness.
+expansivity decision and the explicit two-spot non-2-expansivity witness.
 
 Large-time trace values of a spot orbit are obtained from the distance
 projection of the lazy walk on the 2n-regular tree: every vertex at distance
@@ -8,28 +8,30 @@ counts (hence orbit values, mod 2) depend on the distance alone.  The 1-D
 recurrence this gives is cross-checked cell-by-cell against a genuine ball
 simulation before it is trusted at depths where full simulation is
 impossible (the support of a t-step orbit is the whole ball B_t).
+
+Odd k is decided for every odd k at once, for any mod-2 linear rule on F_n,
+by one GF(2) rank comparison of the bounded trace map (``odd_weight_kernel``).
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
+from . import engine, errors, linearca
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
+from .expansivity import TraceTable
 from .lattice import FreeLattice, free
 from .presets import lambda_rule
 from .report import Report
+from .rules import LinearRule
 
 __all__ = ["lambda_rule", "BallTree", "walk_parity_table", "LayerProfile",
-           "layer_profile", "fg_non2exp_witness", "fg_oddk_check"]
+           "layer_profile", "fg_non2exp_witness", "odd_weight_kernel"]
 
-# node budget of a BallTree, and subset budget of fg_oddk_check's enumeration
+# node budget of a BallTree
 _MAX_NODES = 4_000_000
-_MAX_SUBSETS = 5000
 
 
 class BallTree:
@@ -205,35 +207,32 @@ def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
     return rep
 
 
-def fg_oddk_check(n: int, k: int, R: int) -> Report:
-    """Every k-cell sum of spots (k odd) in B_R shows at the origin at the
-    first layer with odd occupancy; all k-subsets are enumerated, up to
-    ``_MAX_SUBSETS`` of them."""
-    if k < 1 or k % 2 == 0:
-        raise UsageError("k must be odd; for even k see fg_non2exp_witness")
-    if R < 0:
-        raise UsageError("R must be >= 0")
-    lat = free(n)
-    rule = lambda_rule(n)
-    ball = lat.origin_ball(R)
-    total = math.comb(len(ball), k)
-    if total > _MAX_SUBSETS:
-        raise ResourceLimitError(
-            f"{total} {k}-subsets of B_{R} in F_{n} exceed the "
-            f"{_MAX_SUBSETS} subset budget", requested=total)
-    rep = Report(f"fg-oddk n={n} k={k} R={R}")
-    rep.note("enumeration", f"exhaustive, {total} subsets")
-    bad = 0
-    for sites in itertools.combinations(ball, k):
-        occupancy: dict[int, int] = {}
-        for s in sites:
-            lev = lat.norm(s)
-            occupancy[lev] = occupancy.get(lev, 0) + 1
-        lbar = min(lev for lev, cnt in occupancy.items() if cnt % 2 == 1)
-        cfg = Configuration(lat, 2, {s: 1 for s in sites}, _validated=True)
-        out = engine.iterate(rule, cfg, lbar)
-        if out.get(lat.origin) != 1:
-            bad += 1
-    rep.expect("origin value 1 at the first odd layer", bad == 0,
-               f"{total} subsets")
-    return rep
+def odd_weight_kernel(rule: LinearRule, R: int, m: int,
+                      t_max: int) -> tuple[int, int, bool]:
+    """Rank and kernel dimension over GF(2) of the trace map of configurations
+    on B_R, read on B_m through t_max, and whether its kernel holds a
+    configuration of odd weight.
+
+    The weight parity sum_z x_z is linear over GF(2), so the kernel holds an
+    odd-weight vector iff appending a 1 to every column raises the rank: one
+    verdict for every odd k <= |B_R|.  A negative one holds for all time, as
+    a trace null forever is null through t_max.  The table and the map are
+    refused before any ball is listed.
+    """
+    lat = rule.lattice
+    if not (isinstance(rule, LinearRule) and rule.m == 2
+            and isinstance(lat, FreeLattice)):
+        raise UsageError("the odd-weight decision needs a mod-2 linear rule "
+                         "on a free group")
+    if min(R, m, t_max) < 0:
+        raise UsageError("need R, m and t_max >= 0")
+    # every (-z) + w of a window cell w and a site z lies in B_{R+m}
+    errors.check_array_bytes(8 * (t_max + 1) * lat.ball_size(R + m),
+                             "the trace table")
+    errors.check_array_bytes(
+        8 * (t_max + 1) * lat.ball_size(m) * lat.ball_size(R), "the trace map")
+    table = TraceTable(rule, lat.origin_ball(R + m), t_max)
+    columns = list(table.trace_map(lat.origin_ball(R), lat.origin_ball(m)))
+    rank = linearca.gfp_rank(columns, 2)
+    odd = linearca.gfp_rank((np.append(c, 1) for c in columns), 2) > rank
+    return rank, len(columns) - rank, odd

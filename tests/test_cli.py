@@ -204,6 +204,13 @@ def test_check_kexp_resource_error():
     # the pair probe's box of 2*10^8 + 1 sites is counted, never listed
     ["check-kexp", "--rule", "mult:3,2", "--k", "1",
      "--support-radius", "100000000", "--window", "1", "--tmax", "4"],
+    # counts of more than 4300 digits, refused on a lower bound before any
+    # exact binomial: Python formats no such int, and the pair probe would
+    # take one binomial per difference size
+    ["check-kexp", "--rule", "f3", "--k", "100000",
+     "--support-radius", "100000000", "--window", "1", "--tmax", "4"],
+    ["check-kexp", "--rule", "mult:3,2", "--k", "100000",
+     "--support-radius", "100000000", "--window", "1", "--tmax", "4"],
     ["bench", "--window", "100000000", "--steps", "1"],
     # the spot orbit's support passes the cap at step 11
     ["simulate", "--rule", "lambda:2", "--out", "{tmp}"],

@@ -94,10 +94,16 @@ def test_probe_finds_glider_collision():
 
 def test_probe_budget(monkeypatch):
     # the budget counts only the pairs searched: 7722 + 39*702
-    monkeypatch.setattr(expansivity, "_MAX_PAIRS", 100)
+    monkeypatch.setattr(expansivity, "_MAX_PAIRS", 10_000)
     with pytest.raises(ResourceLimitError) as exc:
         pair_preexp_probe(presets.upsilon(), k=3, R=6, m=1, t_max=8)
     assert exc.value.requested == 35_100
+    # far enough past the budget, the lower bound on the count refuses it
+    # before any exact count: (13 * 3) * (13/2 * 3)^2 / 4 > 10^3 pairs
+    monkeypatch.setattr(expansivity, "_MAX_PAIRS", 100)
+    with pytest.raises(ResourceLimitError, match=r"at least 10\^3 ") as exc:
+        pair_preexp_probe(presets.upsilon(), k=3, R=6, m=1, t_max=8)
+    assert exc.value.requested is None
 
 
 def test_directional_alpha_zero_reduces_to_fronts():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from caexp import engine
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
-from caexp.freegroup import (BallTree, fg_non2exp_witness, fg_oddk_check,
-                             lambda_rule, layer_profile, walk_parity_table)
-from caexp.lattice import Z, free
+from caexp.expansivity import TraceTable
+from caexp.freegroup import (BallTree, fg_non2exp_witness, lambda_rule,
+                             layer_profile, odd_weight_kernel,
+                             walk_parity_table)
+from caexp.lattice import FreeLattice, Z, free
 from caexp.rules import LinearRule
 
 
@@ -160,16 +163,6 @@ def test_witness_difference_confined_to_branch():
         c = engine.step(lam, c)
 
 
-def test_oddk_k1():
-    rep = fg_oddk_check(2, 1, 2)
-    assert rep.ok
-
-
-def test_oddk_k3_small():
-    rep = fg_oddk_check(2, 3, 1)
-    assert rep.ok
-
-
 def test_oddk_single_layer_triple():
     # three cells in one layer: origin value 1 at the layer time
     lat = free(2)
@@ -180,16 +173,85 @@ def test_oddk_single_layer_triple():
     assert out.get(()) == 1
 
 
-def test_oddk_rejects_even_k():
+@pytest.mark.parametrize("n", [2, 3])
+def test_trace_map_columns_match_direct_orbits_on_free_group(n):
+    # the spot at z reads at w what the spot at e reads at (-z) + w; the
+    # offset w - z = w z^-1 gives other columns on a free group
+    lam = lambda_rule(n)
+    lat = lam.lattice
+    domain, window, t_max = lat.origin_ball(2), lat.origin_ball(1), 4
+    table = TraceTable(lam, lat.origin_ball(3), t_max)
+    for z, column in zip(domain, table.trace_map(domain, window)):
+        spot = Configuration.spot(lat, 2, 1, z)
+        direct = engine.window_series(lam, spot, window, t_max)
+        assert np.array_equal(column, direct.T.ravel()), z
+
+
+_F2 = free(2)
+
+
+@pytest.mark.parametrize("rule", [
+    lambda_rule(2),
+    # two controls with odd-weight null traces, e.g. the spot at a^-1
+    # through t=1 at R=1, m=0
+    LinearRule(_F2, 2, {(1,): 1}),
+    LinearRule(_F2, 2, {(): 1, (1,): 1, (2,): 1}),
+], ids=["lambda:2", "shift", "three-term"])
+@pytest.mark.parametrize("R, m, t_max", [(1, 0, 1), (2, 0, 1), (2, 1, 2)])
+def test_odd_weight_kernel_matches_brute_force(rule, R, m, t_max):
+    lat = rule.lattice
+    rank, kernel_dim, odd = odd_weight_kernel(rule, R, m, t_max)
+    ball, window = lat.origin_ball(R), lat.origin_ball(m)
+    assert rank + kernel_dim == len(ball)
+    brute = any(
+        engine.first_nonzero_time(
+            rule, Configuration(lat, 2, {s: 1 for s in sites}), window,
+            t_max) is None
+        for k in (1, 3) for sites in itertools.combinations(ball, k))
+    assert odd == brute
+
+
+def test_lambda_has_no_odd_weight_null_trace():
+    # every odd k at once on B_3: the trace at the origin through t=3 spans
+    # the all-ones functional of the layers
+    assert odd_weight_kernel(lambda_rule(2), 3, 0, 3) == (4, 49, False)
+    assert odd_weight_kernel(lambda_rule(3), 3, 0, 3) == (4, 183, False)
+
+
+def test_odd_weight_kernel_rejects_other_rules():
     with pytest.raises(UsageError):
-        fg_oddk_check(2, 2, 2)
+        odd_weight_kernel(LinearRule(Z, 2, {1: 1, -1: 1}), 1, 0, 1)
+    with pytest.raises(UsageError):
+        odd_weight_kernel(LinearRule(_F2, 3, {(1,): 1}), 1, 0, 1)
+    with pytest.raises(UsageError):
+        odd_weight_kernel(lambda_rule(2), -1, 0, 1)
 
 
-def test_budgets_refuse_up_front():
-    # C(53, 3) = 23 426 subsets of B_3 in F_2; B_12 of F_3 has 3.7e8 nodes
-    with pytest.raises(ResourceLimitError) as exc:
-        fg_oddk_check(2, 3, 3)
-    assert exc.value.requested == 23_426
+def test_two_spot_witness_is_two_equal_columns():
+    # aab and aaB hang off the tip of aa, which shields exactly B_2
+    lam = lambda_rule(2)
+    lat = lam.lattice
+    x, y = (1, 1, 2), (1, 1, -2)
+    for m, equal in ((2, True), (3, False)):
+        table = TraceTable(lam, lat.origin_ball(3 + m), 8)
+        cx, cy = table.trace_map([x, y], lat.origin_ball(m))
+        assert np.array_equal(cx, cy) == equal, m
+
+
+def test_budgets_refuse_up_front(monkeypatch):
+    # the odd-weight decision lists no ball before both checks: a B_20
+    # table of F_2 (7e9 offsets), then a 4373 x 4373-site map through t=1
+    # (306 MB) whose B_14 table (153 MB) fits; B_12 of F_3 has 3.7e8 nodes
+    def no_ball(self, r):
+        raise AssertionError("a ball was listed before the budget check")
+    monkeypatch.setattr(FreeLattice, "origin_ball", no_ball)
+    lam = lambda_rule(2)
+    with pytest.raises(ResourceLimitError, match="the trace table") as exc:
+        odd_weight_kernel(lam, 20, 0, 3)
+    assert exc.value.requested == 8 * 4 * free(2).ball_size(20)
+    with pytest.raises(ResourceLimitError, match="the trace map") as exc:
+        odd_weight_kernel(lam, 7, 7, 1)
+    assert exc.value.requested == 8 * 2 * free(2).ball_size(7) ** 2
     with pytest.raises(ResourceLimitError) as exc:
         BallTree(3, 12)
     assert exc.value.requested == free(3).ball_size(12)
