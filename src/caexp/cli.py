@@ -23,7 +23,7 @@ from .claims import CLAIMS, run_claims
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
 from .expansivity import directional_fronts, kexp_search, pair_preexp_probe
-from .freegroup import fg_non2exp_witness, layer_profile
+from .freegroup import ball_levels, fg_non2exp_witness, layer_profile
 from .lattice import Z2, free
 from .rules import Rule
 
@@ -236,6 +236,7 @@ def cmd_freegroup(args) -> int:
         ztext = fields["z"]
         power = _int(ztext[:-1], "power") if len(ztext) > 1 else 1
         gen = lat.parse_site(ztext[-1:])
+        ball_levels(args.n, power)  # the witness window B_|z|, before the word
         z = tuple(gen * power)
         sprime = lat.parse_site(fields["sprime"])
         rep = fg_non2exp_witness(args.n, z, sprime, t_max=args.tmax)

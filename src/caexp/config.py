@@ -130,11 +130,9 @@ class Configuration:
 
 
 def random_config(lattice: Lattice, q: int, rng: random.Random,
-                  radius: int = 8, max_cells: int = 12,
-                  states: Iterable[int] | None = None) -> Configuration:
+                  radius: int = 8, max_cells: int = 12) -> Configuration:
     """Seeded random finite-support configuration inside the radius ball."""
     domain = lattice.origin_ball(radius)
     n = rng.randint(1, max_cells)
     sites = rng.sample(domain, min(n, len(domain)))
-    pool = list(states) if states is not None else list(range(1, q))
-    return Configuration(lattice, q, {s: rng.choice(pool) for s in sites})
+    return Configuration(lattice, q, {s: rng.randrange(1, q) for s in sites})

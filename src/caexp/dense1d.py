@@ -92,7 +92,7 @@ class _Frame:
         if self.steps > MAX_CELL_STEPS:
             raise ResourceLimitError(
                 f"a dense orbit of {self.steps} cell steps exceeds the "
-                f"{MAX_CELL_STEPS} budget", requested=self.steps)
+                f"{MAX_CELL_STEPS} budget")
         self.x0 = max(self.smin - t_max * p, self.kl) - r
         self.width = min(self.smax + t_max * r, self.kh) + p - self.x0 + 1
         check_array_bytes(8 * self.width, "a dense orbit row")

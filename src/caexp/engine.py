@@ -86,7 +86,7 @@ def iterate(rule: Rule, c: Configuration, t: int,
     """t-fold composition of step; iterate(rule, c, 0) = c.
 
     ``max_cells`` bounds the evolving support; exceeding it raises a
-    ResourceLimitError carrying the last completed step.
+    ResourceLimitError naming the step at which the support passed it.
     """
     if t < 0:
         raise UsageError("iteration count must be >= 0")
@@ -96,8 +96,7 @@ def iterate(rule: Rule, c: Configuration, t: int,
         cur = step(rule, cur)
         if max_cells is not None and len(cur) > max_cells:
             raise ResourceLimitError(
-                f"support grew past {max_cells} cells at step {done + 1}",
-                last_completed=done + 1)
+                f"support grew past {max_cells} cells at step {done + 1}")
     return cur
 
 
@@ -204,7 +203,6 @@ class FrontSeries:
 
     l: list[int | None]
     r: list[int | None]
-    radius: int
 
 
 def fronts(rule: Rule, c: Configuration, d: Configuration,
@@ -227,4 +225,4 @@ def fronts(rule: Rule, c: Configuration, d: Configuration,
     last = len(sites) - 1 - diff[:, ::-1].argmax(axis=1)
     ls = [lo + int(i) if ok else None for i, ok in zip(first, some)]
     rs = [lo + int(i) if ok else None for i, ok in zip(last, some)]
-    return FrontSeries(l=ls, r=rs, radius=rule.radius)
+    return FrontSeries(l=ls, r=rs)

@@ -12,16 +12,9 @@ class UsageError(ValueError):
 class ResourceLimitError(RuntimeError):
     """A bounded computation exceeded its configured budget.
 
-    ``last_completed`` carries the last fully finished step/count when the
-    limit was hit mid-run, ``requested`` the size that was refused up front.
+    The message states the budget and the size that passed it: the size
+    refused up front, or the step at which a run outgrew its cap.
     """
-
-    def __init__(self, message: str, last_completed: int | None = None,
-                 requested: int | None = None):
-        super().__init__(message)
-        self.last_completed = last_completed
-        self.requested = requested
-
 
 
 # the largest array one orbit or search may allocate: above the 128 MB int64
@@ -33,4 +26,4 @@ MAX_ARRAY_BYTES = 2 ** 28
 def check_array_bytes(nbytes: int, what: str) -> None:
     if nbytes > MAX_ARRAY_BYTES:
         raise ResourceLimitError(f"{what} needs {nbytes} bytes, above the "
-                                 f"{MAX_ARRAY_BYTES}-byte cap", requested=nbytes)
+                                 f"{MAX_ARRAY_BYTES}-byte cap")

@@ -43,7 +43,6 @@ class ExpansivityVerdict:
     bounds: dict
     witness: Configuration | None = None
     pair: tuple[Configuration, Configuration] | None = None
-    null_through: int | None = None
     certified_exact: bool = False
     searched: int = 0
     kernel_dim: int | None = None  # of the bounded trace map; None: not taken
@@ -53,27 +52,40 @@ class ExpansivityVerdict:
         if not self.found:
             return f"no-witness-within-bounds [{b}] searched={self.searched}"
         head = "witness" if self.witness is not None else "witness-pair"
-        cert = " (exact)" if self.certified_exact else f" (null through t={self.null_through})"
+        cert = (" (exact)" if self.certified_exact
+                else f" (null through t={self.bounds['t_max']})")
         return f"{head}{cert} [{b}]"
 
 
-def _box_dim(lattice: Lattice, R: int) -> int:
-    """1 on Z, 2 on Z^2: the size-<=R box holds (2R + 1)^dim sites."""
+def _box(lattice: Lattice, R: int) -> int:
+    """Number of sites of size <= R: 2R + 1 on Z, (2R + 1)^2 on Z^2."""
     if R < 0:
         raise UsageError("support radius must be >= 0")
     if isinstance(lattice, ZLattice):
-        return 1
+        return 2 * R + 1
     if isinstance(lattice, Z2Lattice):
-        return 2
+        return (2 * R + 1) ** 2
     raise UsageError("bounded searches cover Z and Z^2; free-group claims "
                      "live in the freegroup module")
 
 
-def _configs_count(box: int, q: int, s: int) -> int:
-    """Configurations with exactly s nonzero cells on a box of ``box`` sites;
-    the power is taken only where s fits the box, which bounds it."""
-    count = math.comb(box, s)
-    return count * (q - 1) ** s if count else 0
+def _capped_count(box: int, q: int, s: int, cap: int) -> int:
+    """Configurations with exactly s nonzero cells on a box of ``box`` sites,
+    C(box, s) * (q - 1)^s, or cap + 1 as soon as the running product passes
+    cap.  C(box, i) >= (box / i)^i >= 2^i for i <= box / 2, and so is any
+    power of q - 1 >= 2, so both loops stop within log2(cap) + 1 steps."""
+    if s > box:
+        return 0
+    count = 1
+    for i in range(min(s, box - s)):
+        count = count * (box - i) // (i + 1)
+        if count > cap:
+            return cap + 1
+    for _ in range(s if q > 2 else 0):
+        count *= q - 1
+        if count > cap:
+            return cap + 1
+    return count
 
 
 def _search_box(lattice: Lattice, k: int, R: int, m: int, t_max: int) -> int:
@@ -84,33 +96,15 @@ def _search_box(lattice: Lattice, k: int, R: int, m: int, t_max: int) -> int:
         raise UsageError("step count t_max must be >= 0")
     if m < 0:
         raise UsageError("window radius must be >= 0")
-    return (2 * R + 1) ** _box_dim(lattice, R)
-
-
-def _refuse_huge(box: int, q: int, sizes, budget: int, what: str) -> None:
-    """Refuse a search of at least the product over ``sizes`` (each <= box)
-    of _configs_count(box, q, s) where a lower bound alone exceeds the
-    budget, before any exact count, and state it by its digits: Python
-    formats no int of more than 4300.  C(box, s) >= (box/j)^j for j = min(s,
-    box - s); both factors grow with j <= box/2 and with s, so they are
-    taken at most at ``budget``, which keeps the floats finite.  log 4
-    covers the c(c-1)/2 >= c^2/4 pairs of configurations of one size."""
-    log_floor = -math.log(4)
-    for s in sizes:
-        j, s = min(s, box - s, budget), min(s, budget)
-        log_floor += (j * (math.log(box) - math.log(j or 1))
-                      + s * math.log(q - 1))
-    if log_floor > math.log(budget + 1):
-        raise ResourceLimitError(
-            f"{what} of at least 10^{int(log_floor / math.log(10))} exceeds "
-            f"the {budget} budget")
+    return _box(lattice, R)
 
 
 def size_domain(lattice: Lattice, R: int) -> list:
     """Sites of size <= R: an interval on Z, the L-inf box on Z^2."""
-    if _box_dim(lattice, R) == 1:
-        return list(range(-R, R + 1))
-    return lattice.box(R)
+    _box(lattice, R)
+    if isinstance(lattice, Z2Lattice):
+        return lattice.box(R)
+    return lattice.origin_ball(R)
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +220,21 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     budget.  ``kernel_dim`` on the verdict is None when no rank was computed.
     """
     box = _search_box(rule.lattice, k, support_radius, window, t_max)
-    if k <= box:
-        _refuse_huge(box, rule.q, [k], _MAX_CANDIDATES, "search space")
-    count = _configs_count(box, rule.q, k)
+    count = _capped_count(box, rule.q, k, _MAX_CANDIDATES)
     bounds = {"R": support_radius, "m": window, "t_max": t_max, "k": k}
     if count > _MAX_CANDIDATES:
         raise ResourceLimitError(
-            f"search space {count} exceeds the {_MAX_CANDIDATES} candidate budget",
-            requested=count)
+            f"search space (k={k}, R={support_radius}, q={rule.q}) exceeds "
+            f"the {_MAX_CANDIDATES} candidate budget")
     if count == 0:  # k exceeds the box: no candidate, so no table to build
         return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
     # every (-z) + w of a window cell w and a site z lies in the size-(R + m)
     # box; its spot series are refused here, before any box is listed
     ncomp = len(rule.alphabet.moduli)
-    dim = _box_dim(rule.lattice, support_radius)
-    errors.check_array_bytes(
-        8 * ncomp * (t_max + 1) * (2 * (support_radius + window) + 1) ** dim,
-        "the trace table")
     lat = rule.lattice
+    errors.check_array_bytes(
+        8 * ncomp * (t_max + 1) * _box(lat, support_radius + window),
+        "the trace table")
     domain = size_domain(lat, support_radius)
     window_ball = lat.origin_ball(window)
     table = TraceTable(rule, size_domain(lat, support_radius + window), t_max)
@@ -272,7 +263,6 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
                     except ResourceLimitError:
                         pass  # the bounded verdict stands, uncertified
                 return ExpansivityVerdict(found=True, bounds=bounds, witness=cfg,
-                                          null_through=t_max,
                                           certified_exact=certified,
                                           searched=searched,
                                           kernel_dim=kernel_dim)
@@ -301,30 +291,29 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int,
 
     Only pairs of combined support weight |supp c| + |supp d| = k are
     enumerated, the least weight a k-difference pair can have; their number
-    is counted up front, from the box size alone, and refused when it
-    exceeds the pair budget, on a lower bound where that alone exceeds it.
+    is counted up front, from the box size alone, and refused as soon as it
+    exceeds the pair budget.
     """
     box = _search_box(rule.lattice, k, R, m, t_max)
-    half = k // 2
-    if max(0, k - box) <= half:  # the pairs of sizes half and k - half alone
-        _refuse_huge(box, rule.q, [half, k - half], _MAX_PAIRS,
-                     "pair search space")
-    # supports of a and k - a cells, a <= k - a, both fitting the box
-    sizes = [(a, k - a) for a in range(max(0, k - box), half + 1)]
-    counts = {s: _configs_count(box, rule.q, s) for pair in sizes for s in pair}
-    total_pairs = sum(counts[a] * (counts[a] - 1) // 2 if a == b
-                      else counts[a] * counts[b] for a, b in sizes)
+    # supports of a and k - a cells, a <= k - a, both fitting the box; a
+    # capped count, _MAX_PAIRS + 1, alone makes more than _MAX_PAIRS pairs
+    sizes = []
+    total_pairs = 0
+    for a in range(max(0, k - box), k // 2 + 1):
+        ca, cb = (_capped_count(box, rule.q, s, _MAX_PAIRS) for s in (a, k - a))
+        total_pairs += ca * (ca - 1) // 2 if a == k - a else ca * cb
+        if total_pairs > _MAX_PAIRS:
+            raise ResourceLimitError(
+                f"pair search space (k={k}, R={R}, q={rule.q}) exceeds the "
+                f"{_MAX_PAIRS} budget")
+        sizes.append((a, k - a))
     bounds = {"R": R, "m": m, "t_max": t_max, "k": k}
-    if total_pairs > _MAX_PAIRS:
-        raise ResourceLimitError(
-            f"pair search space {total_pairs} exceeds the {_MAX_PAIRS} budget",
-            requested=total_pairs)
     if total_pairs == 0:  # no pair of weight k fits the box
         return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
     lat = rule.lattice
     domain = size_domain(lat, R)
     by_size = {s: list(_configs_of_size(lat, rule.q, domain, s))
-               for s in counts}
+               for pair in sizes for s in pair}
     searched = 0
     for a, b in sizes:
         group_b = by_size[b]
@@ -335,8 +324,7 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int,
                     continue
                 if engine.traces_equal(rule, c, d, m, t_max):
                     return ExpansivityVerdict(found=True, bounds=bounds,
-                                              pair=(c, d), null_through=t_max,
-                                              searched=searched)
+                                              pair=(c, d), searched=searched)
     return ExpansivityVerdict(found=False, bounds=bounds, searched=searched)
 
 
@@ -406,15 +394,6 @@ def _psi_identity_failures(c: Configuration, ks, ts) -> int:
                     bad += 1
                     break
     return bad
-
-
-def psi_relation_check(c: Configuration, k: int, t: int) -> bool:
-    """Exact dependency identity of the second-order mod-3 rule:
-    the step-(2*3^k + t) orbit shifted by any z equals the componentwise sum
-    of the step-t orbit at z and the step-(3^k + t) orbits at z -+ 3^k."""
-    if k < 0 or t < 0:
-        raise UsageError("need k >= 0 and t >= 0")
-    return _psi_identity_failures(c, [k], [t]) == 0
 
 
 def psi_relation_sweep(c: Configuration, k_max: int,

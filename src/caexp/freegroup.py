@@ -27,11 +27,29 @@ from .presets import lambda_rule
 from .report import Report
 from .rules import LinearRule
 
-__all__ = ["lambda_rule", "BallTree", "walk_parity_table", "LayerProfile",
-           "layer_profile", "fg_non2exp_witness", "odd_weight_kernel"]
+__all__ = ["lambda_rule", "ball_levels", "BallTree", "walk_parity_table",
+           "LayerProfile", "layer_profile", "fg_non2exp_witness",
+           "odd_weight_kernel"]
 
-# node budget of a BallTree
+# node budget of a ball: of a BallTree, or of a witness window
 _MAX_NODES = 4_000_000
+
+
+def ball_levels(n: int, r: int) -> list[int]:
+    """Node counts of the levels 0..r of the ball B_r in F_n, refused as
+    soon as their running total passes the node budget, so that no count
+    past it is formed: level d > 0 holds 2n (2n - 1)^(d - 1) words."""
+    if n < 1 or r < 0:
+        raise UsageError("need n >= 1 and r >= 0")
+    counts = [1]
+    total = 1
+    for d in range(1, r + 1):
+        counts.append(2 * n if d == 1 else counts[-1] * (2 * n - 1))
+        total += counts[-1]
+        if total > _MAX_NODES:
+            raise ResourceLimitError(f"ball B_{r} of F_{n} has more than "
+                                     f"{_MAX_NODES} nodes")
+    return counts
 
 
 class BallTree:
@@ -44,20 +62,12 @@ class BallTree:
     """
 
     def __init__(self, n: int, depth: int):
-        if n < 1 or depth < 0:
-            raise UsageError("need n >= 1 and depth >= 0")
         q = 2 * n
-        counts = [1]
-        for d in range(1, depth + 1):
-            counts.append(q if d == 1 else counts[-1] * (q - 1))
+        counts = ball_levels(n, depth)
         starts = [0]
         for c in counts:
             starts.append(starts[-1] + c)
         total = starts[-1]
-        if total > _MAX_NODES:
-            raise ResourceLimitError(
-                f"ball B_{depth} of F_{n} has {total} nodes (> {_MAX_NODES})",
-                requested=total)
         self.counts = counts
         self.starts = starts
         self.total = total
@@ -101,6 +111,7 @@ def walk_parity_table(d_max: int, t_max: int) -> np.ndarray:
     if d_max < 0 or t_max < 0:
         raise UsageError("need d_max >= 0 and t_max >= 0")
     width = d_max + t_max + 2
+    errors.check_array_bytes((t_max + 1) * width, "the walk parity table")
     table = np.zeros((t_max + 1, width), dtype=np.uint8)
     table[0, 0] = 1
     for t in range(1, t_max + 1):
@@ -173,11 +184,13 @@ def _single_generator_power(lat: FreeLattice, z) -> tuple[int, int]:
 def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
     """Two equidistant spots hanging off the tip of z share their radius-|z|
     trace, so the rule is not 2-expansive for n >= 2; the construction
-    shields exactly the ball B_{|z|}."""
+    shields exactly the ball B_{|z|}, which is refused before it is listed
+    when it holds more than the node budget."""
     if n < 2:
         raise UsageError("the two-spot witness needs at least 2 generators")
     lat = free(n)
     s, m = _single_generator_power(lat, z)
+    ball_levels(n, m)
     lat.validate_site(sprime)
     if len(sprime) != 1 or abs(sprime[0]) == abs(s):
         raise UsageError("s' must be a generator distinct from +-s")

@@ -117,8 +117,7 @@ def uv_words(z: tuple[int, int], k: int) -> UVPair:
     if k < 0:
         raise UsageError("scale k must be >= 0")
     if k > _K_CAP:
-        raise ResourceLimitError(f"scale 2^{k} exceeds the cap 2^{_K_CAP}",
-                                 requested=1 << k)
+        raise ResourceLimitError(f"scale 2^{k} exceeds the cap 2^{_K_CAP}")
     Z2.validate_site(z)
     if _norm(z) > (1 << k) - 1:
         raise UsageError(f"cell {z} outside B_{(1 << k) - 1}; raise k")
@@ -198,8 +197,7 @@ def exact_trace_null(c: Configuration, m: int) -> bool:
     k0 = scale_for_norm(reach)
     if k0 > _K_CAP:
         raise ResourceLimitError(
-            f"needed scale 2^{k0} exceeds the cap 2^{_K_CAP}",
-            requested=1 << k0)
+            f"needed scale 2^{k0} exceeds the cap 2^{_K_CAP}")
     acc = 0
     for z in c.cells:
         acc ^= window_word(z, window, k0)

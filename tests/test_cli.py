@@ -204,14 +204,23 @@ def test_check_kexp_resource_error():
     # the pair probe's box of 2*10^8 + 1 sites is counted, never listed
     ["check-kexp", "--rule", "mult:3,2", "--k", "1",
      "--support-radius", "100000000", "--window", "1", "--tmax", "4"],
-    # counts of more than 4300 digits, refused on a lower bound before any
-    # exact binomial: Python formats no such int, and the pair probe would
-    # take one binomial per difference size
+    # counts far past the budget, capped within a few steps of the binomial
+    # rather than formed, and for the pair probe at its first difference size
     ["check-kexp", "--rule", "f3", "--k", "100000",
      "--support-radius", "100000000", "--window", "1", "--tmax", "4"],
     ["check-kexp", "--rule", "mult:3,2", "--k", "100000",
      "--support-radius", "100000000", "--window", "1", "--tmax", "4"],
     ["bench", "--window", "100000000", "--steps", "1"],
+    # a BallTree of depth 500 004, refused once its level counts pass the
+    # node budget
+    ["freegroup", "--n", "2", "--profile", "8,1000000"],
+    # a 9.3 GB walk parity table
+    ["freegroup", "--n", "2", "--witness", "z=2a", "sprime=b",
+     "--tmax", "100000"],
+    # witness windows B_20 and B_1000000000, refused before the word z is
+    # built or the ball listed
+    ["freegroup", "--witness", "z=20a", "sprime=b"],
+    ["freegroup", "--witness", "z=1000000000a", "sprime=b"],
     # the spot orbit's support passes the cap at step 11
     ["simulate", "--rule", "lambda:2", "--out", "{tmp}"],
 ], ids=" ".join)

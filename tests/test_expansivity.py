@@ -11,7 +11,7 @@ from caexp.errors import ResourceLimitError, UsageError
 from caexp.expansivity import (directional_fronts, g_value, kexp_search,
                                mult_front_checks, mult_params,
                                pair_preexp_probe, psi_landmarks,
-                               psi_relation_check, psi_relation_config_check,
+                               psi_relation_config_check, psi_relation_sweep,
                                size_domain, upsilon_glider)
 from caexp.lattice import Z, Z2
 from caexp.rules import LinearRule
@@ -33,10 +33,28 @@ def test_kexp_rejects_bad_args():
                     t_max=8)  # not linear for its alphabet
 
 
+def test_capped_count_matches_binomials():
+    for box in range(13):
+        for s in range(15):
+            for q in range(2, 6):
+                exact = math.comb(box, s) * (q - 1) ** s
+                for cap in (0, 1, 2, 7, 100, max(exact - 1, 0), exact, 10 ** 6):
+                    want = exact if exact <= cap else cap + 1
+                    assert expansivity._capped_count(box, q, s, cap) == want
+
+
 def test_kexp_budget(monkeypatch):
     monkeypatch.setattr(expansivity, "_MAX_CANDIDATES", 1000)
     with pytest.raises(ResourceLimitError):
         kexp_search(presets.vn2(), k=5, support_radius=20, window=1, t_max=8)
+    # f3 k=1 on the size-4 box: 9 sites * 2 states, run at a budget of 18
+    monkeypatch.setattr(expansivity, "_MAX_CANDIDATES", 18)
+    assert kexp_search(presets.f3(), k=1, support_radius=4, window=1,
+                       t_max=8).searched == 18
+    monkeypatch.setattr(expansivity, "_MAX_CANDIDATES", 17)
+    with pytest.raises(ResourceLimitError, match=r"k=1, R=4, q=3\) exceeds "
+                       r"the 17 candidate budget"):
+        kexp_search(presets.f3(), k=1, support_radius=4, window=1, t_max=8)
 
 
 def test_kexp_finds_nilpotent_witness():
@@ -93,17 +111,14 @@ def test_probe_finds_glider_collision():
 
 
 def test_probe_budget(monkeypatch):
-    # the budget counts only the pairs searched: 7722 + 39*702
-    monkeypatch.setattr(expansivity, "_MAX_PAIRS", 10_000)
-    with pytest.raises(ResourceLimitError) as exc:
+    # the budget counts only the pairs searched: 7722 + 39*702 = 35 100,
+    # which runs at a budget of 35 100 and is refused at 35 099
+    monkeypatch.setattr(expansivity, "_MAX_PAIRS", 35_100)
+    assert pair_preexp_probe(presets.upsilon(), k=3, R=6, m=1, t_max=8).found
+    monkeypatch.setattr(expansivity, "_MAX_PAIRS", 35_099)
+    with pytest.raises(ResourceLimitError, match=r"k=3, R=6, q=4\) exceeds "
+                       r"the 35099 budget"):
         pair_preexp_probe(presets.upsilon(), k=3, R=6, m=1, t_max=8)
-    assert exc.value.requested == 35_100
-    # far enough past the budget, the lower bound on the count refuses it
-    # before any exact count: (13 * 3) * (13/2 * 3)^2 / 4 > 10^3 pairs
-    monkeypatch.setattr(expansivity, "_MAX_PAIRS", 100)
-    with pytest.raises(ResourceLimitError, match=r"at least 10\^3 ") as exc:
-        pair_preexp_probe(presets.upsilon(), k=3, R=6, m=1, t_max=8)
-    assert exc.value.requested is None
 
 
 def test_directional_alpha_zero_reduces_to_fronts():
@@ -137,18 +152,18 @@ def test_psi_relation_k0():
     rng = random.Random(4)
     for _ in range(50):
         c = random_config(Z, 9, rng, radius=6, max_cells=5)
-        assert psi_relation_check(c, 0, 0)
+        assert psi_relation_sweep(c, 0, 0) == (1, 0)
 
 
 def test_psi_relation_spots_k2():
+    # every (k, t) with k <= 2 and t <= 10, (2, 0), (2, 5) and (2, 10) among them
     for state in range(1, 9):
         c = Configuration(Z, 9, {0: state})
-        for t in (0, 5, 10):
-            assert psi_relation_check(c, 2, t)
+        assert psi_relation_sweep(c, 2, 10) == (33, 0)
 
 
 def test_psi_relation_zero_config():
-    assert psi_relation_check(Configuration.zero(Z, 9), 1, 3)
+    assert psi_relation_sweep(Configuration.zero(Z, 9), 1, 3) == (8, 0)
 
 
 def test_psi_relation_paths_agree():
@@ -156,7 +171,7 @@ def test_psi_relation_paths_agree():
     for _ in range(5):
         c = random_config(Z, 9, rng, radius=4, max_cells=3)
         for (k, t, z) in [(0, 2, 1), (1, 4, -3)]:
-            assert psi_relation_check(c, k, t) == \
+            assert (psi_relation_sweep(c, k, t)[1] == 0) == \
                 psi_relation_config_check(c, k, t, z)
 
 
@@ -229,7 +244,6 @@ def test_layered_flip_no_witness_within_bounds():
 
 
 def test_psi_relation_sweep_matches_single_checks():
-    from caexp.expansivity import psi_relation_sweep
     rng = random.Random(14)
     for _ in range(3):
         c = random_config(Z, 9, rng, radius=5, max_cells=4)
@@ -237,7 +251,7 @@ def test_psi_relation_sweep_matches_single_checks():
         assert checked == 3 * 5 and bad == 0
         for k in range(3):
             for t in range(5):
-                assert psi_relation_check(c, k, t)
+                assert psi_relation_config_check(c, k, t, 0)
 
 
 def test_kexp_on_second_order_rule_finds_glider():

@@ -8,8 +8,8 @@ from caexp import engine
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.expansivity import TraceTable
-from caexp.freegroup import (BallTree, fg_non2exp_witness, lambda_rule,
-                             layer_profile, odd_weight_kernel,
+from caexp.freegroup import (BallTree, ball_levels, fg_non2exp_witness,
+                             lambda_rule, layer_profile, odd_weight_kernel,
                              walk_parity_table)
 from caexp.lattice import FreeLattice, Z, free
 from caexp.rules import LinearRule
@@ -241,20 +241,30 @@ def test_two_spot_witness_is_two_equal_columns():
 def test_budgets_refuse_up_front(monkeypatch):
     # the odd-weight decision lists no ball before both checks: a B_20
     # table of F_2 (7e9 offsets), then a 4373 x 4373-site map through t=1
-    # (306 MB) whose B_14 table (153 MB) fits; B_12 of F_3 has 3.7e8 nodes
+    # (306 MB) whose B_14 table (153 MB) fits; nor does the two-spot witness
+    # list its window B_14 of F_2, 9 565 937 nodes
     def no_ball(self, r):
         raise AssertionError("a ball was listed before the budget check")
     monkeypatch.setattr(FreeLattice, "origin_ball", no_ball)
     lam = lambda_rule(2)
-    with pytest.raises(ResourceLimitError, match="the trace table") as exc:
+    with pytest.raises(ResourceLimitError, match=f"the trace table needs "
+                       f"{8 * 4 * free(2).ball_size(20)} bytes"):
         odd_weight_kernel(lam, 20, 0, 3)
-    assert exc.value.requested == 8 * 4 * free(2).ball_size(20)
-    with pytest.raises(ResourceLimitError, match="the trace map") as exc:
+    with pytest.raises(ResourceLimitError, match=f"the trace map needs "
+                       f"{8 * 2 * free(2).ball_size(7) ** 2} bytes"):
         odd_weight_kernel(lam, 7, 7, 1)
-    assert exc.value.requested == 8 * 2 * free(2).ball_size(7) ** 2
-    with pytest.raises(ResourceLimitError) as exc:
-        BallTree(3, 12)
-    assert exc.value.requested == free(3).ball_size(12)
+    # B_9 of F_3 holds 2 929 687 nodes, B_10 14 648 437
+    assert sum(ball_levels(3, 9)) == free(3).ball_size(9)
+    for depth in (10, 12):
+        with pytest.raises(ResourceLimitError,
+                           match=f"B_{depth} of F_3 has more than 4000000 nodes"):
+            BallTree(3, depth)
+    with pytest.raises(ResourceLimitError, match="B_14 of F_2 has more than"):
+        fg_non2exp_witness(2, (1,) * 14, (2,))
+    # 100 001 rows of 100 007 distances
+    with pytest.raises(ResourceLimitError, match="walk parity table needs "
+                       "10000800007 bytes"):
+        walk_parity_table(5, 100_000)
 
 
 def test_layer_profile_rank_three():

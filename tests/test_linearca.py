@@ -128,8 +128,9 @@ def test_layered_flip_acts_as_product_on_clean_configs():
     lay = presets.layered(2)
     f2 = presets.f2()
     for _ in range(30):
-        c = random_config(Z, lay.q, rng, radius=5, max_cells=5,
-                          states=[1, 2, 3])  # last layer clear
+        cells = rng.sample(Z.origin_ball(5), rng.randint(1, 5))
+        c = Configuration(Z, lay.q, {s: rng.choice([1, 2, 3])  # last layer clear
+                                     for s in cells})
         out = engine.step(lay, c)
         for layer in (0, 1):
             part = Configuration(Z, 2, {s: (v >> layer) & 1
