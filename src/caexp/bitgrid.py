@@ -7,40 +7,20 @@ shifts on row and word slices, XORs it into the back state buffer and then
 swaps the two; nothing is allocated per step.  Cells outside the grid read as
 zero, and padding bits past the logical width are kept zero.
 
-The module functions size the grid to the bounding box of the support's
-forward light cone over the whole run, plus the read sites and a one-cell
-margin, and clip every step to the cells that can still matter.  With the
-offsets N, the support at time t lies in ``sites - t*N``; a cell at time t can
-reach a read site at some time t' >= t only if it lies in
-``read_sites + (t' - t)*N``.  Let F_t and K_t be the bounding boxes of these
-two cones, computed as if N held the zero offset, so that F_t only grows and
-K_t only shrinks with t, and K_t + N lies inside K_{t-1}.  Step t computes the
-rows of F_t & K_t, and in those rows the whole words covering its x-range.
-
-Invariant: after step t, every grid cell inside K_t holds its exact value.
-
-- A computed cell inside K_t reads cells inside K_{t-1}, exact by induction,
-  or cells off the grid, which read as zero and are exactly zero because the
-  grid contains every F_t.
-- A cell of K_t outside the box lies outside F_t, so its value is zero at time
-  t and, F only growing, at every earlier time.  Its buffer holds either its
-  initial zero (every site lies in F_0) or what an earlier step of the same
-  parity computed there, while it lay inside the larger K of that step; that
-  value was exact, so zero.
-- Rounding the box out to whole words computes some cells outside F_t & K_t.
-  Inside K_t they are exact by the first point.  Outside K_t they may hold
-  stale or wrong values, but neither a read nor a later step looks at a cell
-  outside the current K again.  So the box's word edges need no margin and
-  no mask.
-
-``simulate_support`` has no read sites: its K_t is the whole plane, so every
-grid cell is exact after every step.  A grid without a cone (``cli bench``)
-steps all of its cells.  Results are bit-identical to the sparse engine.
+The module functions step the light-cone boxes of ``cone``, one ``cone.Axis``
+per axis, rounded out to whole words, and meet its invariant: the grid holds
+the support, the read sites and F_{t_max} with a one-cell margin, so reads
+off it fall outside every F_t.  ``simulate_support`` reads no sites, so every
+grid cell is exact.  A grid without boxes (``cli bench``) steps all of its
+cells.  Before the grid is allocated a run bounds its word-row steps
+(``_word_steps``) against ``cone.MAX_CELL_STEPS``.  Results are
+bit-identical to the sparse engine.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import cone
 from .errors import UsageError, check_array_bytes
 
 _U64 = np.uint64
@@ -50,60 +30,6 @@ _SHIFT = [_U64(s) for s in range(64)]
 def _check_offsets(offsets) -> None:
     if any(not -64 < dx < 64 for (dx, _) in offsets):
         raise UsageError("x offsets must be smaller than 64")
-
-
-def _box(sites):
-    """(xmin, xmax, ymin, ymax) of a nonempty site list."""
-    xs = [s[0] for s in sites]
-    ys = [s[1] for s in sites]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
-class _Cone:
-    """The cell box that step t computes (see the module docstring)."""
-
-    def __init__(self, offsets, sites, t_max, read_sites):
-        self.t_max = t_max
-        # per-step growth: a box [lo, hi] widens to [lo - a, hi + b] forward
-        # and to [lo - b, hi + a] backward, per axis
-        self.ax = max([0] + [v[0] for v in offsets])
-        self.bx = max([0] + [-v[0] for v in offsets])
-        self.ay = max([0] + [v[1] for v in offsets])
-        self.by = max([0] + [-v[1] for v in offsets])
-        self.forward = _box(sites or [(0, 0)])
-        self.backward = _box(read_sites) if read_sites else None
-        # no support, or read sites given but none of them: nothing to compute
-        self.empty = not sites or (read_sites is not None and not read_sites)
-
-    def forward_box(self, t: int):
-        """Bounding box F_t of the support's forward cone at step t."""
-        x0, x1, y0, y1 = self.forward
-        return (x0 - t * self.ax, x1 + t * self.bx,
-                y0 - t * self.ay, y1 + t * self.by)
-
-    def grid_bounds(self):
-        """Cell box holding F_{t_max} and the read sites, widened by one cell
-        on each side; it contains every box that ``box`` returns."""
-        x0, x1, y0, y1 = self.forward_box(self.t_max)
-        if self.backward is not None:
-            kx0, kx1, ky0, ky1 = self.backward
-            x0, x1 = min(x0, kx0), max(x1, kx1)
-            y0, y1 = min(y0, ky0), max(y1, ky1)
-        return x0 - 1, x1 + 1, y0 - 1, y1 + 1
-
-    def box(self, t: int):
-        """(xmin, xmax, ymin, ymax) to compute at step t, or None if empty."""
-        if self.empty:
-            return None
-        x0, x1, y0, y1 = self.forward_box(t)
-        if self.backward is not None:
-            s = self.t_max - t
-            kx0, kx1, ky0, ky1 = self.backward
-            x0 = max(x0, kx0 - s * self.bx); x1 = min(x1, kx1 + s * self.ax)
-            y0 = max(y0, ky0 - s * self.by); y1 = min(y1, ky1 + s * self.ay)
-        if x0 > x1 or y0 > y1:
-            return None
-        return x0, x1, y0, y1
 
 
 class BitGrid:
@@ -123,8 +49,7 @@ class BitGrid:
         # padding bits past the logical width must stay zero
         tail = self.width % 64
         self._tail = _U64((1 << tail) - 1) if tail else None
-        self._t = 0
-        self._cone = None  # a _Cone clips each step; None steps the whole grid
+        self._boxes = None  # each step's (x, y) cone boxes; None steps all
 
     def set_sites(self, sites) -> None:
         for (x, y) in sites:
@@ -133,26 +58,21 @@ class BitGrid:
 
     def step(self, offsets) -> None:
         """new(x, y) = XOR over (dx, dy) in offsets of old(x+dx, y+dy)."""
-        if self._cone is None:  # a clipped grid's offsets are checked by _grid
+        if self._boxes is None:  # a clipped grid's offsets are checked by _grid
             _check_offsets(offsets)
-        self._t += 1
         old, new = self.words, self._back
-        box = self._rows_words(self._t)
+        box = self._rows_words()
         if box is not None:
             self._compute(old, new, box, offsets)
         self.words, self._back = new, old
 
-    def _rows_words(self, t: int):
-        """(row0, row1, word0, word1) covering the cone's box at step t (which
-        lies on the grid), the whole grid without a cone, or None."""
-        if self._cone is None:
+    def _rows_words(self):
+        """(row0, row1, word0, word1) covering the next step's box (which lies
+        on the grid), the whole grid without boxes, or None."""
+        if self._boxes is None:
             return 0, self.height, 0, self.nwords
-        box = self._cone.box(t)
-        if box is None:
-            return None
-        x0, x1, y0, y1 = box
-        return (y0 - self.ymin, y1 - self.ymin + 1,
-                (x0 - self.xmin) >> 6, ((x1 - self.xmin) >> 6) + 1)
+        (_, x0, x1), (_, y0, y1) = next(self._boxes, ((0, 0, 0),) * 2)
+        return (y0, y1, x0 >> 6, ((x1 - 1) >> 6) + 1) if y0 < y1 else None
 
     def _compute(self, old, new, box, offsets) -> None:
         """Write the XOR of the offsets' terms into new's box."""
@@ -189,15 +109,32 @@ class BitGrid:
             np.bitwise_and(new[r0:r1, -1], self._tail, out=new[r0:r1, -1])
 
 
+def _word_steps(x: cone.Axis, y: cone.Axis) -> int:
+    """A bound on the rows x words a run's steps compute: a box w cells wide
+    covers at most (w + 126) // 64 words, whatever the word alignment."""
+    return (cone.cells(x, y) + 126 * cone.cells(y)) // 64
+
+
 def _grid(offsets, sites, t_max: int, read_sites=None) -> BitGrid:
-    """A grid holding sites, clipped to the cones of a t_max-step run."""
+    """A grid holding sites, clipped to the cones of a t_max-step run, whose
+    work is bounded before the grid is allocated."""
     if t_max < 0:
         raise UsageError("step count t_max must be >= 0")
     _check_offsets(offsets)
-    cone = _Cone(offsets, sites, t_max, read_sites)
-    grid = BitGrid(*cone.grid_bounds())
+    x, y = axes = [cone.Axis([v[i] for v in offsets], [s[i] for s in sites],
+                             None if read_sites is None
+                             else [s[i] for s in read_sites], t_max)
+                   for i in (0, 1)]
+    cone.check_steps(_word_steps(x, y), "a bit grid run", "word-row steps")
+    bounds = []
+    for ax in axes:  # F_{t_max} with the read sites, and a one-cell margin
+        lo, hi = ax.forward(t_max)
+        klo, khi = ax.read or (lo, hi)
+        bounds += [min(lo, klo) - 1, max(hi, khi) + 1]
+    grid = BitGrid(*bounds)
     grid.set_sites(sites)
-    grid._cone = cone
+    grid._boxes = iter(()) if x.empty or y.empty else zip(
+        x.boxes(1, grid.xmin), y.boxes(1, grid.ymin))
     return grid
 
 

@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import bitgrid, configio, engine, presets, render, z2subst
+from . import bitgrid, cone, configio, engine, presets, render, z2subst
 from .claims import CLAIMS, run_claims
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
@@ -147,6 +147,8 @@ def cmd_bench(args) -> int:
     n = args.window
     steps = args.steps
     half = n // 2
+    cone.check_steps(n * ((n + 63) // 64) * steps, f"a {n}-row bench",
+                     "word-row steps")
     grid = bitgrid.BitGrid(-half, n - half - 1, -half, n - half - 1)
     rng_sites = [(x, 0) for x in range(-half // 2, half // 2, 7)]
     grid.set_sites(rng_sites)

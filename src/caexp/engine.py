@@ -12,16 +12,21 @@ predicate for both), ``dense1d`` for linear, multiplication and linear
 second-order rules on Z (``window_series`` only), and the sparse step
 otherwise, which keeps only the cells that can still reach a read site by
 t_max.  A ``dense1d`` kernel runs only when int64 arithmetic is exact for
-the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  It steps two
-rows clipped to the light-cone box of the support and the read sites, and
-gathers the read sites straight into the output after each step, so no
-space-time array exists; its cell steps are counted and capped before the
-first step.  Neither dense backend runs where the cells it would span (the
-support, and on Z^2 the read sites) leave a gap wider than the light cone
-spreads plus one 64-cell word: the sparse step skips such gaps, a dense row
-would allocate them.  Arrays past ``errors.MAX_ARRAY_BYTES`` are refused up
-front, the (t_max+1, n) output of ``window_series`` on every backend.  Every
-backend is cross-checked against the sparse step; results are bit-identical.
+the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Both dense
+backends step only the light-cone box of the support and the read sites,
+from ``cone``; ``dense1d`` steps two rows and gathers the read sites
+straight into the output after each step, so no space-time array exists.
+Neither dense backend runs where the cells it would span (the support, and
+on Z^2 the read sites) leave a gap wider than the light cone spreads plus
+one 64-cell word: the sparse step skips such gaps, a dense row would
+allocate them.
+
+Every run counts its work before its first step: the dense backends their
+row elements stepped (``cone.MAX_CELL_STEPS``), the sparse orbit a bound on
+its cells from ball sizes (``MAX_SPARSE_CELLS``).  Arrays past
+``errors.MAX_ARRAY_BYTES`` are refused up front, the (t_max+1, n) output of
+``window_series`` on every backend.  Every backend is cross-checked against
+the sparse step; results are bit-identical.
 """
 from __future__ import annotations
 
@@ -117,24 +122,46 @@ def _bitgrid_runs(rule: Rule, c: Configuration, sites, t_max: int) -> bool:
                     for i in (0, 1)))
 
 
+# cells the sparse orbit may step, bounded from ball sizes before its first
+# step: the largest bound the claims, tests and benchmark make is the mod-3
+# Z^2 witness through t=243, 29.8 * 10^6 (45 557 cells stepped, 0.06 s)
+MAX_SPARSE_CELLS = 2 ** 25
+
+
 def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
     """c, F(c), ..., F^t_max(c) through the sparse step, exact at ``sites``
     only: before step t+1 it drops each cell s with norm(s) > max norm(site)
     + (t_max - t) * radius, which by the triangle inequality lies farther from
-    every site than F^(t_max - t) reads."""
-    norm = rule.lattice.norm
+    every site than F^(t_max - t) reads.
+
+    So step t+1 reads cells within min(span + t*radius, keep) of the origin,
+    span bounding the initial support: at most the mean of the two, whose sum
+    does not depend on t.  They also lie within t*radius of the initial
+    support.  The run is refused before its first step when t_max steps of
+    the fewer of these cells pass ``MAX_SPARSE_CELLS``."""
+    norm, radius, ball = rule.lattice.norm, rule.radius, rule.lattice.ball_size
     reach = max((norm(s) for s in sites), default=0)
     span = max((norm(s) for s in c.cells), default=0)  # bounds the support
+    peak = min(min(span, reach) + t_max * radius,
+               (span + reach + t_max * radius) // 2)
+    # a ball of radius r holds more than r cells, and t_max * radius <= 2 *
+    # peak + 1: checked first, this keeps a free group's ball size,
+    # exponential in r, from being formed past the cap
+    if t_max and (t_max * (peak + 1) > MAX_SPARSE_CELLS or t_max * min(
+            ball(peak), len(c) * ball(t_max * radius)) > MAX_SPARSE_CELLS):
+        raise ResourceLimitError(
+            f"a sparse orbit of {t_max} steps within radius {peak} exceeds "
+            f"the {MAX_SPARSE_CELLS}-cell budget")
     yield c
     for t in range(t_max):
-        keep = reach + (t_max - t) * rule.radius
+        keep = reach + (t_max - t) * radius
         if span > keep:
             c = Configuration(c.lattice, c.q, {s: v for s, v in c.cells.items()
                                                if norm(s) <= keep},
                               _validated=True)
             span = keep
         c = step(rule, c)
-        span += rule.radius
+        span += radius
         yield c
 
 

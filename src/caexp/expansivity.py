@@ -348,13 +348,12 @@ class DirectionalFronts:
 
 
 def directional_fronts(rule: Rule, c: Configuration, d: Configuration,
-                       alpha, t_max: int,
-                       threshold: int | None = None) -> DirectionalFronts:
-    """Fronts corrected by the drift ceil(alpha * t)."""
+                       alpha, t_max: int) -> DirectionalFronts:
+    """Fronts corrected by the drift ceil(alpha * t); a front escapes once it
+    is half the light cone, t_max * radius / 2, away from the drift."""
     alpha = Fraction(alpha)
     fr = engine.fronts(rule, c, d, t_max)
-    if threshold is None:
-        threshold = max(1, (t_max * rule.radius) // 2)
+    threshold = max(1, (t_max * rule.radius) // 2)
     adj_l: list[int | None] = []
     adj_r: list[int | None] = []
     for t in range(t_max + 1):

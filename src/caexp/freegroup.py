@@ -146,9 +146,8 @@ def layer_profile(n: int, L: int, t_max: int) -> LayerProfile:
     """
     if L < 0 or t_max < 0:
         raise UsageError("need L >= 0 and t_max >= 0")
-    depth = _sim_depth(L, t_max)
-    tree = BallTree(n, depth)
-    dp = walk_parity_table(L, t_max)
+    dp = walk_parity_table(L, t_max)  # sized before the tree is built
+    tree = BallTree(n, _sim_depth(L, t_max))
     values = np.zeros(tree.total, dtype=np.uint8)
     values[0] = 1
     rows = []

@@ -53,6 +53,10 @@ class Lattice:
     def origin_ball(self, r: int) -> list[Site]:
         raise NotImplementedError
 
+    def ball_size(self, r: int) -> int:
+        """len(origin_ball(r)), without listing the ball."""
+        raise NotImplementedError
+
     # -- textual form -----------------------------------------------------
     def parse_site(self, text: str) -> Site:
         raise NotImplementedError
@@ -95,6 +99,9 @@ class ZLattice(Lattice):
 
     def origin_ball(self, r):
         return list(range(-r, r + 1))
+
+    def ball_size(self, r):
+        return 2 * r + 1
 
     def parse_site(self, text):
         try:
@@ -141,6 +148,9 @@ class Z2Lattice(Lattice):
             for y in range(-rest, rest + 1):
                 out.append((x, y))
         return out
+
+    def ball_size(self, r):
+        return 2 * r * r + 2 * r + 1
 
     def box(self, r: int) -> list[tuple[int, int]]:
         """L-inf box of radius r (the size-<=r sites)."""

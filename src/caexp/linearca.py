@@ -27,28 +27,64 @@ from .rules import LinearRule, Rule
 # cells null_trace_forever may read; every state holds one, so states too
 _CELL_CAP = 1_000_000
 
+# trial divisors factorize may try: it factorizes every n up to 10^12, and
+# every n whose largest prime factor is below ``_MR_LIMIT`` and whose
+# second-largest is at most 10^6
+_TRIAL_CAP = 1_000_000
+
+# the first 13 primes, as Miller-Rabin bases, decide every n below
+# 3 317 044 064 679 887 385 961 981 (Sorenson and Webster, Math. Comp. 86,
+# 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n past ``_MR_LIMIT`` is refused."""
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise ResourceLimitError(f"primality is decided only below {_MR_LIMIT}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime-power factorization [(p, e), ...] by trial division."""
+    """Prime-power factorization [(p, e), ...] by trial division, which stops
+    once the cofactor is prime and is refused past ``_TRIAL_CAP``."""
     if n < 2:
         raise UsageError("factorize expects n >= 2")
     out = []
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
+    while n > 1 and (n >= _MR_LIMIT or not is_prime(n)):
+        while n % d:  # the least prime factor of a composite n
+            d += 1
+            if d > _TRIAL_CAP:
+                raise ResourceLimitError(
+                    f"factorizing needs a trial divisor above {_TRIAL_CAP}")
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        out.append((d, e))
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def gfp_rank(columns, p: int) -> int:
@@ -59,7 +95,7 @@ def gfp_rank(columns, p: int) -> int:
     nonzero joins the basis, scaled to pivot 1.  Entries stay below p, so the
     products are exact in int64 for every p < 3 * 10^9; larger p is refused.
     """
-    if p >= 3 * 10 ** 9:  # checked first: is_prime trial-divides up to sqrt(p)
+    if p >= 3 * 10 ** 9:
         raise UsageError("row reduction is exact in int64 for p < 3 * 10^9")
     if not is_prime(p):
         raise UsageError("row reduction needs a prime modulus")

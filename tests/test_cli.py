@@ -211,6 +211,23 @@ def test_check_kexp_resource_error():
     ["check-kexp", "--rule", "mult:3,2", "--k", "100000",
      "--support-radius", "100000000", "--window", "1", "--tmax", "4"],
     ["bench", "--window", "100000000", "--steps", "1"],
+    # bench grids stepped past the word-step cap: 2.7*10^10 and 6.4*10^10
+    # word-row steps
+    ["bench", "--window", "4096", "--steps", "100000"],
+    ["bench", "--window", "64", "--steps", "1000000000"],
+    # bitgrid runs of about 4.2*10^10 word-row steps, counted before the
+    # grid is allocated
+    ["z2", "--tri-claim", "--tsim", "20000"],
+    ["check-kexp", "--rule", "vn2", "--k", "1", "--support-radius", "0",
+     "--window", "0", "--tmax", "20000"],
+    # sparse orbits whose cells are bounded by balls before the first step
+    ["check-kexp", "--rule", "mult:3,2", "--k", "1", "--support-radius", "2",
+     "--window", "1", "--tmax", "100000000"],
+    ["check-kexp", "--rule", "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1",
+     "--k", "1", "--support-radius", "0", "--window", "0",
+     "--tmax", "10000000"],
+    # a 4 TB walk table, sized before a 2 000 009-node tree is built
+    ["freegroup", "--n", "1", "--profile", "8,2000000"],
     # a BallTree of depth 500 004, refused once its level counts pass the
     # node budget
     ["freegroup", "--n", "2", "--profile", "8,1000000"],

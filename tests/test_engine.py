@@ -441,8 +441,59 @@ def test_dense_kernels_match_sparse_where_boxes_clip(case):
     assert engine.window_series(rule, c, sites, t_max).tolist() == want
 
 
+def _cone_boxes(offsets, support, read, t_max):
+    """B_0..B_t_max on one axis, from the definitions of F_t and K_t."""
+    a, b = max(max(offsets), 0), max(-min(offsets), 0)
+    boxes = []
+    for t in range(t_max + 1):
+        lo, hi = min(support) - t * a, max(support) + t * b
+        if read is not None:
+            lo = max(lo, min(read) - (t_max - t) * b)
+            hi = min(hi, max(read) + (t_max - t) * a)
+        boxes.append((lo, hi))
+    return boxes
+
+
+def test_cone_axis_matches_brute_force():
+    # every box, the emptiness, the hull and the closed-form sums of one and
+    # two axes, with and without read sites
+    from caexp import cone
+    rng = random.Random(5)
+    for _ in range(3000):
+        t_max = rng.randint(0, 30)
+        with_read = rng.random() < 0.8
+        axes, boxes = [], []
+        for _ in range(2):
+            offsets = rng.sample(range(-4, 5), rng.randint(1, 3))
+            support = rng.sample(range(-30, 31), rng.randint(1, 3))
+            read = rng.sample(range(-60, 61), rng.randint(1, 3)) \
+                if with_read else None
+            axes.append(cone.Axis(offsets, support, read, t_max))
+            boxes.append(_cone_boxes(offsets, support, read, t_max))
+        for ax, bx in zip(axes, boxes):
+            empty = [lo > hi for lo, hi in bx]
+            assert ax.empty == all(empty) and (all(empty) or not any(empty))
+            if ax.empty:
+                assert cone.cells(ax) == 0
+                continue
+            assert [(lo, end - 1) for _, lo, end in ax.boxes()] == bx
+            assert cone.cells(ax) == sum(hi - lo + 1 for lo, hi in bx[1:])
+            lo, hi = ax.hull()
+            assert all(lo <= a and b <= hi for a, b in bx)
+        (x, y), (bx, by) = axes, boxes
+        want = 0 if x.empty or y.empty else sum(
+            (x1 - x0 + 1) * (y1 - y0 + 1)
+            for (x0, x1), (y0, y1) in zip(bx[1:], by[1:]))
+        assert cone.cells(x, y) == want
+    assert cone.Axis([1], [], None, 5).empty
+    assert cone.Axis([1], [0], [], 5).empty
+    # sums of 10^9-step runs take no longer than short ones
+    ax = cone.Axis([-1, 1], [0], [0], 10 ** 9)
+    assert cone.cells(ax) == 10 ** 18 // 2 + 10 ** 9
+
+
 def test_dense_cell_steps_sum_the_boxes():
-    # the closed-form count is the summed box widths plus two per step, and
+    # a kernel's cell steps are its boxes' widths plus two per step, and
     # every box lies inside the rows with the neighbourhood's reach around it
     from caexp import dense1d
     rng = random.Random(5)
@@ -452,30 +503,96 @@ def test_dense_cell_steps_sum_the_boxes():
         sites = rng.sample(range(-40, 41), rng.randint(1, 4))
         t_max = rng.randint(0, 30)
         f = dense1d._Frame(cells, sites, offsets, t_max)
+        rule = LinearRule(Z, 2, {v: 1 for v in offsets})
+        c = Configuration(Z, 2, {s: 1 for s in cells})
+        steps = dense1d.orbit_linear(rule, c, sites, t_max)[0]
         if f.empty:
+            assert steps == 0
             continue
-        boxes = list(f.boxes())
-        assert f.steps == sum(b - a + 2 for _, a, b in boxes)
+        boxes = list(f.axis.boxes(1, f.x0))
+        assert steps == sum(b - a + 2 for _, a, b in boxes)
         for _, a, b in boxes:
             assert 0 <= a + min(offsets) and b + max(offsets) <= f.width
             assert a < b
 
 
 def test_dense_run_over_the_cell_step_cap_is_refused_up_front(monkeypatch):
-    from caexp import dense1d
+    from caexp import cone, dense1d
     rule, c, sites = presets.f3(), spot(Z, 3), Z.origin_ball(2)
     steps, series = dense1d.orbit_linear(rule, c, sites, 50)
-    monkeypatch.setattr(dense1d, "MAX_CELL_STEPS", steps)
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", steps)
     assert dense1d.orbit_linear(rule, c, sites, 50)[0] == steps
 
     def no_row(*args):
         raise AssertionError("a row was allocated for a refused run")
     monkeypatch.setattr(dense1d._Frame, "row", no_row)
-    monkeypatch.setattr(dense1d, "MAX_CELL_STEPS", steps - 1)
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", steps - 1)
     for run in (lambda: dense1d.orbit_linear(rule, c, sites, 50),
                 lambda: engine.window_series(rule, c, sites, 50)):
         with pytest.raises(ResourceLimitError):
             run()
+
+
+def test_bitgrid_run_over_the_word_step_cap_is_refused_up_front(monkeypatch):
+    # the bound covers the rows x words the steps compute, and a run is
+    # refused one word-row step below it before any grid is allocated
+    from caexp import bitgrid, cone
+    rule, window = presets.tri2(), Z2.origin_ball(2)
+    c = Configuration.spot(Z2, 2, 1, (0, 36))
+    grid = bitgrid._grid(rule.neighborhood, [(0, 36)], 100, window)
+    bound = bitgrid._word_steps(*(
+        cone.Axis([v[i] for v in rule.neighborhood], [(0, 36)[i]],
+                  [s[i] for s in window], 100) for i in (0, 1)))
+    computed = 0
+    for t in range(1, 101):
+        r0, r1, w0, w1 = grid._rows_words()
+        computed += (r1 - r0) * (w1 - w0)
+    assert 0 < computed <= bound
+    want = engine.window_series(rule, c, window, 100)
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", bound)
+    assert (engine.window_series(rule, c, window, 100) == want).all()
+
+    def no_grid(*args):
+        raise AssertionError("a grid was allocated for a refused run")
+    monkeypatch.setattr(bitgrid.BitGrid, "__init__", no_grid)
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", bound - 1)
+    for run in (lambda: engine.window_series(rule, c, window, 100),
+                lambda: engine.first_nonzero_time(rule, c, window, 100),
+                lambda: bitgrid.simulate_support(rule.neighborhood,
+                                                 [(0, 36)], 100)):
+        with pytest.raises(ResourceLimitError):
+            run()
+
+
+def test_sparse_run_over_the_cell_cap_is_refused_up_front(monkeypatch):
+    # a mod-3 Z^2 spot read on B_1 through t=10: span 0 and reach 1, so the
+    # cells of step t lie within min(t, 11 - t) <= 5 of the origin, and the
+    # bound is 10 balls of radius 5, 61 sites each
+    rule = LinearRule(Z2, 3, {(1, 0): 1, (0, 1): 1})
+    c, window = spot(Z2, 3), Z2.origin_ball(1)
+    want = engine.window_series(rule, c, window, 10)
+    monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 610)
+    assert (engine.window_series(rule, c, window, 10) == want).all()
+
+    def no_step(*args):
+        raise AssertionError("a refused run was stepped")
+    monkeypatch.setattr(engine, "step", no_step)
+    monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 609)
+    for run in (lambda: engine.window_series(rule, c, window, 10),
+                lambda: engine.first_nonzero_time(rule, c, window, 10),
+                lambda: engine.traces_equal(rule, c, spot(Z2, 3, 2), 1, 10)):
+        with pytest.raises(ResourceLimitError, match="radius 5"):
+            run()
+    # a spot at 100 read on B_1 through t=10: its cells lie within radius
+    # 11 of the origin, 23 sites, but also within 10 of the spot, 21 sites
+    monkeypatch.undo()
+    far = spot(Z, 3, 1, 100)
+    monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 210)
+    assert engine.first_nonzero_time(presets.f3(), far, Z.origin_ball(1),
+                                     10) is None
+    monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 209)
+    with pytest.raises(ResourceLimitError, match="radius 11"):
+        engine.first_nonzero_time(presets.f3(), far, Z.origin_ball(1), 10)
 
 
 def test_dense_series_peaks_near_its_own_size():

@@ -139,13 +139,19 @@ def test_directional_shift_rule_constant():
 
 
 def test_directional_psi_escapes():
-    # at drift 1/2 the adjusted right front grows at rate 1/2, so it clears
-    # any threshold below t_max/2 within the horizon
+    # psi's fronts run at speed 1 less one cell.  At drift 1/4 the adjusted
+    # right front grows at rate 3/4, so it clears the threshold t_max/2
+    # within the horizon; at drift 1/2 it grows at rate 1/2 and stops one
+    # cell short of it
     psi = presets.psi()
     c = Configuration(Z, 9, {0: 3})  # state (1,0)
     zero = Configuration.zero(Z, 9)
-    d = directional_fronts(psi, c, zero, Fraction(1, 2), 40, threshold=15)
+    d = directional_fronts(psi, c, zero, Fraction(1, 4), 40)
+    assert d.threshold == 20
     assert d.escapes_below and d.escapes_above
+    d = directional_fronts(psi, c, zero, Fraction(1, 2), 40)
+    assert d.escapes_below and not d.escapes_above
+    assert max(v for v in d.adj_r if v is not None) == 19
 
 
 def test_psi_relation_k0():

@@ -267,6 +267,21 @@ def test_budgets_refuse_up_front(monkeypatch):
         walk_parity_table(5, 100_000)
 
 
+def test_orbits_refuse_before_stepping_or_building(monkeypatch):
+    # the spot orbit through t=30 fills B_15 of F_2, 28 697 813 nodes, at
+    # its peak: refused by the sparse cell bound before its first step
+    def no_step(*args):
+        raise AssertionError("a refused run was stepped")
+    monkeypatch.setattr(engine, "step", no_step)
+    with pytest.raises(ResourceLimitError, match="a sparse orbit of 30 steps "
+                       "within radius 15"):
+        odd_weight_kernel(lambda_rule(2), 0, 0, 30)
+    # the profile's walk table is sized before its tree is built
+    monkeypatch.setattr(BallTree, "__init__", no_step)
+    with pytest.raises(ResourceLimitError, match="walk parity table"):
+        layer_profile(1, 8, 2_000_000)
+
+
 def test_layer_profile_rank_three():
     # depth-8 ball of F_3 is ~586k nodes; the equivariance and recurrence
     # cross-checks run over all of them

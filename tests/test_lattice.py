@@ -43,8 +43,8 @@ def test_size_norm_is_linf_on_z2():
 
 @pytest.mark.parametrize("r", range(5))
 def test_ball_cardinalities(r):
-    assert len(Z.origin_ball(r)) == 2 * r + 1
-    assert len(Z2.origin_ball(r)) == 2 * r * r + 2 * r + 1
+    assert len(Z.origin_ball(r)) == Z.ball_size(r) == 2 * r + 1
+    assert len(Z2.origin_ball(r)) == Z2.ball_size(r) == 2 * r * r + 2 * r + 1
     f3 = free(3)
     n = 3
     expected = 1 if r == 0 else 1 + 2 * n * ((2 * n - 1) ** r - 1) // (2 * n - 2)

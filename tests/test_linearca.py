@@ -38,6 +38,42 @@ def test_rank_counts_the_kernel(p):
         linearca.gfp_rank(columns, big)
 
 
+def test_primality_and_factorization():
+    # Miller-Rabin against a sieve, strong pseudoprimes to the first bases
+    # among the inputs, and factorizations multiplied back
+    n_max = 20_000
+    sieve = [False, False] + [True] * (n_max - 1)
+    for p in range(2, n_max + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [linearca.is_prime(n) for n in range(n_max + 1)] == sieve
+    for n in (2047, 1373653, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not linearca.is_prime(n)
+    for p in (2 ** 61 - 1, 2 ** 64 + 13, 2 ** 81 - 51):
+        assert linearca.is_prime(p)
+    rng = random.Random(3)
+    for n in [rng.randrange(2, 10 ** 12) for _ in range(200)] + [
+            2 ** 100, 3 ** 40 * (2 ** 61 - 1), 999983 ** 2]:
+        factors = linearca.factorize(n)
+        assert all(linearca.is_prime(p) for p, _ in factors)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        prod = 1
+        for p, e in factors:
+            prod *= p ** e
+        assert prod == n
+    # a modulus near 2^64 is prime, decided at once rather than by trial
+    # division; two prime factors above the trial cap are refused, and so is
+    # a primality test past the Miller-Rabin bound
+    assert linearca.factorize(2 ** 64 + 13) == [(2 ** 64 + 13, 1)]
+    assert linearca.null_trace_decidable(LinearRule(Z, 2 ** 64 + 13,
+                                                    {-1: 3, 1: 5}))
+    with pytest.raises(ResourceLimitError, match="trial divisor"):
+        linearca.factorize(1_000_003 * 1_000_033)
+    with pytest.raises(ResourceLimitError, match="primality"):
+        linearca.is_prime(10 ** 25 + 13)
+
+
 def test_crt_decompose_m6():
     rule = LinearRule(Z, 6, {-1: 1, 1: 1})
     parts = linearca.crt_decompose(rule)
