@@ -21,16 +21,11 @@ from fractions import Fraction
 from . import bitgrid, cone, configio, engine, presets, render, z2subst
 from .claims import CLAIMS, run_claims
 from .config import Configuration
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, parse_int
 from .expansivity import directional_fronts, kexp_search, pair_preexp_probe
 from .freegroup import ball_levels, fg_non2exp_witness, layer_profile
 from .lattice import Z2, free
 from .rules import Rule
-
-
-# support cap of a simulated orbit, which the sparse engine holds cell by
-# cell: the lambda:2 spot orbit passes it at step 11 (325 021 cells)
-_MAX_CELLS = 100_000
 
 
 def _parse_init(text: str, rule: Rule) -> Configuration:
@@ -49,14 +44,14 @@ def _parse_init(text: str, rule: Rule) -> Configuration:
             body, site_text = body.split("@", 1)
             site = rule.lattice.parse_site(site_text)
         if "," in body:
-            parts = [_int(x, "state component") for x in body.split(",")]
+            parts = [parse_int(x, "state component") for x in body.split(",")]
             alpha = rule.alphabet
             if len(parts) != len(alpha.moduli) or not all(
                     0 <= x < m for x, m in zip(parts, alpha.moduli)):
                 raise UsageError(f"state {body!r} does not fit alphabet {alpha!r}")
             state = alpha.from_components(tuple(parts))
         else:
-            state = _int(body, "spot state")
+            state = parse_int(body, "spot state")
         if not 0 < state < rule.q:
             raise UsageError(f"spot state {state} outside 1..{rule.q - 1}")
         return Configuration.spot(rule.lattice, rule.q, state, site)
@@ -70,13 +65,6 @@ def _fields(tokens, keys) -> dict[str, str]:
         want = " ".join(f"{key}=..." for key in keys)
         raise UsageError(f"expected {want}, got {' '.join(tokens)}")
     return fields
-
-
-def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"bad {what} {text!r}") from None
 
 
 def _out_dir(path: str) -> str:
@@ -99,7 +87,7 @@ def cmd_simulate(args) -> int:
     rule = presets.parse_rule(args.rule)
     init = _parse_init(args.init, rule)
     out_dir = _out_dir(args.out)
-    final = engine.iterate(rule, init, args.steps, max_cells=_MAX_CELLS)
+    final = engine.iterate(rule, init, args.steps)
     dump_path = os.path.join(out_dir, "final.cfg")
     configio.save(final, dump_path)
     artifacts = [dump_path]
@@ -236,7 +224,7 @@ def cmd_freegroup(args) -> int:
     if args.witness:
         fields = _fields(args.witness, ("z", "sprime"))
         ztext = fields["z"]
-        power = _int(ztext[:-1], "power") if len(ztext) > 1 else 1
+        power = parse_int(ztext[:-1], "power") if len(ztext) > 1 else 1
         gen = lat.parse_site(ztext[-1:])
         ball_levels(args.n, power)  # the witness window B_|z|, before the word
         z = tuple(gen * power)
@@ -256,7 +244,7 @@ def cmd_z2(args) -> int:
     if args.uv:
         fields = _fields(args.uv, ("z", "k"))
         z = Z2.parse_site(fields["z"])
-        k = _int(fields["k"], "scale")
+        k = parse_int(fields["k"], "scale")
         pair = z2subst.uv_words(z, k)
         print(f"u_{k}({z[0]},{z[1]}) = {pair.u_word()}")
         print(f"v_{k}({z[0]},{z[1]}) = {pair.v_word()}")

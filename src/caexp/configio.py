@@ -8,7 +8,7 @@ inverse (``a b A``) and ``e`` for the identity.
 from __future__ import annotations
 
 from .config import Configuration
-from .errors import UsageError
+from .errors import UsageError, parse_int
 from .lattice import lattice_by_kind
 
 
@@ -43,10 +43,7 @@ def loads(text: str) -> Configuration:
             raise UsageError(f"expected site<TAB>state: {ln!r}")
         site_text, state_text = ln.split("\t", 1)
         site = lattice.parse_site(site_text)
-        try:
-            state = int(state_text)
-        except ValueError:
-            raise UsageError(f"bad state {state_text!r}") from None
+        state = parse_int(state_text, "state")
         if site in cells:
             raise UsageError(f"duplicate site {site_text!r}")
         cells[site] = state

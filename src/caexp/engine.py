@@ -11,22 +11,23 @@ for mod-2 linear rules on Z^2 whose x offsets are below 64 cells (one
 predicate for both), ``dense1d`` for linear, multiplication and linear
 second-order rules on Z (``window_series`` only), and the sparse step
 otherwise, which keeps only the cells that can still reach a read site by
-t_max.  A ``dense1d`` kernel runs only when int64 arithmetic is exact for
-the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Both dense
-backends step only the light-cone box of the support and the read sites,
-from ``cone``; ``dense1d`` steps two rows and gathers the read sites
-straight into the output after each step, so no space-time array exists.
-Neither dense backend runs where the cells it would span (the support, and
-on Z^2 the read sites) leave a gap wider than the light cone spreads plus
-one 64-cell word: the sparse step skips such gaps, a dense row would
-allocate them.
+t_max (``iterate`` keeps every cell).  A ``dense1d`` kernel runs only when
+int64 arithmetic is exact for the rule: n*(m-1)^2 + (m-1) < 2^63 for n
+coefficients mod m.  Both dense backends step only the light-cone box of the
+support and the read sites, from ``cone``; ``dense1d`` steps two rows and
+gathers the read sites straight into the output after each step, so no
+space-time array exists.  Neither dense backend runs where the cells it would
+span (the support, and on Z^2 the read sites) leave a gap wider than the
+light cone spreads plus one 64-cell word: the sparse step skips such gaps, a
+dense row would allocate them.
 
 Every run counts its work before its first step: the dense backends their
 row elements stepped (``cone.MAX_CELL_STEPS``), the sparse orbit a bound on
-its cells from ball sizes (``MAX_SPARSE_CELLS``).  Arrays past
-``errors.MAX_ARRAY_BYTES`` are refused up front, the (t_max+1, n) output of
-``window_series`` on every backend.  Every backend is cross-checked against
-the sparse step; results are bit-identical.
+its cells from ball sizes, weighted by ``Lattice.site_cost``
+(``MAX_SPARSE_CELLS``).  Arrays past ``errors.MAX_ARRAY_BYTES`` are refused
+up front, the (t_max+1, n) output of ``window_series`` on every backend.
+Every backend is cross-checked against the sparse step; results are
+bit-identical.
 """
 from __future__ import annotations
 
@@ -86,25 +87,6 @@ def _step_generic(rule: Rule, c: Configuration) -> Configuration:
     return Configuration(lat, rule.q, out, _validated=True)
 
 
-def iterate(rule: Rule, c: Configuration, t: int,
-            max_cells: int | None = None) -> Configuration:
-    """t-fold composition of step; iterate(rule, c, 0) = c.
-
-    ``max_cells`` bounds the evolving support; exceeding it raises a
-    ResourceLimitError naming the step at which the support passed it.
-    """
-    if t < 0:
-        raise UsageError("iteration count must be >= 0")
-    _check_match(rule, c)
-    cur = c
-    for done in range(t):
-        cur = step(rule, cur)
-        if max_cells is not None and len(cur) > max_cells:
-            raise ResourceLimitError(
-                f"support grew past {max_cells} cells at step {done + 1}")
-    return cur
-
-
 def _gaps_within(coords, rule: Rule, t_max: int) -> bool:
     """Is no gap between neighbouring coordinates wider than the light cone of
     a t_max-step run spreads, plus one 64-cell word?"""
@@ -124,40 +106,47 @@ def _bitgrid_runs(rule: Rule, c: Configuration, sites, t_max: int) -> bool:
 
 # cells the sparse orbit may step, bounded from ball sizes before its first
 # step: the largest bound the claims, tests and benchmark make is the mod-3
-# Z^2 witness through t=243, 29.8 * 10^6 (45 557 cells stepped, 0.06 s)
+# Z^2 witness through t=243, 29.8 * 10^6 (45 557 cells stepped, 0.06 s); on
+# a free group, an F_3 window series through t=8, 1.3 * 10^6 with its weight
 MAX_SPARSE_CELLS = 2 ** 25
 
 
 def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
     """c, F(c), ..., F^t_max(c) through the sparse step, exact at ``sites``
-    only: before step t+1 it drops each cell s with norm(s) > max norm(site)
-    + (t_max - t) * radius, which by the triangle inequality lies farther from
-    every site than F^(t_max - t) reads.
+    only (everywhere if None): before step t+1 it drops each cell s with
+    norm(s) > max norm(site) + (t_max - t) * radius, which by the triangle
+    inequality lies farther from every site than F^(t_max - t) reads.  With
+    no sites, max norm(site) is span + t_max * radius, and nothing is dropped.
 
     So step t+1 reads cells within min(span + t*radius, keep) of the origin,
     span bounding the initial support: at most the mean of the two, whose sum
     does not depend on t.  They also lie within t*radius of the initial
     support.  The run is refused before its first step when t_max steps of
-    the fewer of these cells pass ``MAX_SPARSE_CELLS``."""
-    norm, radius, ball = rule.lattice.norm, rule.radius, rule.lattice.ball_size
-    reach = max((norm(s) for s in sites), default=0)
-    span = max((norm(s) for s in c.cells), default=0)  # bounds the support
+    the fewer of these cells, each charged ``Lattice.site_cost`` at that
+    peak norm, pass ``MAX_SPARSE_CELLS``."""
+    lat, radius = rule.lattice, rule.radius
+    span = max((lat.norm(s) for s in c.cells), default=0)  # bounds the support
+    reach = (span + t_max * radius if sites is None
+             else max((lat.norm(s) for s in sites), default=0))
     peak = min(min(span, reach) + t_max * radius,
                (span + reach + t_max * radius) // 2)
-    # a ball of radius r holds more than r cells, and t_max * radius <= 2 *
-    # peak + 1: checked first, this keeps a free group's ball size,
-    # exponential in r, from being formed past the cap
-    if t_max and (t_max * (peak + 1) > MAX_SPARSE_CELLS or t_max * min(
-            ball(peak), len(c) * ball(t_max * radius)) > MAX_SPARSE_CELLS):
-        raise ResourceLimitError(
-            f"a sparse orbit of {t_max} steps within radius {peak} exceeds "
-            f"the {MAX_SPARSE_CELLS}-cell budget")
+    if t_max:
+        # a ball of radius r holds over r cells: past the cap it is not formed
+        # (exponential in r on F_n); an empty support costs one cell a step
+        cap = MAX_SPARSE_CELLS // t_max
+        by_origin, by_support = (lat.ball_size(r) if r < cap else cap + 1
+                                 for r in (peak, t_max * radius))
+        cells = min(by_origin, max(len(c), 1) * by_support)
+        if cells * lat.site_cost(peak) > cap:
+            raise ResourceLimitError(
+                f"a sparse orbit of {t_max} steps within radius {peak} "
+                f"exceeds the {MAX_SPARSE_CELLS}-cell budget")
     yield c
     for t in range(t_max):
         keep = reach + (t_max - t) * radius
         if span > keep:
             c = Configuration(c.lattice, c.q, {s: v for s, v in c.cells.items()
-                                               if norm(s) <= keep},
+                                               if lat.norm(s) <= keep},
                               _validated=True)
             span = keep
         c = step(rule, c)
@@ -169,6 +158,15 @@ def _check_run(rule: Rule, c: Configuration, t_max: int) -> None:
     if t_max < 0:
         raise UsageError("step count t_max must be >= 0")
     _check_match(rule, c)
+
+
+def iterate(rule: Rule, c: Configuration, t: int) -> Configuration:
+    """F^t(c), the last state of the sparse orbit with no read sites, bounded
+    before its first step like every sparse run; iterate(rule, c, 0) = c."""
+    _check_run(rule, c, t)
+    for cur in _sparse_orbit(rule, c, t, None):
+        pass
+    return cur
 
 
 def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray:

@@ -58,15 +58,17 @@ class ExpansivityVerdict:
 
 
 def _box(lattice: Lattice, R: int) -> int:
-    """Number of sites of size <= R: 2R + 1 on Z, (2R + 1)^2 on Z^2."""
+    """Number of sites of size <= R: (2R + 1)^2 on Z^2, |B_R| elsewhere.  Past
+    2^64 sites every search but an empty one is over budget: a free group's
+    ball passes that by R = 41, and is refused before its size is formed."""
     if R < 0:
         raise UsageError("support radius must be >= 0")
-    if isinstance(lattice, ZLattice):
-        return 2 * R + 1
     if isinstance(lattice, Z2Lattice):
         return (2 * R + 1) ** 2
-    raise UsageError("bounded searches cover Z and Z^2; free-group claims "
-                     "live in the freegroup module")
+    if lattice.ball_size(min(R, 64)) > 2 ** 64:
+        raise ResourceLimitError(f"a search box of radius {R} holds more "
+                                 f"than 2^64 sites")
+    return lattice.ball_size(R)
 
 
 def _capped_count(box: int, q: int, s: int, cap: int) -> int:
@@ -100,7 +102,7 @@ def _search_box(lattice: Lattice, k: int, R: int, m: int, t_max: int) -> int:
 
 
 def size_domain(lattice: Lattice, R: int) -> list:
-    """Sites of size <= R: an interval on Z, the L-inf box on Z^2."""
+    """Sites of size <= R: the L-inf box on Z^2, the ball B_R elsewhere."""
     _box(lattice, R)
     if isinstance(lattice, Z2Lattice):
         return lattice.box(R)

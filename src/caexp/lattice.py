@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import UsageError
+from .errors import UsageError, parse_int
 
 Site = object  # int | tuple[int, int] | tuple[int, ...]
 
@@ -56,6 +56,10 @@ class Lattice:
     def ball_size(self, r: int) -> int:
         """len(origin_ball(r)), without listing the ball."""
         raise NotImplementedError
+
+    def site_cost(self, r: int) -> int:
+        """Relative cost of a group operation on sites of norm <= r."""
+        return 1
 
     # -- textual form -----------------------------------------------------
     def parse_site(self, text: str) -> Site:
@@ -104,10 +108,7 @@ class ZLattice(Lattice):
         return 2 * r + 1
 
     def parse_site(self, text):
-        try:
-            return int(text)
-        except ValueError:
-            raise UsageError(f"bad Z site: {text!r}") from None
+        return parse_int(text, "Z site")
 
     def format_site(self, a):
         return str(a)
@@ -160,10 +161,7 @@ class Z2Lattice(Lattice):
         parts = text.split(",")
         if len(parts) != 2:
             raise UsageError(f"bad Z^2 site: {text!r}")
-        try:
-            return (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise UsageError(f"bad Z^2 site: {text!r}") from None
+        return tuple(parse_int(x, "Z^2 site coordinate") for x in parts)
 
     def format_site(self, a):
         return f"{a[0]},{a[1]}"
@@ -245,6 +243,9 @@ class FreeLattice(Lattice):
             return 2 * r + 1
         return 1 + q * ((q - 1) ** r - 1) // (q - 2)
 
+    def site_cost(self, r: int) -> int:
+        return r + 1  # add re-reduces the whole concatenated word
+
     def parse_site(self, text):
         text = text.strip()
         if text in ("e", ""):
@@ -276,11 +277,7 @@ def lattice_by_kind(kind: str) -> Lattice:
     if kind == "z2":
         return Z2Lattice()
     if kind.startswith("free:"):
-        try:
-            rank = int(kind.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad free-group rank in lattice kind {kind!r}") from None
-        return FreeLattice(rank)
+        return FreeLattice(parse_int(kind.split(":", 1)[1], "free-group rank"))
     raise UsageError(f"unknown lattice kind: {kind!r}")
 
 

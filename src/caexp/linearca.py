@@ -92,8 +92,9 @@ def gfp_rank(columns, p: int) -> int:
 
     Each column, reduced mod p, is cleared against the basis vectors at their
     pivots (first nonzero entries) in the order they joined; a column left
-    nonzero joins the basis, scaled to pivot 1.  Entries stay below p, so the
-    products are exact in int64 for every p < 3 * 10^9; larger p is refused.
+    nonzero joins the basis, scaled to pivot 1, until the basis spans every
+    column.  Entries stay below p, so the products are exact in int64 for
+    every p < 3 * 10^9; larger p is refused.
     """
     if p >= 3 * 10 ** 9:
         raise UsageError("row reduction is exact in int64 for p < 3 * 10^9")
@@ -109,6 +110,8 @@ def gfp_rank(columns, p: int) -> int:
         if nz.size:
             j = int(nz[0])
             basis.append((j, v * pow(int(v[j]), -1, p) % p))
+        if len(basis) == v.size:
+            break
     return len(basis)
 
 

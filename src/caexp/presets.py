@@ -11,7 +11,7 @@ e.g. ``coeffs=0,1:1;1,0:1``).
 """
 from __future__ import annotations
 
-from .errors import UsageError
+from .errors import UsageError, parse_int
 from .lattice import Z, Z2, free, lattice_by_kind
 from .rules import LayeredFlipRule, LinearRule, MultRule, Rule, SecondOrderRule
 
@@ -63,6 +63,8 @@ def layered(k: int) -> LayeredFlipRule:
 
 _SIMPLE = {"f2": f2, "f3": f3, "psi": psi, "upsilon": upsilon,
            "vn2": vn2, "tri2": tri2}
+_FAMILIES = {"mult": (mult, 2), "lambda": (lambda_rule, 1),
+             "layered": (layered, 1)}  # constructor, argument count
 
 
 def _parse_linear_spec(text: str) -> LinearRule:
@@ -84,7 +86,7 @@ def _parse_linear_spec(text: str) -> LinearRule:
         site_text, _, coef_text = entry.rpartition(":")
         if not site_text:
             raise UsageError(f"bad coefficient entry {entry!r}")
-        coeffs[lat.parse_site(site_text)] = int(coef_text)
+        coeffs[lat.parse_site(site_text)] = parse_int(coef_text, "coefficient")
     return LinearRule(lat, m, coeffs)
 
 
@@ -94,17 +96,13 @@ def parse_rule(text: str) -> Rule:
         return _parse_linear_spec(token)
     if ":" in token:
         name, args = token.split(":", 1)
-        try:
-            if name == "mult":
-                k, kp = (int(x) for x in args.split(","))
-                return mult(k, kp)
-            if name == "lambda":
-                return lambda_rule(int(args))
-            if name == "layered":
-                return layered(int(args))
-        except ValueError:
-            raise UsageError(f"bad rule arguments in {token!r}") from None
-        raise UsageError(f"unknown rule family {name!r}")
+        if name not in _FAMILIES:
+            raise UsageError(f"unknown rule family {name!r}")
+        make, arity = _FAMILIES[name]
+        nums = [parse_int(x, "rule argument") for x in args.split(",")]
+        if len(nums) != arity:
+            raise UsageError(f"bad rule arguments in {token!r}")
+        return make(*nums)
     if token in _SIMPLE:
         return _SIMPLE[token]()
     raise UsageError(f"unknown rule preset {token!r}")

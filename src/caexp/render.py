@@ -29,13 +29,18 @@ def _gray(states: np.ndarray, q: int) -> np.ndarray:
     return (states.astype(object) * 255 // (q - 1)).astype(np.uint8)
 
 
+def _span(width_window: int) -> range:
+    if width_window < 0:
+        raise UsageError("render window must be >= 0")
+    return range(-width_window, width_window + 1)
+
+
 def render_strip(rule: Rule, c: Configuration, width_window: int,
                  t_max: int) -> np.ndarray:
     """Z space-time diagram as a (t_max+1, 2*width_window+1) gray array."""
     if not isinstance(rule.lattice, ZLattice):
         raise UsageError("strip rendering needs a Z rule")
-    xs = range(-width_window, width_window + 1)
-    series = engine.window_series(rule, c, xs, t_max)
+    series = engine.window_series(rule, c, _span(width_window), t_max)
     return _gray(series[::-1], rule.q)  # bottom-to-top time axis
 
 
@@ -44,7 +49,7 @@ def render_frames(rule: Rule, c: Configuration, width_window: int,
     """Z^2 orbit as one gray frame per step (rows are decreasing y)."""
     if not isinstance(rule.lattice, Z2Lattice):
         raise UsageError("frame rendering needs a Z^2 rule")
-    span = range(-width_window, width_window + 1)
+    span = _span(width_window)
     sites = [(x, y) for y in reversed(span) for x in span]
     series = engine.window_series(rule, c, sites, t_max)
     return list(_gray(series, rule.q).reshape(t_max + 1, len(span), len(span)))

@@ -144,6 +144,13 @@ def test_check_kexp_negative_tmax_is_usage_error(capsys):
     ["check-kexp", "--rule", "linear m=4 coeffs=1:2", "--k", "1",
      "--support-radius", "4", "--window", "1", "--tmax", "16",
      "--out", "{tmp}/file"],
+    # a coefficient that is not an integer
+    ["check-kexp", "--rule", "linear m=3 coeffs=1:x", "--k", "1",
+     "--support-radius", "1", "--window", "0", "--tmax", "4"],
+    # a negative render window, which drew strips 0 cells wide and 0x0 frames
+    ["simulate", "--rule", "f2", "--render", "--window", "-3", "--out", "{tmp}"],
+    ["simulate", "--rule", "vn2", "--steps", "4", "--render", "--window", "-3",
+     "--out", "{tmp}"],
 ], ids=" ".join)
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "file").touch()
@@ -180,6 +187,20 @@ def test_pair_probe_counts_before_listing_its_box(monkeypatch, capsys):
 def test_check_kexp_resource_error():
     assert run(["check-kexp", "--rule", "vn2", "--k", "6",
                 "--support-radius", "30", "--window", "1", "--tmax", "4"]) == 3
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("lambda:0", "lambda rule needs n >= 1"),
+    ("layered:0", "layer count k must be >= 1"),
+    ("mult:1,2", "multiplication rule needs k, k' >= 2"),
+    ("mult:3", "bad rule arguments in 'mult:3'"),
+    ("mult:3,x", "bad rule argument 'x'"),
+    ("linear m=3 coeffs=1:x", "bad coefficient 'x'"),
+])
+def test_rule_errors_keep_their_message(rule, message, tmp_path, capsys):
+    # a constructor's own refusal is not replaced by a generic one
+    assert run(["simulate", "--rule", rule, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -238,8 +259,17 @@ def test_check_kexp_resource_error():
     # built or the ball listed
     ["freegroup", "--witness", "z=20a", "sprime=b"],
     ["freegroup", "--witness", "z=1000000000a", "sprime=b"],
-    # the spot orbit's support passes the cap at step 11
+    # simulated orbits, bounded like every sparse run before the first step:
+    # the F_2 spot orbit through the default 64 steps and through 11, the
+    # first horizon past the budget (11 balls B_11 of 354 293 words, each
+    # charged its length 12), and long Z and Z^2 runs
     ["simulate", "--rule", "lambda:2", "--out", "{tmp}"],
+    ["simulate", "--rule", "lambda:2", "--steps", "11", "--out", "{tmp}"],
+    ["simulate", "--rule", "f2", "--steps", "1000000", "--out", "{tmp}"],
+    ["simulate", "--rule", "upsilon", "--init", "spot:1", "--steps", "100000",
+     "--out", "{tmp}"],
+    ["simulate", "--rule", "vn2", "--steps", "3000", "--out", "{tmp}"],
+    ["simulate", "--rule", "tri2", "--steps", "5000", "--out", "{tmp}"],
 ], ids=" ".join)
 def test_oversized_run_is_refused(argv, tmp_path, capsys):
     # refused at the allocation, not by a numpy memory error or an
@@ -325,7 +355,7 @@ _RULES = ["f2", "f3", "psi", "upsilon", "vn2", "tri2", "mult:3,2", "lambda:2",
           "layered:2", "linear m=5 coeffs=1:2,2:3", "linear m=4 coeffs=1:2",
           "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1", "linear m=0 coeffs=1:1",
           "linear m=3 coeffs=1:0", "linear m=2 lattice=z2 coeffs=1:1",
-          "mult:x", "lambda:0", "nope", ""]
+          "linear m=3 coeffs=1:x", "mult:x", "lambda:0", "nope", ""]
 _SMALL = ["-1", "0", "1", "2", "x", ""]
 
 
@@ -343,7 +373,7 @@ _SUBCOMMANDS = {
                          "spot:1@1,2", "zero", "spot:0", "spot:", "spot:x",
                          "file:{tmp}/w.cfg", "file:{tmp}/missing.cfg",
                          "file:{tmp}/bad.cfg", "nope"]),
-        _flag("--steps", [*_SMALL, "64"]), [["--render"]],
+        _flag("--steps", [*_SMALL, "64", "100000000"]), [["--render"]],
         _flag("--window", _SMALL), _flag("--format", ["pgm", "text", "gif"]),
         _flag("--out", ["{tmp}/new", "{tmp}/w.cfg"])]),
     "verify": ([], [
@@ -380,10 +410,14 @@ _SUBCOMMANDS = {
 
 
 # oversized searches, each refused up front; drawn after the flags above so
-# that their rule and horizon win (with a pooled rule on the sparse path, such
-# as mult:3,2, a horizon of 10^8 steps would run for hours)
+# that their rule and horizon win.  The rules span the backends: the dense Z
+# kernels (f3, psi), bitgrid (vn2, tri2) and the sparse step (the rest).  The
+# sparse cell bound refuses mult:3,2's pair probe, the table's bytes the rest
 _OVERSIZED_KEXP = [["--rule", rule, "--tmax", "100000000"]
-                   for rule in ("f3", "psi", "vn2", "tri2")]
+                   for rule in ("f3", "psi", "vn2", "tri2", "mult:3,2",
+                                "layered:2",
+                                "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1",
+                                "lambda:2")]
 
 
 @st.composite

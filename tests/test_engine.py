@@ -54,11 +54,31 @@ def test_iterate_vn_lucas_support():
     assert sorted(out.cells) == [(-2, 0), (0, -2), (0, 0), (0, 2), (2, 0)]
 
 
-def test_iterate_resource_limit():
-    # the von Neumann mod-2 spot orbit holds 5 cells at steps 1 and 2, and 17
-    # at step 3
-    with pytest.raises(ResourceLimitError, match="past 6 cells at step 3$"):
-        engine.iterate(presets.vn2(), spot(Z2, 2), 10, max_cells=6)
+def test_iterate_resource_limit(monkeypatch):
+    # refused before its first step, not once its support has grown: the von
+    # Neumann spot orbit through t=10 is bounded by 10 balls B_10 of 221
+    # sites; on F_2 each cell is also charged its word length, so the lambda:2
+    # spot orbit through t=3 costs 3 balls B_3 of 53 words, times 4
+    def no_step(*args):
+        raise AssertionError("a refused run was stepped")
+    for rule, t, bound in ((presets.vn2(), 10, 2210),
+                           (presets.lambda_rule(2), 3, 636)):
+        c = spot(rule.lattice, 2)
+        want = engine.iterate(rule, c, t)
+        monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", bound)
+        assert engine.iterate(rule, c, t) == want
+        monkeypatch.setattr(engine, "step", no_step)
+        monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", bound - 1)
+        with pytest.raises(ResourceLimitError,
+                           match=f"of {t} steps within radius {t} "):
+            engine.iterate(rule, c, t)
+        monkeypatch.undo()
+    # a far support is bounded by its cone, not by its norm, and an empty one
+    # still costs a cell a step
+    far = spot(Z, 3, 1, 10 ** 8)
+    assert engine.iterate(presets.f3(), far, 100).get(10 ** 8 + 100) == 1
+    with pytest.raises(ResourceLimitError):
+        engine.iterate(presets.f3(), Configuration.zero(Z, 3), 10 ** 8)
 
 
 def test_trace_of_zero_config():
@@ -583,6 +603,16 @@ def test_sparse_run_over_the_cell_cap_is_refused_up_front(monkeypatch):
                 lambda: engine.traces_equal(rule, c, spot(Z2, 3, 2), 1, 10)):
         with pytest.raises(ResourceLimitError, match="radius 5"):
             run()
+    # iterate reads every cell, so nothing is dropped: the cells of step t
+    # lie within t of the origin, and the bound is 10 balls of radius 10
+    monkeypatch.undo()
+    want = engine.iterate(rule, c, 10)
+    monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 2210)
+    assert engine.iterate(rule, c, 10) == want
+    monkeypatch.setattr(engine, "step", no_step)
+    monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 2209)
+    with pytest.raises(ResourceLimitError, match="radius 10"):
+        engine.iterate(rule, c, 10)
     # a spot at 100 read on B_1 through t=10: its cells lie within radius
     # 11 of the origin, 23 sites, but also within 10 of the spot, 21 sites
     monkeypatch.undo()

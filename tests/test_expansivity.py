@@ -21,8 +21,27 @@ from caexp.z2subst import exact_trace_null
 def test_size_domain():
     assert size_domain(Z, 2) == [-2, -1, 0, 1, 2]
     assert (8, 4) in size_domain(Z2, 8)   # L1 norm 12 but size 8
-    with pytest.raises(UsageError):
-        size_domain(presets.lambda_rule(2).lattice, 2)
+    # a ball on F_n, refused past 2^64 sites before its size is formed
+    f2 = presets.lambda_rule(2).lattice
+    assert size_domain(f2, 2) == f2.origin_ball(2)
+    assert len(size_domain(f2, 2)) == f2.ball_size(2) == 17
+    with pytest.raises(ResourceLimitError, match="more than 2\\^64 sites"):
+        size_domain(f2, 10 ** 9)
+
+
+def test_free_group_search_finds_the_two_spot_witness():
+    # the same search reaches the free group's non-2-expansivity witness: two
+    # children of the generator a, equidistant from every window cell, which
+    # is what fg_non2exp_witness checks
+    rule = presets.lambda_rule(2)
+    lat = rule.lattice
+    v = kexp_search(rule, k=2, support_radius=2, window=1, t_max=12)
+    assert v.found and v.witness.cells == {(1, 1): 1, (1, 2): 1}
+    x, y = v.witness.cells
+    assert all(lat.norm(lat.add(lat.neg(w), x)) == lat.norm(lat.add(lat.neg(w), y))
+               for w in lat.origin_ball(1))
+    assert not kexp_search(rule, k=1, support_radius=2, window=1,
+                           t_max=12).found
 
 
 def test_kexp_rejects_bad_args():

@@ -276,6 +276,11 @@ def test_orbits_refuse_before_stepping_or_building(monkeypatch):
     with pytest.raises(ResourceLimitError, match="a sparse orbit of 30 steps "
                        "within radius 15"):
         odd_weight_kernel(lambda_rule(2), 0, 0, 30)
+    # through t=22 it fills B_11, 354 293 words: 7.8 * 10^6 cells, under the
+    # budget, but about 13 s of stepping; each cell is charged its length 12
+    with pytest.raises(ResourceLimitError, match="a sparse orbit of 22 steps "
+                       "within radius 11"):
+        odd_weight_kernel(lambda_rule(2), 0, 0, 22)
     # the profile's walk table is sized before its tree is built
     monkeypatch.setattr(BallTree, "__init__", no_step)
     with pytest.raises(ResourceLimitError, match="walk parity table"):

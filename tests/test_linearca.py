@@ -38,6 +38,15 @@ def test_rank_counts_the_kernel(p):
         linearca.gfp_rank(columns, big)
 
 
+def test_rank_stops_once_the_columns_are_spanned():
+    # three independent columns of three entries span every later one, which
+    # is then not read
+    def columns():
+        yield from np.eye(3, dtype=np.int64)
+        raise AssertionError("a column past full rank was read")
+    assert linearca.gfp_rank(columns(), 3) == 3
+
+
 def test_primality_and_factorization():
     # Miller-Rabin against a sieve, strong pseudoprimes to the first bases
     # among the inputs, and factorizations multiplied back
