@@ -113,8 +113,10 @@ def cmd_verify(args) -> int:
             print(f"{name}: {desc}")
         return 0
     names = None
-    if args.only:
+    if args.only is not None:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
+        if not names:
+            raise UsageError("--only names no claim")
     results = run_claims(names, seed=args.seed)
     failed = 0
     for res in results:
@@ -134,6 +136,8 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     n = args.window
     steps = args.steps
+    if steps < 0:
+        raise UsageError("step count must be >= 0")
     half = n // 2
     cone.check_steps(n * ((n + 63) // 64) * steps, f"a {n}-row bench",
                      "word-row steps")

@@ -7,9 +7,12 @@ NoWitness verdict carries the bounds that were searched.  Searches over
 trace-additive rules reduce to cached single-cell traces: the trace of a
 finite sum of spots is the componentwise sum of the spot traces, and the
 trace of value a at a cell is a times the value-1 trace (cyclic factors).
-Over a prime field those traces form the columns of the bounded trace map,
-and a trivial GF(p) kernel of that map decides every candidate of a k >= 2
-search at once, exactly and relative to the same t_max.
+Over a prime field those traces form the columns of the bounded trace map.
+``TraceTable`` is that map on one search box: it checks its size, lists the
+box, the window and the spot offsets, and takes its GF(p) kernel; a trivial
+kernel decides every candidate of a k >= 2 search at once, exactly and
+relative to the same t_max.  Searches and pair probes walk their candidates
+in one order (``_candidates``), which every ``searched`` count follows.
 """
 from __future__ import annotations
 
@@ -113,33 +116,41 @@ def size_domain(lattice: Lattice, R: int) -> list:
 # single-cell trace tables
 
 class TraceTable:
-    """Cached per-offset spot traces of a trace-additive rule.
+    """The bounded trace map of a trace-additive rule on one search box.
 
-    Keyed by relative offset and basis component; arbitrary states combine by
-    componentwise scaling, exploiting shift equivariance and c^a = a * c^1 on
-    each cyclic factor.  Rules read F(c)(x) = f(c(x + v)), so they commute
-    with left translation: the spot at z reads at w what the spot at the
-    origin reads at (-z) + w, the offset of every lookup, which is w - z only
-    on abelian lattices.  Each series stays as ``engine.window_series``
-    returns it (uint8 from bitgrid, int64 otherwise), split into components
-    and copied once, so that one offset's series is contiguous.
+    ``TraceTable(rule, R, m, t_max)`` reads the configurations on the
+    size-<=R box (``domain``) on the radius-m ball (``window``) through
+    t_max.  Rules read F(c)(x) = f(c(x + v)), so they commute with left
+    translation: the spot at z reads at w what the spot at the origin reads
+    at (-z) + w, which is w - z only on abelian lattices.  Every such offset
+    lies in the size-(R + m) box (``offsets``), whose spot series are cached
+    per basis component; their bytes are checked before any box is listed.
+    Arbitrary states combine by componentwise scaling, c^a = a * c^1 on each
+    cyclic factor.  Each series stays as ``engine.window_series`` returns it
+    (uint8 from bitgrid, int64 otherwise), split into components and copied
+    once, so that one offset's series is contiguous.
     """
 
-    def __init__(self, rule: Rule, offsets, t_max: int):
+    def __init__(self, rule: Rule, R: int, m: int, t_max: int):
         if not rule.is_linear:
             raise UsageError("trace caching needs a rule linear for its alphabet law")
+        lat = rule.lattice
         self.rule = rule
         self.alphabet = rule.alphabet
         self.moduli = rule.alphabet.moduli
         self.t_max = t_max
-        self.offsets = list(offsets)
-        self._index = {y: i for i, y in enumerate(self.offsets)}
         ncomp = len(self.moduli)
+        errors.check_array_bytes(8 * ncomp * (t_max + 1) * _box(lat, R + m),
+                                 "the trace table")
+        self.domain = size_domain(lat, R)
+        self.window = lat.origin_ball(m)
+        self.offsets = size_domain(lat, R + m)
+        self._index = {y: i for i, y in enumerate(self.offsets)}
         per_basis = []
         for i in range(ncomp):
             unit = [0] * ncomp
             unit[i] = 1
-            spot = Configuration.spot(rule.lattice, rule.q,
+            spot = Configuration.spot(lat, rule.q,
                                       rule.alphabet.from_components(unit))
             series = engine.window_series(rule, spot, self.offsets, t_max)
             # components work elementwise on arrays: [ci][offset, t]
@@ -159,23 +170,51 @@ class TraceTable:
         # uint8 bitgrid sums wrap mod 256, which keeps them mod 2
         return not np.count_nonzero(acc % self.moduli[0])
 
-    def trace_map(self, domain, window):
-        """The bounded trace map of configurations on ``domain``, column by
-        column.
+    def trace_map(self):
+        """The trace map, column by column.
 
-        Column (z, b), z-major, is basis state b at site z: the spot series at
-        offsets (-z) + w, stacked over the components, the window cells w and
-        t = 0..t_max.
+        Column (z, b), z-major over ``domain``, is basis state b at site z:
+        the spot series at offsets (-z) + w, stacked over the components,
+        the window cells w and t = 0..t_max.
         """
         lat = self.rule.lattice
-        for z in domain:
-            idxs = [self._index[lat.add(lat.neg(z), w)] for w in window]
+        for z in self.domain:
+            idxs = [self._index[lat.add(lat.neg(z), w)] for w in self.window]
             for spots in self._series:  # [ci, offset, t]
                 yield spots[:, idxs].ravel()
+
+    def kernel_dim(self, budget: int) -> int | None:
+        """Dimension over GF(p) of the trace map's kernel, or None when the
+        alphabet is not a power of one prime field, when the elimination
+        takes more than ``budget`` entry operations (rows * columns *
+        min(rows, columns)) or when the map's entries need more than
+        ``errors.MAX_ARRAY_BYTES`` as int64."""
+        p = self.moduli[0]
+        if any(q != p for q in self.moduli) or not linearca.is_prime(p):
+            return None
+        ncomp = len(self.moduli)
+        rows = len(self.window) * ncomp * (self.t_max + 1)
+        cols = len(self.domain) * ncomp
+        if rows * cols * min(rows, cols) > budget:
+            return None
+        if rows * cols * 8 > errors.MAX_ARRAY_BYTES:
+            return None
+        return cols - linearca.gfp_rank(self.trace_map(), p)
 
 
 # ---------------------------------------------------------------------------
 # the bounded k-expansivity search
+
+def _candidates(domain, q: int, k: int):
+    """The configurations on ``domain`` with exactly k nonzero cells, as
+    (site, value) tuples: sites in ``itertools.combinations`` order, then
+    values in ``itertools.product`` order.  Every ``searched`` count
+    follows this order."""
+    nonzero = range(1, q)
+    for sites in itertools.combinations(domain, k):
+        for values in itertools.product(nonzero, repeat=k):
+            yield tuple(zip(sites, values))
+
 
 def _verify_witness(rule: Rule, cfg: Configuration, m: int, t_max: int) -> bool:
     """Re-check a candidate by simulating the actual configuration directly
@@ -184,39 +223,20 @@ def _verify_witness(rule: Rule, cfg: Configuration, m: int, t_max: int) -> bool:
                                     t_max).any()
 
 
-def _bounded_kernel_dim(table: TraceTable, domain, window,
-                        budget: int) -> int | None:
-    """Dimension over GF(p) of the kernel of the bounded trace map on
-    ``domain``, or None when the alphabet is not a power of one prime field,
-    when the elimination takes more than ``budget`` entry operations
-    (rows * columns * min(rows, columns)) or when the map's entries need
-    more than ``errors.MAX_ARRAY_BYTES`` as int64."""
-    p = table.moduli[0]
-    if any(m != p for m in table.moduli) or not linearca.is_prime(p):
-        return None
-    ncomp = len(table.moduli)
-    rows = len(window) * ncomp * (table.t_max + 1)
-    cols = len(domain) * ncomp
-    if rows * cols * min(rows, cols) > budget:
-        return None
-    if rows * cols * 8 > errors.MAX_ARRAY_BYTES:
-        return None
-    return cols - linearca.gfp_rank(table.trace_map(domain, window), p)
-
-
 def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
                 t_max: int) -> ExpansivityVerdict:
     """Hunt for a k-cell configuration whose radius-``window`` trace is null
     through t_max.
 
-    For k >= 2 over a prime field GF(p)^n, the rank of the bounded trace map
-    on the size-``support_radius`` box is computed first, wherever that
-    elimination reads no more entries than the loop would.  A trivial kernel
-    means that no nonzero configuration on the box has a trace null through
-    t_max, which decides every candidate at once, exactly and relative to the
-    same t_max; the verdict then counts them all as searched.  Otherwise this
-    enumerates the k-subsets of the box (each once, sites in sorted order)
-    with all nonzero value assignments, summing cached single-cell traces.
+    The candidates are counted against the budget before the
+    ``TraceTable`` of the size-``support_radius`` box is built.  For k >= 2
+    over a prime field GF(p)^n, the table's kernel dimension is computed
+    first, wherever that elimination reads no more entries than the loop
+    would.  A trivial kernel means that no nonzero configuration on the box
+    has a trace null through t_max, which decides every candidate at once,
+    exactly and relative to the same t_max; the verdict then counts them all
+    as searched.  Otherwise this walks the candidates in ``_candidates``
+    order, summing cached single-cell traces at each window cell.
     A found witness is re-verified by direct simulation and certified for all
     time where ``linearca.null_trace_forever`` decides the rule within its
     budget.  ``kernel_dim`` on the verdict is None when no rank was computed.
@@ -230,61 +250,36 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
             f"the {_MAX_CANDIDATES} candidate budget")
     if count == 0:  # k exceeds the box: no candidate, so no table to build
         return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
-    # every (-z) + w of a window cell w and a site z lies in the size-(R + m)
-    # box; its spot series are refused here, before any box is listed
-    ncomp = len(rule.alphabet.moduli)
-    lat = rule.lattice
-    errors.check_array_bytes(
-        8 * ncomp * (t_max + 1) * _box(lat, support_radius + window),
-        "the trace table")
-    domain = size_domain(lat, support_radius)
-    window_ball = lat.origin_ball(window)
-    table = TraceTable(rule, size_domain(lat, support_radius + window), t_max)
+    table = TraceTable(rule, support_radius, window, t_max)
     # the loop reads about t_max + 1 entries per component and candidate; for
     # k = 1 it is one zero test per column and value, which no rank undercuts
-    loop_work = count * (t_max + 1) * ncomp
-    kernel_dim = (_bounded_kernel_dim(table, domain, window_ball, loop_work)
-                  if k >= 2 else None)
+    loop_work = count * (t_max + 1) * len(table.moduli)
+    kernel_dim = table.kernel_dim(loop_work) if k >= 2 else None
     if kernel_dim == 0:
         return ExpansivityVerdict(found=False, bounds=bounds, searched=count,
                                   kernel_dim=0)
-    searched = 0
-    for sites in itertools.combinations(domain, k):
-        for values in itertools.product(range(1, rule.q), repeat=k):
-            searched += 1
-            items = list(zip(sites, values))
-            if all(table.null_at_window_cell(items, w) for w in window_ball):
-                cfg = Configuration(lat, rule.q, dict(items), _validated=True)
-                if not _verify_witness(rule, cfg, window, t_max):
-                    raise RuntimeError(
-                        f"trace cache and direct simulation disagree on {cfg!r}")
-                certified = False
-                if linearca.null_trace_decidable(rule):
-                    try:
-                        certified = linearca.null_trace_forever(rule, cfg, window)
-                    except ResourceLimitError:
-                        pass  # the bounded verdict stands, uncertified
-                return ExpansivityVerdict(found=True, bounds=bounds, witness=cfg,
-                                          certified_exact=certified,
-                                          searched=searched,
-                                          kernel_dim=kernel_dim)
-    return ExpansivityVerdict(found=False, bounds=bounds, searched=searched,
+    for searched, items in enumerate(_candidates(table.domain, rule.q, k), 1):
+        if all(table.null_at_window_cell(items, w) for w in table.window):
+            cfg = Configuration(rule.lattice, rule.q, dict(items),
+                                _validated=True)
+            if not _verify_witness(rule, cfg, window, t_max):
+                raise RuntimeError(
+                    f"trace cache and direct simulation disagree on {cfg!r}")
+            certified = False
+            if linearca.null_trace_decidable(rule):
+                try:
+                    certified = linearca.null_trace_forever(rule, cfg, window)
+                except ResourceLimitError:
+                    pass  # the bounded verdict stands, uncertified
+            return ExpansivityVerdict(found=True, bounds=bounds, witness=cfg,
+                                      certified_exact=certified,
+                                      searched=searched, kernel_dim=kernel_dim)
+    return ExpansivityVerdict(found=False, bounds=bounds, searched=count,
                               kernel_dim=kernel_dim)
 
 
 # ---------------------------------------------------------------------------
 # the general (possibly nonlinear) pair probe
-
-def _configs_of_size(lattice, q, domain, size):
-    if size == 0:
-        yield Configuration(lattice, q, {}, _validated=True)
-        return
-    nonzero = range(1, q)
-    for sites in itertools.combinations(domain, size):
-        for values in itertools.product(nonzero, repeat=size):
-            yield Configuration(lattice, q, dict(zip(sites, values)),
-                                _validated=True)
-
 
 def pair_preexp_probe(rule: Rule, k: int, R: int, m: int,
                       t_max: int) -> ExpansivityVerdict:
@@ -314,7 +309,8 @@ def pair_preexp_probe(rule: Rule, k: int, R: int, m: int,
         return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
     lat = rule.lattice
     domain = size_domain(lat, R)
-    by_size = {s: list(_configs_of_size(lat, rule.q, domain, s))
+    by_size = {s: [Configuration(lat, rule.q, dict(items), _validated=True)
+                   for items in _candidates(domain, rule.q, s)]
                for pair in sizes for s in pair}
     searched = 0
     for a, b in sizes:

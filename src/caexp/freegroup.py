@@ -10,7 +10,8 @@ simulation before it is trusted at depths where full simulation is
 impossible (the support of a t-step orbit is the whole ball B_t).
 
 Odd k is decided for every odd k at once, for any mod-2 linear rule on F_n,
-by one GF(2) rank comparison of the bounded trace map (``odd_weight_kernel``).
+by one GF(2) rank comparison of the bounded trace map, the ``TraceTable`` of
+B_R read on B_m (``odd_weight_kernel``).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import engine, errors, linearca
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
-from .expansivity import TraceTable
+from .expansivity import TraceTable, _box
 from .lattice import FreeLattice, free
 from .presets import lambda_rule
 from .report import Report
@@ -228,8 +229,8 @@ def odd_weight_kernel(rule: LinearRule, R: int, m: int,
     The weight parity sum_z x_z is linear over GF(2), so the kernel holds an
     odd-weight vector iff appending a 1 to every column raises the rank: one
     verdict for every odd k <= |B_R|.  A negative one holds for all time, as
-    a trace null forever is null through t_max.  The table and the map are
-    refused before any ball is listed.
+    a trace null forever is null through t_max.  The map is refused before
+    the table: |B_{R+m}| <= |B_R| |B_m|, so its check covers the table's.
     """
     lat = rule.lattice
     if not (isinstance(rule, LinearRule) and rule.m == 2
@@ -238,13 +239,9 @@ def odd_weight_kernel(rule: LinearRule, R: int, m: int,
                          "on a free group")
     if min(R, m, t_max) < 0:
         raise UsageError("need R, m and t_max >= 0")
-    # every (-z) + w of a window cell w and a site z lies in B_{R+m}
-    errors.check_array_bytes(8 * (t_max + 1) * lat.ball_size(R + m),
-                             "the trace table")
-    errors.check_array_bytes(
-        8 * (t_max + 1) * lat.ball_size(m) * lat.ball_size(R), "the trace map")
-    table = TraceTable(rule, lat.origin_ball(R + m), t_max)
-    columns = list(table.trace_map(lat.origin_ball(R), lat.origin_ball(m)))
+    errors.check_array_bytes(8 * (t_max + 1) * _box(lat, m) * _box(lat, R),
+                             "the trace map")
+    columns = list(TraceTable(rule, R, m, t_max).trace_map())
     rank = linearca.gfp_rank(columns, 2)
     odd = linearca.gfp_rank((np.append(c, 1) for c in columns), 2) > rank
     return rank, len(columns) - rank, odd

@@ -151,6 +151,9 @@ def test_check_kexp_negative_tmax_is_usage_error(capsys):
     ["simulate", "--rule", "f2", "--render", "--window", "-3", "--out", "{tmp}"],
     ["simulate", "--rule", "vn2", "--steps", "4", "--render", "--window", "-3",
      "--out", "{tmp}"],
+    # reports whose counts would lie: negative cell updates, zero claims run
+    ["bench", "--window", "64", "--steps", "-1"],
+    ["verify", "--only", ","],
 ], ids=" ".join)
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "file").touch()

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from caexp import engine, errors, expansivity, presets
@@ -290,13 +291,38 @@ def test_kexp_on_second_order_rule_finds_glider():
     assert not engine.window_series(ups, w, Z.origin_ball(1), 64).any()
 
 
+@pytest.mark.parametrize("name,R,m,t_max", [
+    ("f3", 2, 1, 9),
+    ("vn2", 2, 1, 6),       # L-inf box corners outside the L1 ball B_2
+    ("psi", 2, 1, 9),       # two components: column (z, b) z-major
+    ("upsilon", 2, 1, 8),
+    ("layered:2", 2, 1, 8),  # three Z_2 components
+    # the spot at z reads at w what the spot at e reads at (-z) + w; the
+    # offset w - z = w z^-1 gives other columns on a free group
+    ("lambda:2", 2, 1, 4),
+    ("lambda:3", 2, 1, 4),
+])
+def test_trace_map_columns_match_direct_orbits(name, R, m, t_max):
+    rule = presets.parse_rule(name)
+    lat, alpha = rule.lattice, rule.alphabet
+    table = expansivity.TraceTable(rule, R, m, t_max)
+    assert table.domain == size_domain(lat, R)
+    assert table.window == lat.origin_ball(m)
+    ncomp = len(alpha.moduli)
+    columns = list(table.trace_map())
+    assert len(columns) == len(table.domain) * ncomp
+    for i, z in enumerate(table.domain):
+        for b in range(ncomp):
+            unit = [int(c == b) for c in range(ncomp)]
+            spot = Configuration.spot(lat, rule.q, alpha.from_components(unit), z)
+            series = engine.window_series(rule, spot, table.window, t_max)
+            direct = np.array(alpha.components(series.T)).ravel()
+            assert np.array_equal(columns[i * ncomp + b], direct), (z, b)
+
+
 def _kernel_dim(rule, R, m, t_max, budget=math.inf):
     # the pre-check on the table kexp_search builds, past its work gate
-    box = size_domain(rule.lattice, R)
-    window = rule.lattice.origin_ball(m)
-    offsets = size_domain(rule.lattice, R + m)
-    table = expansivity.TraceTable(rule, offsets, t_max)
-    return expansivity._bounded_kernel_dim(table, box, window, budget)
+    return expansivity.TraceTable(rule, R, m, t_max).kernel_dim(budget)
 
 
 @pytest.mark.parametrize("name,R,m,t_max,dim", [
@@ -339,8 +365,8 @@ def test_rank_precheck_agrees_with_enumeration(rule, k, R, m, t_max,
                                                monkeypatch):
     fast = kexp_search(rule, k=k, support_radius=R, window=m, t_max=t_max)
     assert fast.kernel_dim is not None
-    monkeypatch.setattr(expansivity, "_bounded_kernel_dim",
-                        lambda table, domain, window, budget: None)
+    monkeypatch.setattr(expansivity.TraceTable, "kernel_dim",
+                        lambda table, budget: None)
     slow = kexp_search(rule, k=k, support_radius=R, window=m, t_max=t_max)
     assert slow.kernel_dim is None
     assert (fast.found, fast.witness, fast.searched, fast.certified_exact) == \

@@ -173,20 +173,6 @@ def test_oddk_single_layer_triple():
     assert out.get(()) == 1
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_trace_map_columns_match_direct_orbits_on_free_group(n):
-    # the spot at z reads at w what the spot at e reads at (-z) + w; the
-    # offset w - z = w z^-1 gives other columns on a free group
-    lam = lambda_rule(n)
-    lat = lam.lattice
-    domain, window, t_max = lat.origin_ball(2), lat.origin_ball(1), 4
-    table = TraceTable(lam, lat.origin_ball(3), t_max)
-    for z, column in zip(domain, table.trace_map(domain, window)):
-        spot = Configuration.spot(lat, 2, 1, z)
-        direct = engine.window_series(lam, spot, window, t_max)
-        assert np.array_equal(column, direct.T.ravel()), z
-
-
 _F2 = free(2)
 
 
@@ -233,26 +219,33 @@ def test_two_spot_witness_is_two_equal_columns():
     lat = lam.lattice
     x, y = (1, 1, 2), (1, 1, -2)
     for m, equal in ((2, True), (3, False)):
-        table = TraceTable(lam, lat.origin_ball(3 + m), 8)
-        cx, cy = table.trace_map([x, y], lat.origin_ball(m))
+        table = TraceTable(lam, 3, m, 8)
+        columns = list(table.trace_map())
+        cx, cy = (columns[table.domain.index(s)] for s in (x, y))
         assert np.array_equal(cx, cy) == equal, m
 
 
 def test_budgets_refuse_up_front(monkeypatch):
-    # the odd-weight decision lists no ball before both checks: a B_20
-    # table of F_2 (7e9 offsets), then a 4373 x 4373-site map through t=1
-    # (306 MB) whose B_14 table (153 MB) fits; nor does the two-spot witness
-    # list its window B_14 of F_2, 9 565 937 nodes
+    # the odd-weight decision lists no ball before its map check: a
+    # 1 x 7e9-site map of F_2 through t=3 (its B_20 table, the same bytes at
+    # m = 0), then a 4373 x 4373-site map through t=1 (306 MB) whose B_14
+    # table (153 MB) fits; a box or window past 2^64 sites is refused before
+    # its size is formed; nor does the two-spot witness list its window B_14
+    # of F_2, 9 565 937 nodes
     def no_ball(self, r):
         raise AssertionError("a ball was listed before the budget check")
     monkeypatch.setattr(FreeLattice, "origin_ball", no_ball)
     lam = lambda_rule(2)
-    with pytest.raises(ResourceLimitError, match=f"the trace table needs "
+    with pytest.raises(ResourceLimitError, match=f"the trace map needs "
                        f"{8 * 4 * free(2).ball_size(20)} bytes"):
         odd_weight_kernel(lam, 20, 0, 3)
     with pytest.raises(ResourceLimitError, match=f"the trace map needs "
                        f"{8 * 2 * free(2).ball_size(7) ** 2} bytes"):
         odd_weight_kernel(lam, 7, 7, 1)
+    for R, m in ((10 ** 6, 0), (0, 10 ** 6)):
+        with pytest.raises(ResourceLimitError, match="a search box of radius "
+                           "1000000 holds more than 2\\^64 sites"):
+            odd_weight_kernel(lam, R, m, 1)
     # B_9 of F_3 holds 2 929 687 nodes, B_10 14 648 437
     assert sum(ball_levels(3, 9)) == free(3).ball_size(9)
     for depth in (10, 12):
