@@ -294,24 +294,26 @@ def claim_engine_invariants(seed: int = 0) -> Report:
     rep.expect("support containment", bad == 0, "1000 cases")
 
     z_rules = [r for r in rules if r.lattice == Z]
-    bad = 0
+    by_rule: dict = {}  # rule -> its pairs, all drawn before any front
     for _ in range(1000):
         rule = z_rules[rng.randrange(len(z_rules))]
         c = random_config(Z, rule.q, rng, radius=6, max_cells=5)
         d = random_config(Z, rule.q, rng, radius=6, max_cells=5)
-        if c == d:
-            continue
-        fr = engine.fronts(rule, c, d, 15)
+        if c != d:
+            by_rule.setdefault(rule, []).append((c, d))
+    bad = 0
+    for rule, pairs in by_rule.items():
         r = rule.radius
-        for t in range(15):
-            a, b = fr.l[t], fr.l[t + 1]
-            if a is not None and b is not None and abs(b - a) > r:
-                bad += 1
-            a, b = fr.r[t], fr.r[t + 1]
-            if a is not None and b is not None and abs(b - a) > r:
-                bad += 1
-            if fr.l[t] is not None and fr.l[t] > fr.r[t]:
-                bad += 1
+        for fr in engine.fronts_many(rule, pairs, 15):
+            for t in range(15):
+                a, b = fr.l[t], fr.l[t + 1]
+                if a is not None and b is not None and abs(b - a) > r:
+                    bad += 1
+                a, b = fr.r[t], fr.r[t + 1]
+                if a is not None and b is not None and abs(b - a) > r:
+                    bad += 1
+                if fr.l[t] is not None and fr.l[t] > fr.r[t]:
+                    bad += 1
     rep.expect("front step bounds", bad == 0, "1000 pairs, t<=15")
 
     bad = 0

@@ -114,7 +114,9 @@ def cmd_verify(args) -> int:
         return 0
     names = None
     if args.only is not None:
-        names = [n.strip() for n in args.only.split(",") if n.strip()]
+        # repeats run once, in the order each name first appears
+        names = list(dict.fromkeys(n.strip() for n in args.only.split(",")
+                                   if n.strip()))
         if not names:
             raise UsageError("--only names no claim")
     results = run_claims(names, seed=args.seed)

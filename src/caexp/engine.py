@@ -5,27 +5,31 @@ at site s seen through a neighborhood offset v contributes to the image at
 ``s - v``.  A dedicated test pins this.
 
 The sparse step below is the reference semantics for every rule and lattice.
-``window_series`` and its early-exit twin ``first_nonzero_time`` are the one
-place that picks a backend for reading an orbit at fixed sites: ``bitgrid``
-for mod-2 linear rules on Z^2 whose x offsets are below 64 cells (one
-predicate for both), ``dense1d`` for linear, multiplication and linear
-second-order rules on Z (``window_series`` only), and the sparse step
-otherwise, which keeps only the cells that can still reach a read site by
-t_max (``iterate`` keeps every cell).  A ``dense1d`` kernel runs only when
-int64 arithmetic is exact for the rule: n*(m-1)^2 + (m-1) < 2^63 for n
-coefficients mod m.  Both dense backends step only the light-cone box of the
-support and the read sites, from ``cone``; ``dense1d`` steps two rows and
-gathers the read sites straight into the output after each step, so no
-space-time array exists.  Neither dense backend runs where the cells it would
-span (the support, and on Z^2 the read sites) leave a gap wider than the
-light cone spreads plus one 64-cell word: the sparse step skips such gaps, a
-dense row would allocate them.
+One backend decision (``_bitgrid_runs``, ``_dense1d_runs``) serves every
+reader of an orbit: ``window_series`` and its early-exit twin
+``first_nonzero_time``, which read an orbit at fixed sites, and
+``fronts_many``, which reads the difference fronts of many pairs.  It picks
+``bitgrid`` for mod-2 linear rules on Z^2 whose x offsets are below 64 cells
+(``window_series`` and ``first_nonzero_time``), ``dense1d`` for linear,
+multiplication and linear second-order rules on Z (``window_series`` and
+``fronts_many``), and the sparse step otherwise, which keeps only the cells
+that can still reach a read site by t_max (``iterate`` and the fronts keep
+every cell).  A ``dense1d`` kernel runs only when int64 arithmetic is exact
+for the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Both dense
+backends step only the light-cone box of the support and the read sites,
+from ``cone``; ``dense1d`` gathers the read sites, or records the fronts of a
+block of pairs, after each step, so no space-time array exists.  Neither
+dense backend runs where the cells it would span (the support, on Z^2 the
+read sites too, and for fronts both configurations of a pair) leave a gap
+wider than the light cone spreads plus one 64-cell word: the sparse step
+skips such gaps, a dense row would allocate them.
 
 Every run counts its work before its first step: the dense backends their
-row elements stepped (``cone.MAX_CELL_STEPS``), the sparse orbit a bound on
-its cells from ball sizes, weighted by ``Lattice.site_cost``
-(``MAX_SPARSE_CELLS``).  Arrays past ``errors.MAX_ARRAY_BYTES`` are refused
-up front, the (t_max+1, n) output of ``window_series`` on every backend.
+row elements stepped (``cone.MAX_CELL_STEPS``; a block of fronts over it
+splits, down to single pairs), the sparse orbit a bound on its cells from
+ball sizes, weighted by ``Lattice.site_cost`` (``MAX_SPARSE_CELLS``).
+Arrays past ``errors.MAX_ARRAY_BYTES`` are refused up front, the
+(t_max+1, n) output of ``window_series`` on every backend.
 Every backend is cross-checked against the sparse step; results are
 bit-identical.
 """
@@ -93,6 +97,14 @@ def _gaps_within(coords, rule: Rule, t_max: int) -> bool:
     reach = 2 * t_max * rule.radius + 64
     xs = sorted(set(coords))
     return all(b - a <= reach for a, b in zip(xs, xs[1:]))
+
+
+def _dense1d_runs(rule: Rule, cells, t_max: int) -> bool:
+    """The one dense1d test: a Z rule an exact int64 kernel covers, over
+    cells without a gap a row would allocate."""
+    return (isinstance(rule.lattice, ZLattice)
+            and dense1d.kernel(rule) is not None
+            and _gaps_within(cells, rule, t_max))
 
 
 def _bitgrid_runs(rule: Rule, c: Configuration, sites, t_max: int) -> bool:
@@ -180,10 +192,8 @@ def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray
     if _bitgrid_runs(rule, c, sites, t_max):
         return bitgrid.simulate_series(rule.neighborhood, sorted(c.cells),
                                        t_max, list(sites))
-    if isinstance(rule.lattice, ZLattice) and _gaps_within(c.cells, rule, t_max):
-        dense = dense1d.orbit(rule, c, sites, t_max)
-        if dense is not None:
-            return dense
+    if _dense1d_runs(rule, c.cells, t_max):
+        return dense1d.orbit(rule, c, sites, t_max)
     # states past int64 stay Python ints
     out = np.zeros((t_max + 1, len(sites)),
                    dtype=np.int64 if rule.q <= 2 ** 63 else object)
@@ -233,21 +243,37 @@ class FrontSeries:
 def fronts(rule: Rule, c: Configuration, d: Configuration,
            t_max: int) -> FrontSeries:
     """Exact min/max difference positions of two orbits on Z."""
+    return fronts_many(rule, [(c, d)], t_max)[0]
+
+
+def fronts_many(rule: Rule, pairs, t_max: int) -> list[FrontSeries]:
+    """The fronts of each pair (c, d) of distinct configurations on Z, in
+    order.  Pairs whose joint cells pass the dense1d test step together in
+    blocks; every other pair steps the sparse orbits of c and d."""
     if not isinstance(rule.lattice, ZLattice):
         raise UsageError("fronts are defined on the Z lattice only")
-    _check_match(rule, c)
-    _check_match(rule, d)
-    if c == d:
-        raise UsageError("fronts undefined for equal configurations")
-    # both orbits over their joint light cone, which holds every difference
-    xs = list(c.cells) + list(d.cells)
-    disp = [-v for v in rule.neighborhood] + [0]
-    lo = min(xs) + t_max * min(disp)
-    sites = range(lo, max(xs) + t_max * max(disp) + 1)
-    diff = window_series(rule, c, sites, t_max) != window_series(rule, d, sites, t_max)
-    some = diff.any(axis=1)
-    first = diff.argmax(axis=1)
-    last = len(sites) - 1 - diff[:, ::-1].argmax(axis=1)
-    ls = [lo + int(i) if ok else None for i, ok in zip(first, some)]
-    rs = [lo + int(i) if ok else None for i, ok in zip(last, some)]
+    pairs = list(pairs)
+    for c, d in pairs:
+        _check_run(rule, c, t_max)
+        _check_match(rule, d)
+        if c == d:
+            raise UsageError("fronts undefined for equal configurations")
+    dense = [i for i, (c, d) in enumerate(pairs)
+             if _dense1d_runs(rule, [*c.cells, *d.cells], t_max)]
+    blocked = dict(zip(dense, dense1d.fronts(rule, [pairs[i] for i in dense],
+                                             t_max)))
+    return [FrontSeries(*blocked[i]) if i in blocked
+            else _sparse_fronts(rule, c, d, t_max)
+            for i, (c, d) in enumerate(pairs)]
+
+
+def _sparse_fronts(rule: Rule, c: Configuration, d: Configuration,
+                   t_max: int) -> FrontSeries:
+    ls, rs = [], []
+    for cur, other in zip(_sparse_orbit(rule, c, t_max, None),
+                          _sparse_orbit(rule, d, t_max, None)):
+        diff = [s for s in cur.cells.keys() | other.cells.keys()
+                if cur.get(s) != other.get(s)]
+        ls.append(min(diff, default=None))
+        rs.append(max(diff, default=None))
     return FrontSeries(l=ls, r=rs)

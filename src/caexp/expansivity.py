@@ -525,31 +525,34 @@ def mult_front_checks(k: int, kp: int, samples: int = 30, t_max: int = 100,
                bad_g == 0, f"{samples} configs")
 
     pair_count = max(4, samples // 3)
-    bad_l = bad_r = bad_decay = 0
-    never_constant = 0
+    pairs = []
     for _ in range(pair_count):
         c = _random_mult_config(rng, m)
         d = _random_mult_config(rng, m)
-        if c == d:
-            continue
-        fr = engine.fronts(rule, c, d, t_max)
+        if c != d:
+            pairs.append((c, d))
+    powers = [k ** t for t in range(t_max + 1)]
+    bad_l = bad_r = bad_decay = 0
+    never_constant = 0
+    for (c, d), fr in zip(pairs, engine.fronts_many(rule, pairs, t_max)):
         r0 = fr.r[0] if fr.r[0] is not None else max(0, *c.cells, *d.cells)
         l0 = fr.l[0]
         for t in range(t_max + 1):
             lt, rt = fr.l[t], fr.r[t]
             if lt is None:
                 continue  # bijective rule, so differences never vanish
-            if not m ** (r0 + 1 - lt) > k ** t:
+            if not m ** (r0 + 1 - lt) > powers[t]:
                 bad_l += 1
-            if l0 - 1 - rt > 0 and not k ** t > m ** (l0 - 1 - rt):
+            if l0 - 1 - rt > 0 and not powers[t] > m ** (l0 - 1 - rt):
                 bad_r += 1
             if params.q == 1 and not rt <= r0 - t // (params.p + 1):
                 bad_decay += 1
         if params.q > 1 and kp > k ** params.p:
-            rs = fr.r
-            t0 = next((t for t in range(t_max + 1)
-                       if all(rs[u] == rs[t] for u in range(t, t_max + 1))), None)
-            if t0 is None or t0 >= t_max:
+            # t0: the first step from which the right front stays constant
+            t0 = t_max
+            while t0 and fr.r[t0 - 1] == fr.r[t_max]:
+                t0 -= 1
+            if t0 >= t_max:
                 never_constant += 1
     rep.expect("left front bound l_t < r_0 + 1 - t log(k)/log(m)", bad_l == 0,
                f"{pair_count} pairs, t <= {t_max}")

@@ -42,3 +42,37 @@ def test_criterion(label, claims, target):
     if target is not None and elapsed > target:
         print(f"note: criterion {label} exceeded its runtime target "
               f"({elapsed:.1f}s > {target:.0f}s)")
+
+
+# The full reports of the two claims that read difference fronts: they pin
+# the order in which these claims draw their random pairs.
+FRONT_REPORTS = {
+    "mult-ca": """\
+mult-ca: pass
+  [pass] mult(3,2) o mult(2,3) = left shift: 1000 configs
+  [pass] (q,p) = (2,0) for (3,2): MultParams(k=3, kp=2, m=6, q=2, p=0)
+  [pass] (q,p) = (1,2) for (2,4): MultParams(k=2, kp=4, m=8, q=1, p=2)
+  [pass] mult-fronts k=3 k'=2 (q=2, p=0).value recurrence g(F(c)) = k g(c) - m floor(k c_0 / m): 500 configs
+  [pass] mult-fronts k=3 k'=2 (q=2, p=0).left front bound l_t < r_0 + 1 - t log(k)/log(m): 166 pairs, t <= 200
+  [pass] mult-fronts k=3 k'=2 (q=2, p=0).right front bound l_0 - 1 - t log(k)/log(m) < r_t
+  [pass] mult-fronts k=3 k'=2 (q=2, p=0).right front eventually constant
+  [pass] mult-fronts k=2 k'=4 (q=1, p=2).value recurrence g(F(c)) = k g(c) - m floor(k c_0 / m): 500 configs
+  [pass] mult-fronts k=2 k'=4 (q=1, p=2).left front bound l_t < r_0 + 1 - t log(k)/log(m): 166 pairs, t <= 200
+  [pass] mult-fronts k=2 k'=4 (q=1, p=2).right front bound l_0 - 1 - t log(k)/log(m) < r_t
+  [pass] mult-fronts k=2 k'=4 (q=1, p=2).decay r_t <= r_0 - floor(t/3)""",
+    "engine-invariants": """\
+engine-invariants: pass
+  [pass] shift convention: spot at 10, offset 3 lands at 7
+  [pass] shift equivariance: 1000 cases
+  [pass] linearity of linear rules: 1000 cases
+  [pass] support containment: 1000 cases
+  [pass] front step bounds: 1000 pairs, t<=15
+  [pass] trace consistency with iterate: 1000 cases""",
+}
+
+
+@pytest.mark.parametrize("claim", sorted(FRONT_REPORTS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_front_claim_reports_are_pinned(claim, seed):
+    (result,) = run_claims([claim], seed=seed)
+    assert str(result.report) == FRONT_REPORTS[claim]

@@ -71,6 +71,18 @@ def test_verify_single_claim(capsys):
     assert "status=ok" in out
 
 
+def test_verify_runs_a_repeated_claim_once(capsys):
+    # repeats run once, in the order each name first appears
+    for only, names in (("vn-kexp1,vn-kexp1", ["vn-kexp1"]),
+                        ("vn-kexp1, vn-2exp-witness,vn-kexp1",
+                         ["vn-kexp1", "vn-2exp-witness"])):
+        assert run(["verify", "--only", only]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines
+                if line.startswith("claim ")] == [f"claim {n}" for n in names]
+        assert f"claims={len(names)}" in lines
+
+
 def test_verify_unknown_claim(capsys):
     assert run(["verify", "--only", "not-a-claim"]) == 2
 

@@ -333,6 +333,28 @@ def _sparse_orbit(rule, c, t_max):
     return orbit
 
 
+def test_dense_kernels_cover_exactly_the_int64_z_presets():
+    # the rest take the sparse fallbacks, and no dense orbit runs them
+    from caexp import dense1d
+    cases = _window_series_cases()
+    assert {name for name, rule in cases.items()
+            if dense1d.kernel(rule) is not None} == {
+        "f2", "f3", "psi", "upsilon", "mult:3,2", "mult:2,4", "mod5"}
+    for name in ("layered:2", "so-inverse", "big-m", "huge-m"):
+        rule = cases[name]
+        with pytest.raises(UsageError):
+            dense1d.orbit(rule, Configuration.spot(Z, rule.q, 1, 0), [0], 3)
+
+
+def _sparse_fronts(rule, c, d, t_max):
+    """(l, r) of a pair, from the unpruned sparse orbits."""
+    diffs = [[s for s in {*cur.cells, *other.cells} if cur.get(s) != other.get(s)]
+             for cur, other in zip(_sparse_orbit(rule, c, t_max),
+                                   _sparse_orbit(rule, d, t_max))]
+    return ([min(x) if x else None for x in diffs],
+            [max(x) if x else None for x in diffs])
+
+
 def _window_series_cases():
     from caexp.rules import SecondOrderInverseRule
     big = 2 ** 40 + 15  # int64 products of states and coefficients overflow
@@ -373,6 +395,7 @@ def test_window_series_and_fronts_match_sparse(name):
         cells = rng.sample(lat.origin_ball(radius), rng.randint(1, 4))
         return Configuration(lat, rule.q, {s: rng.choice(states) for s in cells})
 
+    pairs, want_fronts = [], []
     for _ in range(6):
         c = draw()
         orbit = _sparse_orbit(rule, c, t_max)
@@ -392,12 +415,76 @@ def test_window_series_and_fronts_match_sparse(name):
             for cur, other in zip(orbit, _sparse_orbit(rule, d_win, t_max)))
         if lat != Z or c == d:
             continue
-        diffs = [[s for s in {*cur.cells, *other.cells}
-                  if cur.get(s) != other.get(s)]
-                 for cur, other in zip(orbit, _sparse_orbit(rule, d, t_max))]
+        pairs.append((c, d))
+        want_fronts.append(_sparse_fronts(rule, c, d, t_max))
         fr = engine.fronts(rule, c, d, t_max)
-        assert fr.l == [min(x) if x else None for x in diffs]
-        assert fr.r == [max(x) if x else None for x in diffs]
+        assert (fr.l, fr.r) == want_fronts[-1]
+    if lat == Z:  # the same pairs batched, dense blocks and sparse fallbacks
+        got = engine.fronts_many(rule, pairs, t_max)
+        assert [(fr.l, fr.r) for fr in got] == want_fronts
+
+
+def _far_pairs(q):
+    """Pairs at 0, near 10^12 and with one side zero."""
+    far = 10 ** 12 + 7
+    zero = Configuration.zero(Z, q)
+    return [
+        (Configuration(Z, q, {0: 1, 3: q - 1}), Configuration(Z, q, {3: 1})),
+        (Configuration(Z, q, {far: q - 1, far + 2: 1}),
+         Configuration(Z, q, {far + 2: 1, far + 5: 1})),
+        (zero, Configuration(Z, q, {-4: 1, -1: q - 1})),
+    ]
+
+
+@pytest.mark.parametrize("name", ["f3", "psi", "mult:3,2", "mod5"])
+def test_batched_fronts_translate_far_pairs(name, monkeypatch):
+    # every kernel steps the three pairs as one block, each translated to 0,
+    # with no sparse fallback, and gives the unpruned sparse fronts in order
+    rule = _window_series_cases()[name]
+    pairs = _far_pairs(rule.q)
+    want = [_sparse_fronts(rule, c, d, 9) for c, d in pairs]
+
+    def no_sparse(*args):
+        raise AssertionError("a dense pair stepped the sparse orbit")
+    monkeypatch.setattr(engine, "_sparse_fronts", no_sparse)
+    got = engine.fronts_many(rule, pairs, 9)
+    assert [(fr.l, fr.r) for fr in got] == want
+    assert engine.fronts_many(rule, [], 9) == []
+
+
+def test_batched_fronts_refuse_an_equal_pair_anywhere():
+    f3 = presets.f3()
+    pairs = _far_pairs(3)
+    for i in range(len(pairs) + 1):
+        c = pairs[min(i, 2)][0]
+        with pytest.raises(UsageError):
+            engine.fronts_many(f3, pairs[:i] + [(c, c)] + pairs[i:], 5)
+
+
+def test_batched_fronts_split_blocks_over_the_budget(monkeypatch):
+    # with the cell-step budget at one pair's count, a block of three pairs
+    # is over it and splits until every block holds one pair; a pair over
+    # the budget on its own is refused before any row exists
+    from caexp import cone, dense1d
+    rule, t_max = presets.f3(), 20
+    pairs = _far_pairs(3)  # spans 3, 5 and 3
+    want = [_sparse_fronts(rule, c, d, t_max) for c, d in pairs]
+    one = dense1d._Frame((0, 5), None, rule.neighborhood, t_max, rows=2).steps
+    blocks = []
+    block_fronts = dense1d._block_fronts
+
+    def counted(rule, body, f, part, shifts):
+        blocks.append(len(part))
+        return block_fronts(rule, body, f, part, shifts)
+    monkeypatch.setattr(dense1d, "_block_fronts", counted)
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", one)
+    got = engine.fronts_many(rule, pairs, t_max)
+    assert [(fr.l, fr.r) for fr in got] == want
+    assert blocks == [1, 1, 1]
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", one - 1)
+    with pytest.raises(ResourceLimitError):
+        engine.fronts(rule, *pairs[1], t_max)
+    assert blocks == [1, 1, 1]
 
 
 def test_first_nonzero_time_counts_the_last_step():
@@ -418,6 +505,11 @@ def test_window_series_steps_far_apart_cells_sparsely():
         sites = lat.origin_ball(2)
         want = [[cur.get(s) for s in sites] for cur in _sparse_orbit(rule, c, 6)]
         assert engine.window_series(rule, c, sites, 6).tolist() == want
+    # nor a block row over a pair whose two sides lie 10^12 cells apart
+    f3 = presets.f3()
+    c, d = Configuration(Z, 3, {0: 1}), Configuration(Z, 3, {10 ** 12: 1})
+    fr = engine.fronts(f3, c, d, 6)
+    assert (fr.l, fr.r) == _sparse_fronts(f3, c, d, 6)
 
 
 def _dense_clip_cases():
