@@ -124,11 +124,12 @@ MAX_SPARSE_CELLS = 2 ** 25
 
 
 def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
-    """c, F(c), ..., F^t_max(c) through the sparse step, exact at ``sites``
-    only (everywhere if None): before step t+1 it drops each cell s with
-    norm(s) > max norm(site) + (t_max - t) * radius, which by the triangle
-    inequality lies farther from every site than F^(t_max - t) reads.  With
-    no sites, max norm(site) is span + t_max * radius, and nothing is dropped.
+    """c, F(c), ..., F^t_max(c) through the sparse step, exact on the ball B
+    of radius max norm(site) (everywhere if None): before step t+1 it drops
+    each cell s with norm(s) > max norm(site) + (t_max - t) * radius, which
+    by the triangle inequality lies farther from B than F^(t_max - t) reads.
+    With no sites, max norm(site) is span + t_max * radius, and nothing is
+    dropped.
 
     So step t+1 reads cells within min(span + t*radius, keep) of the origin,
     span bounding the initial support: at most the mean of the two, whose sum
@@ -219,7 +220,8 @@ def first_nonzero_time(rule: Rule, c: Configuration, sites,
 
 def traces_equal(rule: Rule, c: Configuration, d: Configuration,
                  m: int, t_max: int) -> bool:
-    """Compare two radius-m traces with early exit.
+    """Compare two radius-m traces with early exit: False at the first step
+    they differ, True once both pruned states are equal: both then step alike.
 
     Steps the sparse engine on purpose: most pairs differ within a few steps,
     and a full dense orbit of each pair costs far more than those steps.
@@ -227,9 +229,11 @@ def traces_equal(rule: Rule, c: Configuration, d: Configuration,
     _check_run(rule, c, t_max)
     _check_match(rule, d)
     ball = tuple(rule.lattice.origin_ball(m))
-    return all(cc.restrict(ball) == dd.restrict(ball)
-               for cc, dd in zip(_sparse_orbit(rule, c, t_max, ball),
-                                 _sparse_orbit(rule, d, t_max, ball)))
+    for cc, dd in zip(_sparse_orbit(rule, c, t_max, ball),
+                      _sparse_orbit(rule, d, t_max, ball)):
+        if cc == dd or cc.restrict(ball) != dd.restrict(ball):
+            return cc == dd
+    return True
 
 
 @dataclass

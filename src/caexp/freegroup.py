@@ -1,12 +1,12 @@
 """The totalistic mod-2 family on free groups: layer structure, the odd-k
 expansivity decision and the explicit two-spot non-2-expansivity witness.
 
-Large-time trace values of a spot orbit are obtained from the distance
-projection of the lazy walk on the 2n-regular tree: every vertex at distance
-d > 0 has exactly one neighbor closer to the root and 2n-1 farther, so walk
-counts (hence orbit values, mod 2) depend on the distance alone.  The 1-D
-recurrence this gives is cross-checked cell-by-cell against a genuine ball
-simulation before it is trusted at depths where full simulation is
+Large-time trace values of a spot orbit are read from its distance
+projection: every vertex at distance d > 0 from the spot has one neighbor
+closer and 2n-1 farther, and the spot has 2n at distance 1, so mod 2 the
+value depends on d alone and is the spot orbit of the Z rule P = x^-1 + 1 + x
+read at d.  It is cross-checked cell-by-cell against a ball simulation and
+the sparse engine before it is trusted at depths where full simulation is
 impossible (the support of a t-step orbit is the whole ball B_t).
 
 Odd k is decided for every odd k at once, for any mod-2 linear rule on F_n,
@@ -15,6 +15,7 @@ B_R read on B_m (``odd_weight_kernel``).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +24,37 @@ from . import engine, errors, linearca
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
 from .expansivity import TraceTable, _box
-from .lattice import FreeLattice, free
+from .lattice import Z, FreeLattice, free
 from .presets import lambda_rule
 from .report import Report
 from .rules import LinearRule
 
-__all__ = ["lambda_rule", "ball_levels", "BallTree", "walk_parity_table",
-           "LayerProfile", "layer_profile", "fg_non2exp_witness",
-           "odd_weight_kernel"]
+__all__ = ["lambda_rule", "ball_levels", "BallTree", "LayerProfile",
+           "layer_profile", "fg_non2exp_witness", "odd_weight_kernel"]
 
 # node budget of a ball: of a BallTree, or of a witness window
 _MAX_NODES = 4_000_000
+
+# the Z rule whose spot orbit is the distance projection of the lambda orbit
+_P = LinearRule(Z, 2, {-1: 1, 0: 1, 1: 1})
+
+
+def _projection(d_max: int, t_max: int) -> np.ndarray:
+    """orbit[t, d]: the lambda:n spot orbit at time t and distance d from
+    the spot, for every n; the P orbit read at 0..d_max."""
+    return engine.window_series(_P, Configuration.spot(Z, 2, 1),
+                                range(d_max + 1), t_max)
+
+
+def _distance(w, x) -> int:
+    """d(w, x) = |w^-1 x| of reduced words: |w| + |x| less their common
+    prefix, twice."""
+    common = 0
+    for a, b in zip(w, x):
+        if a != b:
+            break
+        common += 1
+    return len(w) + len(x) - 2 * common
 
 
 def ball_levels(n: int, r: int) -> list[int]:
@@ -65,14 +86,9 @@ class BallTree:
     def __init__(self, n: int, depth: int):
         q = 2 * n
         counts = ball_levels(n, depth)
-        starts = [0]
-        for c in counts:
-            starts.append(starts[-1] + c)
-        total = starts[-1]
-        self.counts = counts
-        self.starts = starts
-        self.total = total
-        self.pad = total  # extra slot holding a permanent 0
+        self.starts = starts = list(itertools.accumulate(counts, initial=0))
+        # the pad is an extra slot holding a permanent 0
+        self.total = self.pad = total = starts[-1]
         nei = np.full((total, q), self.pad, dtype=np.int64)
         if depth >= 1:
             nei[0, :] = np.arange(1, q + 1)
@@ -89,38 +105,12 @@ class BallTree:
                     nei[base + idx, 1 + j] = child0 + j
         self.nei = nei
 
-    def level_slice(self, d: int) -> slice:
-        return slice(self.starts[d], self.starts[d] + self.counts[d])
-
     def step_totalistic(self, values: np.ndarray) -> np.ndarray:
         """values -> values + sum over tree neighbors, mod 2."""
         ext = np.zeros(self.total + 1, dtype=np.uint8)
         ext[:self.total] = values
         gathered = ext[self.nei]
         return (values ^ np.bitwise_xor.reduce(gathered, axis=1)).astype(np.uint8)
-
-
-def walk_parity_table(d_max: int, t_max: int) -> np.ndarray:
-    """table[t, d] = parity of lazy t-step walks between vertices at distance d
-    on the 2n-regular tree, the same table for every n.
-
-    Recurrence (distance projection of the tree walk): for d > 0 the count
-    pulls from d-1 once, d+1 with multiplicity 2n-1 and d itself once; at the
-    root all 2n neighbors sit at distance 1.  Mod 2 those multiplicities are
-    1 and 0, so n drops out and the root keeps its value.
-    """
-    if d_max < 0 or t_max < 0:
-        raise UsageError("need d_max >= 0 and t_max >= 0")
-    width = d_max + t_max + 2
-    errors.check_array_bytes((t_max + 1) * width, "the walk parity table")
-    table = np.zeros((t_max + 1, width), dtype=np.uint8)
-    table[0, 0] = 1
-    for t in range(1, t_max + 1):
-        prev = table[t - 1]
-        cur = table[t]
-        cur[0] = prev[0]
-        cur[1:-1] = prev[1:-1] ^ prev[:-2] ^ prev[2:]
-    return table[:, :d_max + 1]
 
 
 @dataclass(frozen=True)
@@ -133,11 +123,6 @@ class LayerProfile:
     values: tuple[tuple[int, ...], ...]  # values[t][l]
 
 
-def _sim_depth(L: int, t_max: int) -> int:
-    # Boundary effects reach B_L only after 2*depth + 2 - L steps.
-    return max(L, (t_max + L) // 2)
-
-
 def layer_profile(n: int, L: int, t_max: int) -> LayerProfile:
     """Simulate the spot orbit on a ball, verify cell-by-cell that values at
     equal norms agree, and compress to the per-layer profile.
@@ -147,8 +132,9 @@ def layer_profile(n: int, L: int, t_max: int) -> LayerProfile:
     """
     if L < 0 or t_max < 0:
         raise UsageError("need L >= 0 and t_max >= 0")
-    dp = walk_parity_table(L, t_max)  # sized before the tree is built
-    tree = BallTree(n, _sim_depth(L, t_max))
+    dp = _projection(L, t_max)  # refused before the tree is built
+    # boundary effects reach B_L only after 2*depth + 2 - L steps
+    tree = BallTree(n, max(L, (t_max + L) // 2))
     values = np.zeros(tree.total, dtype=np.uint8)
     values[0] = 1
     rows = []
@@ -157,16 +143,15 @@ def layer_profile(n: int, L: int, t_max: int) -> LayerProfile:
             values = tree.step_totalistic(values)
         row = []
         for lev in range(L + 1):
-            block = values[tree.level_slice(lev)]
-            first = int(block[0])
-            if block.size and not np.all(block == first):
+            block = values[tree.starts[lev]:tree.starts[lev + 1]]
+            if not np.all(block == block[0]):
                 raise RuntimeError(
                     f"norm equivariance violated at t={t} level={lev}")
-            if first != int(dp[t, lev]):
+            if block[0] != dp[t, lev]:
                 raise RuntimeError(
-                    f"distance recurrence disagrees with simulation at "
+                    f"distance projection disagrees with simulation at "
                     f"t={t} level={lev}")
-            row.append(first)
+            row.append(int(block[0]))
         rows.append(tuple(row))
     for lev in range(min(L, t_max) + 1):
         if rows[lev][lev] != 1:
@@ -174,25 +159,23 @@ def layer_profile(n: int, L: int, t_max: int) -> LayerProfile:
     return LayerProfile(n=n, L=L, t_max=t_max, values=tuple(rows))
 
 
-def _single_generator_power(lat: FreeLattice, z) -> tuple[int, int]:
-    lat.validate_site(z)
-    if not z or any(g != z[0] for g in z):
-        raise UsageError("z must be a positive power of a single generator")
-    return z[0], len(z)
-
-
 def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
     """Two equidistant spots hanging off the tip of z share their radius-|z|
     trace, so the rule is not 2-expansive for n >= 2; the construction
     shields exactly the ball B_{|z|}, which is refused before it is listed
-    when it holds more than the node budget."""
+    when it holds more than the node budget, as is the projection's orbit.
+    Distances come from common prefixes, and the sparse cross-check costs
+    the orbits' support, not the window."""
     if n < 2:
         raise UsageError("the two-spot witness needs at least 2 generators")
     lat = free(n)
-    s, m = _single_generator_power(lat, z)
+    lat.validate_site(z)
+    if not z or any(g != z[0] for g in z):
+        raise UsageError("z must be a positive power of a single generator")
+    m = len(z)
     ball_levels(n, m)
     lat.validate_site(sprime)
-    if len(sprime) != 1 or abs(sprime[0]) == abs(s):
+    if len(sprime) != 1 or abs(sprime[0]) == abs(z[0]):
         raise UsageError("s' must be a generator distinct from +-s")
     rep = Report(f"fg-witness n={n} z={lat.format_site(z)} "
                  f"s'={lat.format_site(sprime)} m={m} t_max={t_max}")
@@ -201,21 +184,31 @@ def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
     rep.expect("norm(x) = norm(y) = m+1",
                lat.norm(x) == m + 1 and lat.norm(y) == m + 1,
                f"x={lat.format_site(x)} y={lat.format_site(y)}")
+    # every window cell lies within m + norm(site) of each site
+    orbit = _projection(m + max(len(x), len(y)), t_max)
     window = lat.origin_ball(m)
-    dx = [lat.norm(lat.add(lat.neg(w), x)) for w in window]
-    dy = [lat.norm(lat.add(lat.neg(w), y)) for w in window]
-    rep.expect("windows are equidistant cell-by-cell", dx == dy,
+    dx, dy = (np.fromiter((_distance(w, site) for w in window),
+                          dtype=np.int64, count=len(window))
+              for site in (x, y))
+    rep.expect("windows are equidistant cell-by-cell", np.array_equal(dx, dy),
                f"{len(window)} window cells")
-    table = walk_parity_table(max(max(dx), max(dy)), t_max)
-    equal = all(np.array_equal(table[:, a], table[:, b]) for a, b in zip(dx, dy))
-    rep.expect(f"traces equal through t={t_max}", equal)
-    # cross-check the projected values against the sparse engine at small t
+    width = orbit.shape[1]
+    a, b = np.divmod(np.unique(dx * width + dy), width)
+    rep.expect(f"traces equal through t={t_max}",
+               np.array_equal(orbit[:, a], orbit[:, b]))
+    # the cells of B_m where a sparse spot orbit is 1 are those whose distance
+    # reads 1: each support cell reads a 1, and as many window cells do
     cross_t = min(8, t_max)
-    rule = lambda_rule(n)
-    ok = all(np.array_equal(
-        engine.window_series(rule, Configuration(lat, 2, {site: 1}), window,
-                             cross_t), table[:cross_t + 1, dists])
-        for site, dists in ((x, dx), (y, dy)))
+    ok = True
+    for site, dists in ((x, dx), (y, dy)):
+        ones = orbit[:cross_t + 1] @ np.bincount(dists, minlength=width)
+        # pruned for reads in B_m (z has norm m), on which it is exact
+        states = engine._sparse_orbit(lambda_rule(n), Configuration(
+            lat, 2, {site: 1}), cross_t, (z,))
+        for t, state in enumerate(states):
+            support = [w for w in state.cells if len(w) <= m]
+            ok = ok and len(support) == ones[t] and all(
+                orbit[t, _distance(w, site)] for w in support)
     rep.expect(f"projection matches sparse engine through t={cross_t}", ok)
     return rep
 

@@ -71,6 +71,25 @@ engine-invariants: pass
 }
 
 
+# The full report of the free-group claim, the same at every seed: it pins
+# the window size and each check of the two-spot witness.
+FREEGROUP_REPORT = """\
+freegroup: pass
+  [pass] layer profile to norm 8, t<=16 (cell-by-cell): B_12 simulation, 17 rows
+  [pass] fg-witness n=2 z=a a a s'=b m=3 t_max=64.norm(x) = norm(y) = m+1: x=a a a b y=a a a B
+  [pass] fg-witness n=2 z=a a a s'=b m=3 t_max=64.windows are equidistant cell-by-cell: 53 window cells
+  [pass] fg-witness n=2 z=a a a s'=b m=3 t_max=64.traces equal through t=64
+  [pass] fg-witness n=2 z=a a a s'=b m=3 t_max=64.projection matches sparse engine through t=8
+  [pass] lambda:2: no odd-weight null trace on B_3, every odd k <= 53: radius-0 trace through t=3: GF(2) rank 4, kernel dim 49
+  [pass] lambda:3: no odd-weight null trace on B_3, every odd k <= 187: radius-0 trace through t=3: GF(2) rank 4, kernel dim 183"""
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_freegroup_claim_report_is_pinned(seed):
+    (result,) = run_claims(["freegroup"], seed=seed)
+    assert str(result.report) == FREEGROUP_REPORT
+
+
 @pytest.mark.parametrize("claim", sorted(FRONT_REPORTS))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_front_claim_reports_are_pinned(claim, seed):

@@ -262,12 +262,14 @@ def test_rule_errors_keep_their_message(rule, message, tmp_path, capsys):
     ["check-kexp", "--rule", "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1",
      "--k", "1", "--support-radius", "0", "--window", "0",
      "--tmax", "10000000"],
-    # a 4 TB walk table, sized before a 2 000 009-node tree is built
+    # a P orbit (the distance projection) of 2.0*10^12 cell steps,
+    # counted before a 2 000 009-node tree is built
     ["freegroup", "--n", "1", "--profile", "8,2000000"],
     # a BallTree of depth 500 004, refused once its level counts pass the
     # node budget
     ["freegroup", "--n", "2", "--profile", "8,1000000"],
-    # a 9.3 GB walk parity table
+    # a P orbit of 5.0*10^9 cell steps, counted before the window is
+    # listed
     ["freegroup", "--n", "2", "--witness", "z=2a", "sprime=b",
      "--tmax", "100000"],
     # witness windows B_20 and B_1000000000, refused before the word z is

@@ -424,6 +424,21 @@ def test_window_series_and_fronts_match_sparse(name):
         assert [(fr.l, fr.r) for fr in got] == want_fronts
 
 
+def test_traces_equal_stops_once_the_states_are_equal(monkeypatch):
+    # 2 * 2 = 0 mod 4: the spot at 10, outside the radius-1 window, and the
+    # zero configuration both step to zero, after which nothing can differ
+    calls, step = [], engine.step
+
+    def counted(rule, c):
+        calls.append(c)
+        return step(rule, c)
+    monkeypatch.setattr(engine, "step", counted)
+    rule = LinearRule(Z, 4, {0: 2})
+    c = Configuration(Z, 4, {10: 2})
+    assert engine.traces_equal(rule, c, Configuration.zero(Z, 4), 1, 1000)
+    assert len(calls) == 2  # one step of each orbit
+
+
 def _far_pairs(q):
     """Pairs at 0, near 10^12 and with one side zero."""
     far = 10 ** 12 + 7

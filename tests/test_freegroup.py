@@ -4,13 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from caexp import engine
+from caexp import engine, freegroup
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.expansivity import TraceTable
 from caexp.freegroup import (BallTree, ball_levels, fg_non2exp_witness,
-                             lambda_rule, layer_profile, odd_weight_kernel,
-                             walk_parity_table)
+                             lambda_rule, layer_profile, odd_weight_kernel)
 from caexp.lattice import FreeLattice, Z, free
 from caexp.rules import LinearRule
 
@@ -86,16 +85,26 @@ def test_ball_tree_step_matches_sparse_engine():
                 assert int(values[idx]) == cfg.get(w), (t, w)
 
 
-def test_walk_parity_small_values():
-    table = walk_parity_table(5, 5)
-    assert table[0, 0] == 1 and not table[0, 1:].any()
+def test_projection_small_values():
+    orbit = freegroup._projection(5, 5)
+    assert orbit.shape == (6, 6)
+    assert orbit[0, 0] == 1 and not orbit[0, 1:].any()
     # origin stays 1 forever (2n even neighbors at distance 1)
-    assert all(table[t, 0] == 1 for t in range(6))
+    assert all(orbit[t, 0] == 1 for t in range(6))
     # first arrival along the diagonal
-    assert all(table[d, d] == 1 for d in range(6))
+    assert all(orbit[d, d] == 1 for d in range(6))
     # light cone
     for t in range(6):
-        assert not table[t, t + 1:].any()
+        assert not orbit[t, t + 1:].any()
+
+
+def test_prefix_distance_matches_word_arithmetic():
+    for n in (2, 3):
+        lat = free(n)
+        for w in lat.origin_ball(3):
+            for x in lat.origin_ball(4):
+                assert (freegroup._distance(w, x)
+                        == lat.norm(lat.add(lat.neg(w), x))), (w, x)
 
 
 def test_layer_profile_small():
@@ -130,6 +139,24 @@ def test_witness_basic():
     rep = fg_non2exp_witness(2, (1, 1, 1), (2,), t_max=32)
     assert rep.ok
     assert " m=3 " in str(rep).splitlines()[0]  # the window radius is |z|
+
+
+@pytest.mark.parametrize("t, d", [(3, 2), (3, 4)], ids=["1to0", "0to1"])
+def test_witness_cross_check_reads_the_projection(t, d, monkeypatch):
+    # one flipped value of the P orbit the witness reads fails the sparse
+    # cross-check: at t=3, aa (distance 2 from aaab) holds a 1 that the
+    # flipped orbit denies, and a window cell at distance 4 would gain a 1
+    # outside the light cone, which only the count catches
+    window_series = engine.window_series
+
+    def flipped(*args):
+        orbit = window_series(*args)
+        orbit[t, d] ^= 1
+        return orbit
+    monkeypatch.setattr(engine, "window_series", flipped)
+    rep = fg_non2exp_witness(2, (1, 1, 1), (2,), t_max=8)
+    failed = [name for name, ok, _ in rep.checks if not ok]
+    assert failed == ["projection matches sparse engine through t=8"]
 
 
 def test_witness_norms():
@@ -254,10 +281,14 @@ def test_budgets_refuse_up_front(monkeypatch):
             BallTree(3, depth)
     with pytest.raises(ResourceLimitError, match="B_14 of F_2 has more than"):
         fg_non2exp_witness(2, (1,) * 14, (2,))
-    # 100 001 rows of 100 007 distances
-    with pytest.raises(ResourceLimitError, match="walk parity table needs "
-                       "10000800007 bytes"):
-        walk_parity_table(5, 100_000)
+    # the projection's P orbit through t=100 000, read at distances 0..5,
+    # is refused by its cell steps, and a negative horizon by the orbit's
+    # own check, before the window is listed
+    with pytest.raises(ResourceLimitError, match="a dense orbit of "
+                       "5000549996 cell steps exceeds"):
+        fg_non2exp_witness(2, (1, 1), (2,), t_max=100_000)
+    with pytest.raises(UsageError, match="t_max must be >= 0"):
+        fg_non2exp_witness(2, (1,) * 12, (2,), t_max=-1)
 
 
 def test_orbits_refuse_before_stepping_or_building(monkeypatch):
@@ -274,9 +305,10 @@ def test_orbits_refuse_before_stepping_or_building(monkeypatch):
     with pytest.raises(ResourceLimitError, match="a sparse orbit of 22 steps "
                        "within radius 11"):
         odd_weight_kernel(lambda_rule(2), 0, 0, 22)
-    # the profile's walk table is sized before its tree is built
+    # the profile's P orbit is counted before its tree is built
     monkeypatch.setattr(BallTree, "__init__", no_step)
-    with pytest.raises(ResourceLimitError, match="walk parity table"):
+    with pytest.raises(ResourceLimitError, match="a dense orbit of "
+                       "2000013999988 cell steps exceeds"):
         layer_profile(1, 8, 2_000_000)
 
 
