@@ -70,9 +70,6 @@ class Pair(Alphabet):
     def encode(self, a: int, b: int) -> int:
         return a * self.q + b
 
-    def decode(self, s: int) -> tuple[int, int]:
-        return divmod(s, self.q)
-
     def add(self, s, t):
         q = self.q
         sa, sb = divmod(s, q)
@@ -84,7 +81,7 @@ class Pair(Alphabet):
         return (self.q, self.q)
 
     def components(self, s):
-        return self.decode(s)
+        return divmod(s, self.q)
 
     def from_components(self, comps):
         return (comps[0] % self.q) * self.q + comps[1] % self.q

@@ -10,9 +10,12 @@ zero, and padding bits past the logical width are kept zero.
 The module functions step the light-cone boxes of ``cone``, one ``cone.Axis``
 per axis, rounded out to whole words, and meet its invariant: the grid holds
 the support, the read sites and F_{t_max} with a one-cell margin, so reads
-off it fall outside every F_t.  ``simulate_support`` reads no sites, so every
-grid cell is exact.  A grid without boxes (``cli bench``) steps all of its
-cells.  Before the grid is allocated a run bounds its word-row steps
+off it fall outside every F_t.  One read loop (``_read``) builds the grid
+once and yields the values at the read sites after each step, which
+``simulate_series`` stores and ``first_nonzero_window_time`` scans for the
+first nonzero row.  ``simulate_support`` reads no sites, so every grid cell
+is exact.  A grid without boxes (``cli bench``) steps all of its cells.
+Before the grid is allocated a run bounds its word-row steps
 (``_word_steps``) against ``cone.MAX_CELL_STEPS``.  Results are
 bit-identical to the sparse engine.
 """
@@ -138,27 +141,27 @@ def _grid(offsets, sites, t_max: int, read_sites=None) -> BitGrid:
     return grid
 
 
-def _reader(grid: BitGrid, read_sites):
+def _read(offsets, sites, t_max: int, read_sites):
+    """The uint8 values at read_sites after each of steps 0..t_max."""
+    grid = _grid(offsets, sites, t_max, read_sites)
     rows = np.array([y - grid.ymin for (_, y) in read_sites], dtype=np.intp)
     bits = np.array([x - grid.xmin for (x, _) in read_sites], dtype=np.intp)
     cols = bits >> 6
     shifts = (bits & 63).astype(np.uint64)
-
-    def read() -> np.ndarray:
-        return ((grid.words[rows, cols] >> shifts) & _U64(1)).astype(np.uint8)
-
-    return read
+    for t in range(t_max + 1):
+        if t:
+            grid.step(offsets)
+        yield ((grid.words[rows, cols] >> shifts) & _U64(1)).astype(np.uint8)
 
 
 def simulate_series(offsets, sites, t_max: int, read_sites) -> np.ndarray:
     """Orbit values at read_sites for t = 0..t_max; shape (t_max+1, n)."""
-    grid = _grid(offsets, sites, t_max, read_sites)
-    read = _reader(grid, read_sites)
-    out = np.empty((t_max + 1, len(read_sites)), dtype=np.uint8)
-    out[0] = read()
-    for t in range(1, t_max + 1):
-        grid.step(offsets)
-        out[t] = read()
+    rows = _read(offsets, sites, t_max, read_sites)
+    row = next(rows)  # the run is bounded before its series is allocated
+    out = np.empty((t_max + 1, len(row)), dtype=np.uint8)
+    out[0] = row
+    for t, row in enumerate(rows, 1):
+        out[t] = row
     return out
 
 
@@ -181,12 +184,5 @@ def simulate_support(offsets, sites, t: int) -> set[tuple[int, int]]:
 
 def first_nonzero_window_time(offsets, sites, t_max: int, window_sites) -> int | None:
     """First t <= t_max with a nonzero value in the window, else None."""
-    grid = _grid(offsets, sites, t_max, window_sites)
-    read = _reader(grid, window_sites)
-    if read().any():
-        return 0
-    for t in range(1, t_max + 1):
-        grid.step(offsets)
-        if read().any():
-            return t
-    return None
+    return next((t for t, row in enumerate(
+        _read(offsets, sites, t_max, window_sites)) if row.any()), None)

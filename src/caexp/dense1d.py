@@ -1,16 +1,17 @@
 """Dense array kernels for orbits of Z rules, read at fixed sites or as
 difference fronts of pairs.
 
-Each kernel's step arithmetic is written once, in a step body that works over
-the last axis, so the same body steps one row or a block of rows.  An orbit
-steps two rows (two layers of a second-order rule) and, after each step,
-gathers the read sites into row t of a (t_max+1, n) series; ``fronts`` steps
-a block of pairs and records each pair's first and last differing cell after
-each step.  No space-time array is built.  Step t computes the light-cone box
-B_t of one ``cone.Axis`` and meets the ``cone`` invariant: the first row
-holds the support on B_0, and the rows span F_{t_max} & K_0 plus the offsets'
-reach, so no read falls off them.  Each gather is exact but at sites off the
-rows, which lie outside every F_t and which ``_Frame.finish`` zeroes.
+Each kernel's step arithmetic is written once, in a step body over the last
+axis.  One block run (``_run``) steps every dense run, a row per
+configuration in one (rows, width) block per alphabet component, and yields
+the blocks at t = 0..t_max: an orbit gathers its row's read sites into row t
+of a (t_max+1, n) series, encoded through the alphabet, and ``fronts``
+records each pair's first and last differing cell, so no space-time array is
+built.  Step t computes the light-cone box B_t of one ``cone.Axis`` and meets
+the ``cone`` invariant: the rows hold the support on B_0 and span
+F_{t_max} & K_0 plus the offsets' reach, so no read falls off them.  Each
+gather is exact but at sites off the rows, which lie outside every F_t and
+which the orbit zeroes.
 
 Before the first step a run counts its cell steps, each box's width plus two
 per row, and is refused above ``cone.MAX_CELL_STEPS``; for one row the count
@@ -21,8 +22,6 @@ calls ``orbit`` and ``engine.fronts_many`` calls ``fronts`` where it picks
 one, and the tests cross-check both against the sparse engine.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -37,12 +36,11 @@ class _Frame:
     """Rows, boxes and read columns of one run; ``empty`` runs read zeros.
 
     A run of ``rows`` rows is counted and refused as a whole; without read
-    sites (``sites`` None) it steps the whole light cone and gathers nothing.
+    sites (``sites`` None) it steps the whole light cone and reads no column.
     """
 
     def __init__(self, cells, sites, offsets, t_max: int, rows: int = 1):
         self.t_max = t_max
-        self.n = len(sites) if sites is not None else 0
         self.axis = ax = cone.Axis(offsets, cells, sites, t_max)
         self.empty = ax.empty
         if self.empty:
@@ -54,40 +52,17 @@ class _Frame:
         self.width = hi + ax.a - self.x0 + 1
         check_array_bytes(8 * rows * self.width, "a dense orbit's rows")
         if sites is not None:
-            self.cols = np.fromiter((s - self.x0 for s in sites),
-                                    dtype=np.intp, count=self.n)
+            self.cols = np.array([s - self.x0 for s in sites], dtype=np.intp)
             self.off = (self.cols < 0) | (self.cols >= self.width)
 
-    def row(self, values=()) -> np.ndarray:
-        """A zero row holding ``values`` (site -> value) on box 0."""
-        row = np.zeros(self.width, dtype=np.int64)
-        _, lo, end = next(self.axis.boxes())
-        for s, v in dict(values).items():
-            if lo <= s < end:
-                row[s - self.x0] = v
-        return row
 
-    def series(self) -> np.ndarray:
-        return np.zeros((self.t_max + 1, self.n), dtype=np.int64)
-
-    def gather(self, row: np.ndarray, out: np.ndarray) -> None:
-        # mode="clip" writes straight into ``out``; "raise" would buffer it
-        row.take(self.cols, out=out, mode="clip")
-
-    def finish(self, series: np.ndarray) -> np.ndarray:
-        """Zero the sites off the rows, which the clipped gathers misread."""
-        if self.off.any():
-            series[:, self.off] = 0
-        return series
-
-
-def add_shifted(acc: np.ndarray, row: np.ndarray, v: int, a: int = 1) -> None:
-    """acc[x] += a * row[x + v], reading zeros past either end of row."""
+def add_shifted(acc: np.ndarray, row: np.ndarray, v: int) -> None:
+    """acc[x] += row[x + v], reading zeros past either end of row."""
     n = len(row)
     if v >= 0:
-        acc[:n - v] += a * row[v:]
+        acc[:n - v] += row[v:]
     else:
-        acc[-v:] += a * row[:n + v]
+        acc[-v:] += row[:n + v]
 
 
 # The step bodies.  Each steps a row or a block of rows, over the last axis,
@@ -139,61 +114,6 @@ def _mult_steps(rule: MultRule, boxes, old: np.ndarray):
         yield t, a, b, (old,)
 
 
-def _layers(rule: Rule, cells) -> tuple:
-    """The state layers of ``cells`` that a step body takes: the components
-    (a, b) of a second-order rule, the cells themselves otherwise."""
-    if isinstance(rule, SecondOrderRule):
-        q = rule.inner.q
-        return ({s: v // q for s, v in cells.items()},
-                {s: v % q for s, v in cells.items()})
-    return (cells,)
-
-
-def _one_layer_orbit(body, rule: Rule, c: Configuration, sites, t_max: int):
-    """(cell steps, series) of a one-layer rule read at ``sites``."""
-    f = _Frame(c.cells, sites, rule.neighborhood, t_max)
-    out = f.series()
-    if f.empty:
-        return 0, out
-    old = f.row(c.cells)
-    f.gather(old, out[0])
-    for t, _, _, (cur,) in body(rule, f.axis.boxes(1, f.x0), old):
-        f.gather(cur, out[t])
-    return f.steps, f.finish(out)
-
-
-def orbit_linear(rule: LinearRule, c: Configuration, sites, t_max: int):
-    """(cell steps, series) of a linear Z rule read at ``sites``."""
-    return _one_layer_orbit(_linear_steps, rule, c, sites, t_max)
-
-
-def orbit_second_order(rule: SecondOrderRule, c: Configuration, sites,
-                       t_max: int):
-    """(cell steps, A, B) of SO(F, +) read at ``sites``: A[t], B[t] are the
-    first/second components of the step-t configuration there.  A[t] =
-    B[t-1], so only B is gathered."""
-    inner = rule.inner
-    if not isinstance(inner, LinearRule) or inner.lattice != Z:
-        raise UsageError("dense second-order kernel needs a linear Z inner rule")
-    f = _Frame(c.cells, sites, rule.neighborhood, t_max)
-    out_a, out_b = f.series(), f.series()
-    if f.empty:
-        return 0, out_a, out_b
-    first, second = (f.row(layer) for layer in _layers(rule, c.cells))
-    f.gather(first, out_a[0])
-    f.gather(second, out_b[0])
-    for t, _, _, (_, cur) in _second_order_steps(
-            rule, f.axis.boxes(1, f.x0), first, second):
-        f.gather(cur, out_b[t])
-    out_a[1:] = out_b[:-1]
-    return f.steps, f.finish(out_a), f.finish(out_b)
-
-
-def orbit_mult(rule: MultRule, c: Configuration, sites, t_max: int):
-    """(cell steps, series) of the multiplication rule read at ``sites``."""
-    return _one_layer_orbit(_mult_steps, rule, c, sites, t_max)
-
-
 def _exact(n_terms: int, m: int) -> bool:
     """Does int64 hold every intermediate value?  A step sums ``n_terms``
     products below (m-1)^2; the second-order wrapper adds one more state."""
@@ -212,20 +132,72 @@ def kernel(rule: Rule):
     return _linear_steps if inner is rule else _second_order_steps
 
 
-def orbit(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray:
-    """Encoded orbit values at ``sites``, shape (t_max+1, len(sites)), of a
-    rule that ``kernel`` covers."""
+def _run(rule: Rule, f: _Frame, configs, shifts):
+    """Step the cells of ``configs``, row i holding configs[i] translated by
+    -shifts[i] and dropped off box 0, as one block; yields (t, a, b, layers)
+    for t = 0..t_max, the layers (one (rows, width) block per component of
+    the alphabet) holding F^t on row cells a..b-1 and zero off them."""
     body = kernel(rule)
     if body is None:
         raise UsageError(f"no exact dense kernel covers {rule.describe()}")
-    if body is _mult_steps:
-        return orbit_mult(rule, c, sites, t_max)[1]
-    if body is _linear_steps:
-        return orbit_linear(rule, c, sites, t_max)[1]
-    _, series, b = orbit_second_order(rule, c, sites, t_max)
-    series *= rule.inner.q  # encode (a, b) as a*q + b in place
-    series += b
-    return series
+    components = rule.alphabet.components
+    layers = tuple(np.zeros((len(configs), f.width), dtype=np.int64)
+                   for _ in rule.alphabet.moduli)
+    _, lo, end = next(f.axis.boxes(0, f.x0))
+    for i, (cells, s) in enumerate(zip(configs, shifts)):
+        for x, v in cells.items():
+            col = x - s - f.x0
+            if lo <= col < end:
+                for layer, value in zip(layers, components(v)):
+                    layer[i, col] = value
+    yield 0, lo, end, layers
+    yield from body(rule, f.axis.boxes(1, f.x0), *layers)
+
+
+def _orbit(rule: Rule, c: Configuration, sites, t_max: int):
+    """(cell steps, series) of a rule ``kernel`` covers, read at ``sites``:
+    series[t] holds the encoded states of F^t(c) there."""
+    f = _Frame(c.cells, sites, rule.neighborhood, t_max)
+    out = np.zeros((t_max + 1, len(sites)), dtype=np.int64)
+    if f.empty:
+        return 0, out
+    encode = rule.alphabet.from_components
+    # mode="clip" writes straight into ``out``; "raise" would buffer it
+    for t, _, _, layers in _run(rule, f, [c.cells], [0]):
+        if len(layers) == 1:
+            layers[0][0].take(f.cols, out=out[t], mode="clip")
+        else:
+            out[t] = encode([x[0].take(f.cols, mode="clip") for x in layers])
+    if f.off.any():  # the clipped gathers misread the sites off the rows
+        out[:, f.off] = 0
+    return f.steps, out
+
+
+def orbit_linear(rule: LinearRule, c: Configuration, sites, t_max: int):
+    """(cell steps, series) of a linear Z rule read at ``sites``."""
+    return _orbit(rule, c, sites, t_max)
+
+
+def orbit_second_order(rule: SecondOrderRule, c: Configuration, sites,
+                       t_max: int):
+    """(cell steps, series) of SO(F, +) read at ``sites``, encoded a*q + b."""
+    return _orbit(rule, c, sites, t_max)
+
+
+def orbit_mult(rule: MultRule, c: Configuration, sites, t_max: int):
+    """(cell steps, series) of the multiplication rule read at ``sites``."""
+    return _orbit(rule, c, sites, t_max)
+
+
+def orbit(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray:
+    """Encoded orbit values at ``sites``, shape (t_max+1, len(sites)), of a
+    rule that ``kernel`` covers."""
+    # looked up at each call, so that a wrapper bound to a name is reached
+    run = {_linear_steps: orbit_linear, _second_order_steps: orbit_second_order,
+           _mult_steps: orbit_mult}.get(kernel(rule))
+    if run is None:
+        raise UsageError(f"no exact dense kernel covers {rule.describe()}")
+    return run(rule, c, sites, t_max)[1]
 
 
 def fronts(rule: Rule, pairs: list, t_max: int) -> list[tuple[list, list]]:
@@ -233,15 +205,14 @@ def fronts(rule: Rule, pairs: list, t_max: int) -> list[tuple[list, list]]:
     ``kernel`` covers, in order: the first and last cell where F^t(c) and
     F^t(d) differ, for t = 0..t_max, None where they agree.
 
-    The pairs step together as one block, the c's in rows 0..B-1 and the d's
-    in rows B..2B-1, each pair translated so that its lowest cell sits at 0
-    (the rule commutes with shifts), so pairs far apart never widen it.  A
+    The pairs step together as one block run, the c's in rows 0..B-1 and the
+    d's in rows B..2B-1, each pair translated so that its lowest cell sits at
+    0 (the rule commutes with shifts), so pairs far apart never widen it.  A
     block steps the whole light cone of its rows, and after each step records
     each row pair's first and last differing cell; no space-time array
     exists.  A block is counted and refused like an orbit of 2B rows; one
     over a budget is halved, so only a single pair over it is refused.
     """
-    body = kernel(rule)
     out: list[tuple[list, list]] = []
     todo = [pairs] if pairs else []
     while todo:
@@ -261,25 +232,17 @@ def fronts(rule: Rule, pairs: list, t_max: int) -> list[tuple[list, list]]:
             half = len(part) // 2
             todo += [part[half:], part[:half]]
             continue
-        out += _block_fronts(rule, body, f, part, shifts)
+        out += _block_fronts(rule, f, part, shifts)
     return out
 
 
-def _block_fronts(rule: Rule, body, f: _Frame, pairs, shifts):
+def _block_fronts(rule: Rule, f: _Frame, pairs, shifts):
     n = len(pairs)
-    init = [_layers(rule, cfg.cells)
-            for cfg in [c for c, _ in pairs] + [d for _, d in pairs]]
-    layers = [np.zeros((2 * n, f.width), dtype=np.int64) for _ in init[0]]
-    for i, (values, s) in enumerate(zip(init, shifts + shifts)):
-        for buf, cells in zip(layers, values):
-            for x, v in cells.items():
-                buf[i, x - s - f.x0] = v
+    configs = [c.cells for c, _ in pairs] + [d.cells for _, d in pairs]
     lo = np.empty((f.t_max + 1, n), dtype=np.int64)
     hi = np.empty_like(lo)
     some = np.empty((f.t_max + 1, n), dtype=bool)
-    for t, a, b, state in itertools.chain(
-            [(0, 0, f.width, tuple(layers))],
-            body(rule, f.axis.boxes(1, f.x0), *layers)):
+    for t, a, b, state in _run(rule, f, configs, shifts + shifts):
         # the rows are zero off box t, so every difference lies on it
         diff = state[0][:n, a:b] != state[0][n:, a:b]
         for layer in state[1:]:

@@ -53,7 +53,9 @@ class ExpansivityVerdict:
     def __str__(self):
         b = " ".join(f"{k}={v}" for k, v in sorted(self.bounds.items()))
         if not self.found:
-            return f"no-witness-within-bounds [{b}] searched={self.searched}"
+            cert = " (exact)" if self.certified_exact else ""
+            return (f"no-witness-within-bounds{cert} [{b}] "
+                    f"searched={self.searched}")
         head = "witness" if self.witness is not None else "witness-pair"
         cert = (" (exact)" if self.certified_exact
                 else f" (null through t={self.bounds['t_max']})")
@@ -233,10 +235,11 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     over a prime field GF(p)^n, the table's kernel dimension is computed
     first, wherever that elimination reads no more entries than the loop
     would.  A trivial kernel means that no nonzero configuration on the box
-    has a trace null through t_max, which decides every candidate at once,
-    exactly and relative to the same t_max; the verdict then counts them all
-    as searched.  Otherwise this walks the candidates in ``_candidates``
-    order, summing cached single-cell traces at each window cell.
+    has a trace null through t_max, so none has one null forever: that
+    decides every candidate at once, exactly and for all time on the box,
+    and the verdict counts them all as searched and is ``certified_exact``.
+    Otherwise this walks the candidates in ``_candidates`` order, summing
+    cached single-cell traces at each window cell.
     A found witness is re-verified by direct simulation and certified for all
     time where ``linearca.null_trace_forever`` decides the rule within its
     budget.  ``kernel_dim`` on the verdict is None when no rank was computed.
@@ -257,7 +260,7 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     kernel_dim = table.kernel_dim(loop_work) if k >= 2 else None
     if kernel_dim == 0:
         return ExpansivityVerdict(found=False, bounds=bounds, searched=count,
-                                  kernel_dim=0)
+                                  certified_exact=True, kernel_dim=0)
     for searched, items in enumerate(_candidates(table.domain, rule.q, k), 1):
         if all(table.null_at_window_cell(items, w) for w in table.window):
             cfg = Configuration(rule.lattice, rule.q, dict(items),
@@ -378,7 +381,9 @@ def _psi_identity_failures(c: Configuration, ks, ts) -> int:
     top = 2 * 3 ** max(ks) + max(ts)
     xs = list(c.cells) or [0]
     cone = range(min(xs) - top - 1, max(xs) + top + 2)  # psi has radius 1
-    a, b = divmod(engine.window_series(make_psi(), c, cone, top), 3)
+    rule = make_psi()
+    series = engine.window_series(rule, c, cone, top)
+    a, b = rule.alphabet.components(series)
     bad = 0
     for k in ks:
         d = 3 ** k
@@ -428,10 +433,11 @@ def psi_landmarks(a: int, b: int, M: int, k: int) -> Report:
     lo = (M - 1) * 3 ** (k + 1)
     hi = lo + 3 ** k
     band = [*range(lo, hi), *range(-hi + 1, -lo + 1)]
-    final = engine.window_series(make_psi(), c, [pos, -pos, *band], T)[T]
+    rule = make_psi()
+    final = engine.window_series(rule, c, [pos, -pos, *band], T)[T]
     expect = (a, (2 * b) % 3)
     for sign, state in zip((1, -1), final):
-        got = divmod(int(state), 3)
+        got = rule.alphabet.components(int(state))
         rep.expect(f"value at {sign * pos}", got == expect,
                    f"got {got}, want {expect}")
     rep.expect(f"zero band {lo} <= |i| < {hi}", not final[2:].any())
@@ -495,9 +501,8 @@ def g_value(c: Configuration, m: int) -> Fraction:
     return total
 
 
-def _random_mult_config(rng, m, max_pos=10, max_cells=6) -> Configuration:
-    n = rng.randint(1, max_cells)
-    sites = rng.sample(range(0, max_pos + 1), n)
+def _random_mult_config(rng, m) -> Configuration:
+    sites = rng.sample(range(11), rng.randint(1, 6))
     return Configuration(Z, m, {s: rng.randint(1, m - 1) for s in sites})
 
 

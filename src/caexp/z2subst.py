@@ -13,10 +13,14 @@ decision; a unit test checks the block reduction against simulation.
 
 ``linearca.null_trace_forever`` decides the same for every linear rule with
 prime or squarefree modulus.  The words stay as the paper's substitution
-under test, and because they make the decision a XOR: ``window_word`` packs
-one cell's words over a whole window into one int, so ``three_trace_check``
-decides its 234 136 triples with three XORs each, in about 0.1 s, against
-about 28 s through the general oracle (120 us each; 2-core host).
+under test, and because they make the decision a XOR.  ``exact_trace_null``
+decides window cell by window cell: at each w it XORs the support cells'
+u|v words at w - z, and the first nonzero result decides, so its work is
+linear in the window and capped before the window is listed.
+``three_trace_check`` instead packs one cell's words over its whole window
+into one int (``window_word``) and decides its 234 136 triples with three
+XORs each, in about 0.1 s, against about 28 s through the general oracle
+(120 us each; 2-core host).
 
 Words are stored as ints, bit i = trace value at time offset i.
 """
@@ -35,6 +39,11 @@ from .report import Report
 
 # largest scale k whose 2^k-bit trace words are built (uv_words, exact_trace_null)
 _K_CAP = 12
+# window cells times support cells one exact_trace_null call may read, each
+# two cached word lookups; the word caches grow with them.  The scale-9
+# witness, null at m=255, reads 261 122 in 2.5 s and fills the caches to
+# 230 MB (2-core host)
+_MAX_READS = 2 ** 18
 
 
 def _norm(z) -> int:
@@ -183,8 +192,10 @@ def exact_trace_null(c: Configuration, m: int) -> bool:
     """Total decision: is the radius-m trace of c under the vN rule null forever?
 
     Picks the scale k0 covering every window-shifted support cell and reduces
-    to the vanishing of the u- and v-sums there, the XOR of the cells'
-    ``window_word``s.
+    to the vanishing of the u- and v-sums there, decided window cell by
+    window cell: at w, the XOR of the support cells' u|v words at w - z must
+    be 0, and the first nonzero one decides.  The window cells times the
+    support cells are capped at ``_MAX_READS`` before the window is listed.
     """
     if c.lattice != Z2 or c.q != 2:
         raise UsageError("exact oracle works on mod-2 Z^2 configurations")
@@ -192,16 +203,25 @@ def exact_trace_null(c: Configuration, m: int) -> bool:
         raise UsageError("window radius must be >= 0")
     if c.is_zero():
         return True
-    window = Z2.origin_ball(m)
     reach = max(_norm(s) for s in c.cells) + m
     k0 = scale_for_norm(reach)
     if k0 > _K_CAP:
         raise ResourceLimitError(
             f"needed scale 2^{k0} exceeds the cap 2^{_K_CAP}")
-    acc = 0
-    for z in c.cells:
-        acc ^= window_word(z, window, k0)
-    return acc == 0
+    reads = Z2.ball_size(m) * len(c)  # m < 2^12 here
+    if reads > _MAX_READS:
+        raise ResourceLimitError(
+            f"a null check of {reads} window-cell reads exceeds the "
+            f"{_MAX_READS} budget")
+    half = 1 << k0
+    for w in Z2.origin_ball(m):
+        acc = 0
+        for z in c.cells:
+            y = (w[0] - z[0], w[1] - z[1])
+            acc ^= _u(y, k0) | _v(y, k0) << half
+        if acc:
+            return False
+    return True
 
 
 def _val2(n: int) -> int:

@@ -320,6 +320,22 @@ def test_z2_commands(tmp_path, capsys):
     assert run(["z2", "--tri-claim", "--tsim", "64"]) == 0
 
 
+def test_z2_null_check_exit_codes(tmp_path, capsys, monkeypatch):
+    # a spot at (1, 0): a radius-200 window is decided cell by cell, and a
+    # radius-4000 one (32 008 001 cells) is refused before it is listed
+    from caexp.lattice import Z2
+    cfg = tmp_path / "spot.cfg"
+    cfg.write_text("lattice=z2 q=2 quiescent=0\n1,0\t1\n")
+    assert run(["z2", "--null-check", str(cfg), "--window", "200"]) == 0
+    assert "window 200: False" in capsys.readouterr().out
+
+    def no_ball(r):
+        raise AssertionError("the window of a refused check was listed")
+    monkeypatch.setattr(Z2, "origin_ball", no_ball)
+    assert run(["z2", "--null-check", str(cfg), "--window", "4000"]) == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
 def test_z2_uv_scale_capped_up_front(capsys):
     # refused before any word of 2^40 bits is built
     assert run(["z2", "--uv", "z=100,0", "k=40"]) == 3

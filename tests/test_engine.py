@@ -488,9 +488,9 @@ def test_batched_fronts_split_blocks_over_the_budget(monkeypatch):
     blocks = []
     block_fronts = dense1d._block_fronts
 
-    def counted(rule, body, f, part, shifts):
+    def counted(rule, f, part, shifts):
         blocks.append(len(part))
-        return block_fronts(rule, body, f, part, shifts)
+        return block_fronts(rule, f, part, shifts)
     monkeypatch.setattr(dense1d, "_block_fronts", counted)
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", one)
     got = engine.fronts_many(rule, pairs, t_max)
@@ -643,6 +643,45 @@ def test_dense_cell_steps_sum_the_boxes():
             assert a < b
 
 
+def test_orbit_reads_reach_the_names_the_benchmark_traces(monkeypatch):
+    # perfbench/tracing.py wraps these functions by name; a reader that
+    # bypassed one would zero its per-layer counts and fail nothing else
+    from caexp import bitgrid, dense1d
+    calls, results = [], []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            results.append(fn(*args))
+            return results[-1]
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("orbit_linear", "orbit_second_order", "orbit_mult"):
+        counted(dense1d, name)
+    for name in ("simulate_series", "first_nonzero_window_time"):
+        counted(bitgrid, name)
+    for rule, state, name in ((presets.f3(), 1, "orbit_linear"),
+                              (presets.psi(), 4, "orbit_second_order"),
+                              (presets.parse_rule("mult:3,2"), 5, "orbit_mult"),
+                              (presets.vn2(), 1, "simulate_series")):
+        calls.clear()
+        results.clear()
+        sites = rule.lattice.origin_ball(2)
+        series = engine.window_series(rule, spot(rule.lattice, rule.q, state),
+                                      sites, 8)
+        assert calls == [name]
+        if name.startswith("orbit"):  # (cell steps, series)
+            steps, got = results[0]
+            assert steps > 0 and got is series
+        assert series.shape == (9, len(sites)) and series.any()
+    calls.clear()
+    assert engine.first_nonzero_time(presets.vn2(), spot(Z2, 2, 1, (0, 3)),
+                                     Z2.origin_ball(1), 8) == 2
+    assert calls == ["first_nonzero_window_time"]
+
+
 def test_dense_run_over_the_cell_step_cap_is_refused_up_front(monkeypatch):
     from caexp import cone, dense1d
     rule, c, sites = presets.f3(), spot(Z, 3), Z.origin_ball(2)
@@ -650,9 +689,9 @@ def test_dense_run_over_the_cell_step_cap_is_refused_up_front(monkeypatch):
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", steps)
     assert dense1d.orbit_linear(rule, c, sites, 50)[0] == steps
 
-    def no_row(*args):
-        raise AssertionError("a row was allocated for a refused run")
-    monkeypatch.setattr(dense1d._Frame, "row", no_row)
+    def no_run(*args):
+        raise AssertionError("a block was allocated for a refused run")
+    monkeypatch.setattr(dense1d, "_run", no_run)
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", steps - 1)
     for run in (lambda: dense1d.orbit_linear(rule, c, sites, 50),
                 lambda: engine.window_series(rule, c, sites, 50)):

@@ -369,10 +369,47 @@ def test_rank_precheck_agrees_with_enumeration(rule, k, R, m, t_max,
                         lambda table, budget: None)
     slow = kexp_search(rule, k=k, support_radius=R, window=m, t_max=t_max)
     assert slow.kernel_dim is None
-    assert (fast.found, fast.witness, fast.searched, fast.certified_exact) == \
-        (slow.found, slow.witness, slow.searched, slow.certified_exact)
+    assert (fast.found, fast.witness, fast.searched) == \
+        (slow.found, slow.witness, slow.searched)
+    # a trivial kernel is exact for all time, where the loop's empty verdict
+    # only holds through t_max
+    assert fast.certified_exact == (slow.certified_exact
+                                    or fast.kernel_dim == 0)
     if fast.kernel_dim == 0:
         assert not fast.found
+        assert "no-witness-within-bounds (exact)" in str(fast)
+
+
+@pytest.mark.parametrize("name,R", [("psi", 3), ("f2", 5), ("f3", 5)])
+def test_trivial_kernel_agrees_with_empty_loop_searches(name, R, monkeypatch):
+    # no nonzero configuration on the box has a radius-1 trace null through
+    # t=64, so the candidate loops find no witness of one or two cells
+    rule = presets.parse_rule(name)
+    assert _kernel_dim(rule, R, 1, 64) == 0
+    monkeypatch.setattr(expansivity.TraceTable, "kernel_dim",
+                        lambda table, budget: None)
+    for k in (1, 2):
+        verdict = kexp_search(rule, k=k, support_radius=R, window=1, t_max=64)
+        assert not verdict.found and verdict.searched > 0
+
+
+def test_upsilon_glider_left_of_the_window_is_in_the_kernel():
+    # the glider moves left, away from the window, so its cells' columns of
+    # the trace map combine to zero: a nonzero kernel vector on the box
+    rule, R, m, t_max = presets.upsilon(), 4, 1, 64
+    table = expansivity.TraceTable(rule, R, m, t_max)
+    columns = list(table.trace_map())
+    ncomp = len(rule.alphabet.moduli)
+    glider = upsilon_glider(-R, 3)  # cells -4, -3, -2
+    acc = np.zeros_like(columns[0], dtype=np.int64)
+    for z, state in glider.cells.items():
+        i = table.domain.index(z)
+        for b, coef in enumerate(rule.alphabet.components(state)):
+            if coef:
+                assert columns[i * ncomp + b].any()
+                acc += coef * columns[i * ncomp + b]
+    assert not (acc % 2).any()
+    assert _kernel_dim(rule, R, m, t_max) > 0
 
 
 def test_rank_precheck_scope(monkeypatch):
