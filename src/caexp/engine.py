@@ -5,16 +5,20 @@ at site s seen through a neighborhood offset v contributes to the image at
 ``s - v``.  A dedicated test pins this.
 
 The sparse step below is the reference semantics for every rule and lattice.
-One backend decision (``_bitgrid_runs``, ``_dense1d_runs``) serves every
-reader of an orbit: ``window_series`` and its early-exit twin
-``first_nonzero_time``, which read an orbit at fixed sites, and
-``fronts_many``, which reads the difference fronts of many pairs.  It picks
-``bitgrid`` for mod-2 linear rules on Z^2 whose x offsets are below 64 cells
-(``window_series`` and ``first_nonzero_time``), ``dense1d`` for linear,
-multiplication and linear second-order rules on Z (``window_series`` and
-``fronts_many``), and the sparse step otherwise, which keeps only the cells
-that can still reach a read site by t_max (``iterate`` and the fronts keep
-every cell).  A ``dense1d`` kernel runs only when int64 arithmetic is exact
+One backend decision (``_decimation_runs``, ``_bitgrid_runs``,
+``_dense1d_runs``) serves every reader of an orbit: ``spot_series``, which
+reads the orbit of a spot on a box for a trace table, ``window_series`` and
+its early-exit twin ``first_nonzero_time``, which read an orbit at fixed
+sites, and ``fronts_many``, which reads the difference fronts of many pairs.
+It picks decimation (``linearca.decimated_spot_series``) for the spot series
+of linear rules with a prime modulus on Z or Z^2 (``spot_series``; every
+other spot series is a ``window_series``), ``bitgrid`` for mod-2 linear
+rules on Z^2 whose x offsets are below 64 cells (``window_series`` and
+``first_nonzero_time``), ``dense1d`` for linear, multiplication and linear
+second-order rules on Z (``window_series`` and ``fronts_many``), and the
+sparse step otherwise, which keeps only the cells that can still reach a
+read site by t_max (``iterate`` and the fronts keep every cell).
+Decimation and a ``dense1d`` kernel run only when int64 arithmetic is exact
 for the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Both dense
 backends step only the light-cone box of the support and the read sites,
 from ``cone``; ``dense1d`` gathers the read sites, or records the fronts of a
@@ -26,7 +30,8 @@ skips such gaps, a dense row would allocate them.
 
 Every run counts its work before its first step: the dense backends their
 row elements stepped (``cone.MAX_CELL_STEPS``; a block of fronts over it
-splits, down to single pairs), the sparse orbit a bound on its cells from
+splits, down to single pairs), decimation the words its steps read and a
+charge per step (the same cap), the sparse orbit a bound on its cells from
 ball sizes, weighted by ``Lattice.site_cost`` (``MAX_SPARSE_CELLS``).
 Arrays past ``errors.MAX_ARRAY_BYTES`` are refused up front, the
 (t_max+1, n) output of ``window_series`` on every backend.
@@ -39,10 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitgrid, dense1d
+from . import bitgrid, dense1d, linearca
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError, check_array_bytes
-from .lattice import Site, Z2Lattice, ZLattice
+from .lattice import Site, Z2Lattice, ZLattice, size_count, size_domain
 from .rules import LinearRule, Rule
 
 
@@ -201,6 +206,27 @@ def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray
     for t, cur in enumerate(_sparse_orbit(rule, c, t_max, sites)):
         out[t] = cur.restrict(sites)
     return out
+
+
+def _decimation_runs(rule: Rule) -> bool:
+    """The one decimation test: a linear rule with prime modulus on Z or
+    Z^2 whose step int64 holds."""
+    return (isinstance(rule, LinearRule)
+            and isinstance(rule.lattice, (ZLattice, Z2Lattice))
+            and dense1d.int64_exact(len(rule.coeffs), rule.m)
+            and linearca.is_prime(rule.m))
+
+
+def spot_series(rule: Rule, state: int, R: int, t_max: int) -> np.ndarray:
+    """Orbit values of the spot of ``state`` at the origin on the size-<=R
+    box, shape (t_max+1, |box|) in ``size_domain`` order: by decimation
+    where ``_decimation_runs``, and otherwise ``window_series``."""
+    spot = Configuration.spot(rule.lattice, rule.q, state)
+    _check_run(rule, spot, t_max)
+    size_count(rule.lattice, R)  # refuses R < 0
+    if _decimation_runs(rule):
+        return linearca.decimated_spot_series(rule, state, R, t_max)
+    return window_series(rule, spot, size_domain(rule.lattice, R), t_max)
 
 
 def first_nonzero_time(rule: Rule, c: Configuration, sites,

@@ -27,7 +27,7 @@ import numpy as np
 from . import dense1d, engine, errors, linearca
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
-from .lattice import Lattice, Z, Z2Lattice, ZLattice
+from .lattice import Lattice, Z, ZLattice, size_count, size_domain
 from .presets import psi as make_psi
 from .presets import upsilon as make_upsilon
 from .report import Report
@@ -62,20 +62,6 @@ class ExpansivityVerdict:
         return f"{head}{cert} [{b}]"
 
 
-def _box(lattice: Lattice, R: int) -> int:
-    """Number of sites of size <= R: (2R + 1)^2 on Z^2, |B_R| elsewhere.  Past
-    2^64 sites every search but an empty one is over budget: a free group's
-    ball passes that by R = 41, and is refused before its size is formed."""
-    if R < 0:
-        raise UsageError("support radius must be >= 0")
-    if isinstance(lattice, Z2Lattice):
-        return (2 * R + 1) ** 2
-    if lattice.ball_size(min(R, 64)) > 2 ** 64:
-        raise ResourceLimitError(f"a search box of radius {R} holds more "
-                                 f"than 2^64 sites")
-    return lattice.ball_size(R)
-
-
 def _capped_count(box: int, q: int, s: int, cap: int) -> int:
     """Configurations with exactly s nonzero cells on a box of ``box`` sites,
     C(box, s) * (q - 1)^s, or cap + 1 as soon as the running product passes
@@ -103,15 +89,7 @@ def _search_box(lattice: Lattice, k: int, R: int, m: int, t_max: int) -> int:
         raise UsageError("step count t_max must be >= 0")
     if m < 0:
         raise UsageError("window radius must be >= 0")
-    return _box(lattice, R)
-
-
-def size_domain(lattice: Lattice, R: int) -> list:
-    """Sites of size <= R: the L-inf box on Z^2, the ball B_R elsewhere."""
-    _box(lattice, R)
-    if isinstance(lattice, Z2Lattice):
-        return lattice.box(R)
-    return lattice.origin_ball(R)
+    return size_count(lattice, R)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +106,12 @@ class TraceTable:
     lies in the size-(R + m) box (``offsets``), whose spot series are cached
     per basis component; their bytes are checked before any box is listed.
     Arbitrary states combine by componentwise scaling, c^a = a * c^1 on each
-    cyclic factor.  Each series stays as ``engine.window_series`` returns it
-    (uint8 from bitgrid, int64 otherwise), split into components and copied
-    once, so that one offset's series is contiguous.
+    cyclic factor.  Each basis state's series comes from one
+    ``engine.spot_series`` call, by decimation for linear rules with a prime
+    modulus on Z and Z^2 and otherwise from ``engine.window_series``; it
+    stays in the dtype it comes in (uint8 for p = 2 by decimation, int64
+    otherwise), split into components and copied once, so that one offset's
+    series is contiguous.
     """
 
     def __init__(self, rule: Rule, R: int, m: int, t_max: int):
@@ -142,8 +123,8 @@ class TraceTable:
         self.moduli = rule.alphabet.moduli
         self.t_max = t_max
         ncomp = len(self.moduli)
-        errors.check_array_bytes(8 * ncomp * (t_max + 1) * _box(lat, R + m),
-                                 "the trace table")
+        errors.check_array_bytes(
+            8 * ncomp * (t_max + 1) * size_count(lat, R + m), "the trace table")
         self.domain = size_domain(lat, R)
         self.window = lat.origin_ball(m)
         self.offsets = size_domain(lat, R + m)
@@ -152,9 +133,8 @@ class TraceTable:
         for i in range(ncomp):
             unit = [0] * ncomp
             unit[i] = 1
-            spot = Configuration.spot(lat, rule.q,
-                                      rule.alphabet.from_components(unit))
-            series = engine.window_series(rule, spot, self.offsets, t_max)
+            series = engine.spot_series(
+                rule, rule.alphabet.from_components(unit), R + m, t_max)
             # components work elementwise on arrays: [ci][offset, t]
             per_basis.append(self.alphabet.components(series.T))
         self._series = np.array(per_basis)  # [b, ci, offset, t]
@@ -169,7 +149,7 @@ class TraceTable:
                 if c:
                     acc = acc + c * spots[b]
         # every alphabet here has one modulus for all of its components; the
-        # uint8 bitgrid sums wrap mod 256, which keeps them mod 2
+        # uint8 sums of mod-2 series wrap mod 256, which keeps them mod 2
         return not np.count_nonzero(acc % self.moduli[0])
 
     def trace_map(self):

@@ -23,8 +23,8 @@ import numpy as np
 from . import engine, errors, linearca
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError
-from .expansivity import TraceTable, _box
-from .lattice import Z, FreeLattice, free
+from .expansivity import TraceTable
+from .lattice import Z, FreeLattice, free, size_count
 from .presets import lambda_rule
 from .report import Report
 from .rules import LinearRule
@@ -232,8 +232,9 @@ def odd_weight_kernel(rule: LinearRule, R: int, m: int,
                          "on a free group")
     if min(R, m, t_max) < 0:
         raise UsageError("need R, m and t_max >= 0")
-    errors.check_array_bytes(8 * (t_max + 1) * _box(lat, m) * _box(lat, R),
-                             "the trace map")
+    errors.check_array_bytes(
+        8 * (t_max + 1) * size_count(lat, m) * size_count(lat, R),
+        "the trace map")
     columns = list(TraceTable(rule, R, m, t_max).trace_map())
     rank = linearca.gfp_rank(columns, 2)
     odd = linearca.gfp_rank((np.append(c, 1) for c in columns), 2) > rank

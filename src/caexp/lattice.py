@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import UsageError, parse_int
+from .errors import ResourceLimitError, UsageError, parse_int
 
 Site = object  # int | tuple[int, int] | tuple[int, ...]
 
@@ -287,3 +287,26 @@ Z2 = lattice_by_kind("z2")
 
 def free(n: int) -> FreeLattice:
     return lattice_by_kind(f"free:{n}")  # type: ignore[return-value]
+
+
+def size_count(lattice: Lattice, R: int) -> int:
+    """Number of sites of size <= R: (2R + 1)^2 on Z^2, |B_R| elsewhere.  Past
+    2^64 sites every search but an empty one is over budget: a free group's
+    ball passes that by R = 41, and is refused before its size is formed."""
+    if R < 0:
+        raise UsageError("support radius must be >= 0")
+    if isinstance(lattice, Z2Lattice):
+        return (2 * R + 1) ** 2
+    if lattice.ball_size(min(R, 64)) > 2 ** 64:
+        raise ResourceLimitError(f"a search box of radius {R} holds more "
+                                 f"than 2^64 sites")
+    return lattice.ball_size(R)
+
+
+def size_domain(lattice: Lattice, R: int) -> list:
+    """Sites of size <= R: the L-inf box on Z^2 (x-major), the ball B_R
+    elsewhere."""
+    size_count(lattice, R)
+    if isinstance(lattice, Z2Lattice):
+        return lattice.box(R)
+    return lattice.origin_ball(R)

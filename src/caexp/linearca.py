@@ -9,7 +9,10 @@ columns it has read.
 
 In prime characteristic p the p^k-th power of a linear rule is the same rule
 with its neighborhood scaled by p^k.  The same fact decides null traces for
-all time (``null_trace_forever``), the one exact oracle of the package.
+all time (``null_trace_forever``), the one exact oracle of the package, and
+builds the spot series of a trace table (``decimated_spot_series``): the
+spot orbit at time p*t is the orbit at time t dilated by p, so each time
+step costs one step of a box fixed by the read sites, not of the light cone.
 For a composite modulus ``crt_decompose`` splits the rule into one rule per
 prime-power factor.  For a squarefree modulus every part is prime, and the
 oracle decides each of them; prime powers p^e with e > 1 stay undecided.
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine
+from . import cone, dense1d, engine
 from .config import Configuration
-from .errors import ResourceLimitError, UsageError
-from .lattice import Site, Z2Lattice, ZLattice
+from .errors import ResourceLimitError, UsageError, check_array_bytes
+from .lattice import Z, Site, Z2Lattice, ZLattice
 from .rules import LinearRule, Rule
 
 # cells null_trace_forever may read; every state holds one, so states too
@@ -196,6 +199,71 @@ def null_trace_forever(rule: LinearRule, c: Configuration, m: int) -> bool:
                     seen.add(state)
                     todo.append(state)
     return True
+
+
+# the fixed cost of one decimation step, in the 8-byte words a step reads:
+# a step on a tiny box costs about 5 us (f3, f2, vn2 at R = 0; 2-core
+# host), and an int64 cell read about 3.2 ns (f3 rows of 4 005 cells, a
+# mod-3 Z^2 box of 42 025 cells), so about 2^10.6 word reads; a uint8 read
+# costs about 0.14 ns (vn2 on 162 409 cells), 1.1 ns a word
+_STEP_CHARGE = 2 ** 11
+
+
+def decimated_spot_series(rule: LinearRule, state: int, R: int,
+                          t_max: int) -> np.ndarray:
+    """F^t(e) on the size-<=R box for t = 0..t_max, e the spot of ``state``
+    at the origin, shape (t_max+1, |box|) in ``lattice.size_domain`` order,
+    for a linear rule with prime modulus p on Z or Z^2 whose step int64
+    holds (``dense1d.int64_exact``).
+
+    Over GF(p), Q(X)^p = Q(X^p) for the rule's polynomial Q, so the spot
+    orbit S_t = Q^t has S_{pt}(y) = S_t(y/p) where p divides y and 0
+    elsewhere, and S_{pt+j} = F^j(S_{pt}).  The series is kept on the box H
+    of size h = max(R, r), r the rule's L-inf radius: for each s, S_s is
+    dilated into the box E of size h + g, g = min(p-1, t_max) * r, which
+    reads S_s only on H because r <= h, and stepped up to p - 1 times by
+    ``dense1d.linear_steps``.  On Z^2, E is stepped as one x-major row, by
+    the Z rule with offsets dx*w + dy (w the side of E).  Step j computes E
+    shrunk by j*r: each of its cells reads cells of E shrunk by (j-1)*r,
+    which step j-1 computed, without wrapping across a row end, so H stays
+    exact.  The series is uint8 for p = 2, int64 otherwise, written
+    straight into the output when R >= r.  Before the first allocation the
+    run counts the 8-byte words its steps read, |E| * |N| cells of its
+    dtype, plus ``_STEP_CHARGE`` a step, against ``cone.MAX_CELL_STEPS``,
+    and the bytes of its store on H against the array cap."""
+    p, lat = rule.m, rule.lattice
+    d = 2 if isinstance(lat, Z2Lattice) else 1
+    r = max(lat.size_norm(v) for v in rule.coeffs)
+    h = max(R, r)
+    g = min(p - 1, t_max) * r
+    n, w = 2 * h + 1, 2 * (h + g) + 1
+    dtype = np.dtype(np.uint8 if p == 2 else np.int64)
+    words = -(-w ** d * len(rule.coeffs) * dtype.itemsize // 8)
+    cone.check_steps((t_max + 1) * (words + _STEP_CHARGE),
+                     "a decimated spot series", "word reads")
+    check_array_bytes(dtype.itemsize * (t_max + 1) * n ** d,
+                      "a decimated spot series")
+    store = np.zeros((t_max + 1,) + (n,) * d, dtype=dtype)
+    store[(0,) + (h,) * d] = state % p
+    k = (h + g) // p  # S_s(y) for |y| <= k lands in E
+    dilate = (slice(h + g - p * k, h + g + p * k + 1, p),) * d
+    source = (slice(h - k, h + k + 1),) * d
+    core = (slice(g, g + n),) * d  # H within E
+    row = rule if d == 1 else LinearRule(
+        Z, p, {dx * w + dy: a for (dx, dy), a in rule.coeffs.items()})
+    edge = r * (w + 1 if d == 2 else 1)  # the row cells of E shrunk by r
+    grid = np.empty(w ** d, dtype=dtype)
+    for s in range(t_max // p + 1):
+        grid.fill(0)
+        grid.reshape((w,) * d)[dilate] = store[s][source]
+        store[p * s] = grid.reshape((w,) * d)[core]
+        boxes = ((p * s + j, j * edge, w ** d - j * edge)
+                 for j in range(1, min(p - 1, t_max - p * s) + 1))
+        for t, _, _, (cur,) in dense1d.linear_steps(row, boxes, grid):
+            store[t] = cur.reshape((w,) * d)[core]
+    if h > R:
+        store = store[(slice(None),) + (slice(h - R, h + R + 1),) * d]
+    return store.reshape(t_max + 1, -1)
 
 
 def crt_decompose(rule: LinearRule) -> list[LinearRule]:

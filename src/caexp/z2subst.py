@@ -40,9 +40,9 @@ from .report import Report
 # largest scale k whose 2^k-bit trace words are built (uv_words, exact_trace_null)
 _K_CAP = 12
 # window cells times support cells one exact_trace_null call may read, each
-# two cached word lookups; the word caches grow with them.  The scale-9
-# witness, null at m=255, reads 261 122 in 2.5 s and fills the caches to
-# 230 MB (2-core host)
+# two cached word lookups.  The scale-9 witness, null at m=255, reads
+# 261 122 in about 2.7 s and peaks at 70 MB, its word caches bounded by
+# _CACHE_CAP (2-core host)
 _MAX_READS = 2 ** 18
 
 
@@ -55,8 +55,21 @@ def _s_points(j: int):
     return ((0, d), (d, 0), (0, -d), (-d, 0))
 
 
+# the u and v words built so far, by (z, k).  A cache holding _CACHE_CAP
+# entries is emptied before it takes another, so a large null check leaves
+# no hundreds of MB behind: the scale-9 witness at m=255 builds 861 675
+# words (230 MB unbounded); ``caexp verify`` builds 23 532 in all, and keeps
+# every one
 _U_CACHE: dict[tuple[tuple[int, int], int], int] = {}
 _V_CACHE: dict[tuple[tuple[int, int], int], int] = {}
+_CACHE_CAP = 2 ** 16
+
+
+def _remember(cache: dict, key, val: int) -> int:
+    if len(cache) >= _CACHE_CAP:
+        cache.clear()
+    cache[key] = val
+    return val
 
 
 def _u(z: tuple[int, int], k: int) -> int:
@@ -76,8 +89,7 @@ def _u(z: tuple[int, int], k: int) -> int:
             if _norm(zz) <= h - 1:
                 val = _u(zz, k - 1) << h
                 break
-    _U_CACHE[key] = val
-    return val
+    return _remember(_U_CACHE, key, val)
 
 
 def _v(z: tuple[int, int], k: int) -> int:
@@ -99,8 +111,7 @@ def _v(z: tuple[int, int], k: int) -> int:
                 w = _u(zz, k - 1)
                 val = w | (w << h)
                 break
-    _V_CACHE[key] = val
-    return val
+    return _remember(_V_CACHE, key, val)
 
 
 @dataclass(frozen=True)

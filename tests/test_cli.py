@@ -181,6 +181,15 @@ def test_check_kexp_empty_search(capsys):
     assert "searched=0" in capsys.readouterr().out
 
 
+def test_check_kexp_long_decimated_horizon_is_admitted(capsys):
+    # through bitgrid this would be 4.2*10^10 word-row steps, over the cap;
+    # its decimated spot series counts 4.1*10^7 word reads
+    assert run(["check-kexp", "--rule", "vn2", "--k", "1",
+                "--support-radius", "0", "--window", "0",
+                "--tmax", "20000"]) == 0
+    assert "searched=1" in capsys.readouterr().out
+
+
 def test_pair_probe_counts_before_listing_its_box(monkeypatch, capsys):
     # the pair budget is checked on the box size alone: a 2*10^8-site box is
     # refused, and k above twice a three-site box is an empty search, as it
@@ -229,8 +238,9 @@ def test_rule_errors_keep_their_message(rule, message, tmp_path, capsys):
     # a 2003^2-offset bitgrid series through t=2000, 64 GB as int64
     ["check-kexp", "--rule", "vn2", "--k", "1", "--support-radius", "1000",
      "--window", "2", "--tmax", "2000"],
-    # a dense Z orbit of about 5*10^11 cell steps, refused before its first
-    # step by the cell-step cap rather than by any array
+    # a decimated spot series of 2.1*10^9 word reads (a 2048-word charge
+    # for each of its 10^6 steps), refused before its first step by the
+    # cell-step cap rather than by any array
     ["check-kexp", "--rule", "f3", "--k", "1", "--support-radius", "0",
      "--window", "0", "--tmax", "1000000"],
     # an 800 MB one-column series, above the array cap
@@ -251,14 +261,17 @@ def test_rule_errors_keep_their_message(rule, message, tmp_path, capsys):
     # word-row steps
     ["bench", "--window", "4096", "--steps", "100000"],
     ["bench", "--window", "64", "--steps", "1000000000"],
-    # bitgrid runs of about 4.2*10^10 word-row steps, counted before the
+    # a bitgrid run of about 4.2*10^10 word-row steps, counted before the
     # grid is allocated
     ["z2", "--tri-claim", "--tsim", "20000"],
+    # a decimated vn2 spot series of 2.1*10^9 word reads
     ["check-kexp", "--rule", "vn2", "--k", "1", "--support-radius", "0",
-     "--window", "0", "--tmax", "20000"],
+     "--window", "0", "--tmax", "1000000"],
     # sparse orbits whose cells are bounded by balls before the first step
     ["check-kexp", "--rule", "mult:3,2", "--k", "1", "--support-radius", "2",
      "--window", "1", "--tmax", "100000000"],
+    # a decimated spot series of 2.1*10^10 word reads, refused by the count
+    # before its 80 MB series is allocated
     ["check-kexp", "--rule", "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1",
      "--k", "1", "--support-radius", "0", "--window", "0",
      "--tmax", "10000000"],

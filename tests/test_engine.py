@@ -772,8 +772,9 @@ def test_sparse_run_over_the_cell_cap_is_refused_up_front(monkeypatch):
 
 
 def test_dense_series_peaks_near_its_own_size():
-    # the f3 table build of the benchmark's deepest search holds two rows
-    # besides its 8 MB output; its full space-time array would take 1.07 GB
+    # an f3 spot series the size of the benchmark's deepest table, stepped
+    # by dense1d, holds two rows besides its 8 MB output; its full
+    # space-time array would take 1.07 GB
     import tracemalloc
 
     from caexp.expansivity import size_domain

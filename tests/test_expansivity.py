@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from caexp import engine, errors, expansivity, presets
+from caexp import bitgrid, dense1d, engine, errors, expansivity, linearca, presets
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.expansivity import (directional_fronts, g_value, kexp_search,
@@ -318,6 +318,51 @@ def test_trace_map_columns_match_direct_orbits(name, R, m, t_max):
             series = engine.window_series(rule, spot, table.window, t_max)
             direct = np.array(alpha.components(series.T)).ravel()
             assert np.array_equal(columns[i * ncomp + b], direct), (z, b)
+
+
+@pytest.mark.parametrize("rule,R,m,t_max", [
+    (presets.vn2(), 4, 2, 64),
+    (presets.tri2(), 3, 2, 64),
+    (presets.f2(), 6, 1, 100),
+    (presets.f3(), 5, 2, 81),
+    (LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}), 3, 1, 30),
+    (LinearRule(Z2, 3, {(1, 0): 2, (0, -1): 1, (-1, 1): 2}), 2, 1, 20),
+    (LinearRule(Z2, 2, {(0, 0): 1, (1, 0): 1, (0, 2): 1}), 0, 1, 9),
+], ids=lambda v: getattr(v, "name", None))
+def test_decimated_table_equals_the_stepped_one(rule, R, m, t_max,
+                                                monkeypatch):
+    # the same columns and kernel as the table window_series builds
+    fast = expansivity.TraceTable(rule, R, m, t_max)
+    monkeypatch.setattr(engine, "_decimation_runs", lambda rule: False)
+    slow = expansivity.TraceTable(rule, R, m, t_max)
+    pairs = list(itertools.zip_longest(fast.trace_map(), slow.trace_map()))
+    assert all(np.array_equal(a, b) for a, b in pairs)
+    assert fast.kernel_dim(math.inf) == slow.kernel_dim(math.inf)
+
+
+@pytest.mark.parametrize("name", ["f2", "f3", "vn2", "tri2"])
+def test_prime_linear_tables_step_no_light_cone(name, monkeypatch):
+    # the tables come from decimation, so the witness check, which steps
+    # the configuration through window_series, is independent of them
+    def stepped(*args):
+        raise AssertionError("a trace table stepped its light cone")
+    monkeypatch.setattr(bitgrid, "simulate_series", stepped)
+    monkeypatch.setattr(dense1d, "orbit_linear", stepped)
+    table = expansivity.TraceTable(presets.parse_rule(name), 3, 1, 40)
+    assert table._series.shape[-1] == 41
+
+
+@pytest.mark.parametrize("name", ["f3", "vn2"])
+def test_witness_check_catches_a_corrupt_table(name, monkeypatch):
+    # zeroed series make every candidate look null; the direct simulation
+    # of the first one disagrees
+    build = linearca.decimated_spot_series
+    monkeypatch.setattr(linearca, "decimated_spot_series",
+                        lambda *args: np.zeros_like(build(*args)))
+    with pytest.raises(RuntimeError, match="trace cache and direct "
+                                           "simulation disagree"):
+        kexp_search(presets.parse_rule(name), k=1, support_radius=3,
+                    window=1, t_max=32)
 
 
 def _kernel_dim(rule, R, m, t_max, budget=math.inf):

@@ -7,7 +7,7 @@ import pytest
 from caexp import engine, linearca, presets
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
-from caexp.lattice import Z, Z2
+from caexp.lattice import Z, Z2, size_domain
 from caexp.rules import LayeredFlipRule, LinearRule, SecondOrderInverseRule
 from caexp.z2subst import exact_trace_null
 
@@ -358,3 +358,44 @@ def test_kexp_certifies_prime_z_witness():
     composite = LinearRule(Z, 4, {1: 2})
     verdict = kexp_search(composite, k=1, support_radius=4, window=1, t_max=16)
     assert verdict.found and not verdict.certified_exact
+
+
+@pytest.mark.parametrize("rule", [
+    presets.f2(), presets.f3(), presets.vn2(), presets.tri2(),
+    LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}),
+    LinearRule(Z2, 3, {(1, 0): 2, (0, -1): 1, (-1, 1): 2}),
+    LinearRule(Z, 3, {1: 1, 2: 2}),                    # one-sided
+    LinearRule(Z2, 2, {(0, 0): 1, (1, 0): 1, (0, 2): 1}),  # one-sided, r = 2
+], ids=lambda r: r.describe())
+def test_decimated_spot_series_matches_sparse_orbit(rule):
+    # horizons around the first two decimation levels, on boxes smaller than
+    # the rule radius (the store on H is cut to the box), equal to it and
+    # wider; the spot's state scales the orbit
+    assert engine._decimation_runs(rule)
+    lat, p = rule.lattice, rule.m
+    r = max(lat.size_norm(v) for v in rule.coeffs)
+    for t_max in sorted({0, 1, p - 1, p, p * p + 1}):
+        for R in sorted({0, r - 1, r, r + 3}):
+            sites = size_domain(lat, R)
+            spot = Configuration.spot(lat, p, p - 1)
+            want = np.array([cur.restrict(sites) for cur in
+                             engine._sparse_orbit(rule, spot, t_max, sites)])
+            series = engine.spot_series(rule, p - 1, R, t_max)
+            assert series.dtype == (np.uint8 if p == 2 else np.int64)
+            assert np.array_equal(series, want), (t_max, R)
+
+
+def test_spot_series_steps_where_int64_would_overflow(monkeypatch):
+    # 2 * (p-1)^2 passes 2^63 for this prime: the sparse step reads the box
+    p = 3_100_000_027
+    rule = LinearRule(Z, p, {-1: 1, 1: p - 1})
+    assert linearca.is_prime(p) and not engine._decimation_runs(rule)
+
+    def no_decimation(*args):
+        raise AssertionError("decimation past exact int64")
+    monkeypatch.setattr(linearca, "decimated_spot_series", no_decimation)
+    series = engine.spot_series(rule, 1, 2, 6)
+    spot = Configuration.spot(Z, p, 1)
+    assert np.array_equal(series, engine.window_series(rule, spot,
+                                                       Z.origin_ball(2), 6))
+    assert series[2].tolist() == [1, 0, p - 2, 0, 1]

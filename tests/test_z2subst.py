@@ -133,6 +133,15 @@ def test_exact_trace_null_resource_cap():
         exact_trace_null(c, 0)
 
 
+def test_exact_trace_null_bounds_its_word_caches():
+    # the scale-9 witness at m=255 builds 861 675 words; each cache keeps at
+    # most _CACHE_CAP of them, above the 23 532 that ``verify`` builds
+    assert z2subst._CACHE_CAP > 23_532
+    assert exact_trace_null(vn_witness(9), 255)
+    assert len(z2subst._U_CACHE) <= z2subst._CACHE_CAP
+    assert len(z2subst._V_CACHE) <= z2subst._CACHE_CAP
+
+
 def test_exact_trace_null_matches_simulation():
     rng = random.Random(21)
     for _ in range(40):
