@@ -149,7 +149,7 @@ def claim_freegroup(seed: int = 0) -> Report:
     try:
         profile = layer_profile(2, 8, 16)
         rep.expect("layer profile to norm 8, t<=16 (cell-by-cell)", True,
-                   f"B_12 simulation, {len(profile.values)} rows")
+                   f"B_{profile.depth} simulation, {len(profile.values)} rows")
     except RuntimeError as exc:
         rep.expect("layer profile to norm 8, t<=16 (cell-by-cell)", False,
                    str(exc))

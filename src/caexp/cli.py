@@ -217,6 +217,7 @@ def cmd_freegroup(args) -> int:
     t0 = time.perf_counter()
     lat = free(args.n)
     failed = 0
+    nodes = {}
     if args.profile:
         try:
             L, T = (int(x) for x in args.profile.split(","))
@@ -224,7 +225,9 @@ def cmd_freegroup(args) -> int:
             raise UsageError("--profile expects L,T") from None
         prof = layer_profile(args.n, L, T)
         print(f"layer profile of the F_{args.n} spot orbit "
-              f"(rows t=0..{T}, columns norm 0..{L}):")
+              f"(rows t=0..{T}, columns norm 0..{L}), stepped on "
+              f"B_{prof.depth} ({prof.nodes} nodes):")
+        nodes = {"nodes": prof.nodes}
         for t, row in enumerate(prof.values):
             print(f"  t={t:3d}  " + "".join(str(v) for v in row))
     if args.witness:
@@ -239,7 +242,7 @@ def cmd_freegroup(args) -> int:
         print(rep)
         failed += 0 if rep.ok else 1
     _summary(sys.stdout, status="ok" if failed == 0 else "fail",
-             n=args.n, failed=failed,
+             n=args.n, failed=failed, **nodes,
              wall_seconds=f"{time.perf_counter() - t0:.3f}")
     return 0 if failed == 0 else 1
 

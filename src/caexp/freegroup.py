@@ -32,7 +32,9 @@ from .rules import LinearRule
 __all__ = ["lambda_rule", "ball_levels", "BallTree", "LayerProfile",
            "layer_profile", "fg_non2exp_witness", "odd_weight_kernel"]
 
-# node budget of a ball: of a BallTree, or of a witness window
+# node budget of a BallTree, the profile's ball or a witness window; no ball
+# is listed as words, so it bounds the arrays indexed by the nodes: the
+# profile's uint8 values and the window's two int64 distance arrays
 _MAX_NODES = 4_000_000
 
 # the Z rule whose spot orbit is the distance projection of the lambda orbit
@@ -44,17 +46,6 @@ def _projection(d_max: int, t_max: int) -> np.ndarray:
     the spot, for every n; the P orbit read at 0..d_max."""
     return engine.window_series(_P, Configuration.spot(Z, 2, 1),
                                 range(d_max + 1), t_max)
-
-
-def _distance(w, x) -> int:
-    """d(w, x) = |w^-1 x| of reduced words: |w| + |x| less their common
-    prefix, twice."""
-    common = 0
-    for a, b in zip(w, x):
-        if a != b:
-            break
-        common += 1
-    return len(w) + len(x) - 2 * common
 
 
 def ball_levels(n: int, r: int) -> list[int]:
@@ -75,52 +66,82 @@ def ball_levels(n: int, r: int) -> list[int]:
 
 
 class BallTree:
-    """Implicit BFS indexing of the ball B_L in F_n.
+    """Implicit BFS indexing of the ball B_L in F_n, in the order of
+    ``FreeLattice.origin_ball``.
 
     Level d occupies a contiguous index block; the children of the j-th node
     of a level form a contiguous block of the next one, so parent/child
-    indices are pure arithmetic and no words are stored.  Node 0 is the
-    identity; the generator order is a, a^-1, b, b^-1, ...
+    indices are pure arithmetic and no words or neighbors are stored.  Node
+    0 is the identity; the generator order is a, a^-1, b, b^-1, ...
     """
 
     def __init__(self, n: int, depth: int):
-        q = 2 * n
-        counts = ball_levels(n, depth)
-        self.starts = starts = list(itertools.accumulate(counts, initial=0))
-        # the pad is an extra slot holding a permanent 0
-        self.total = self.pad = total = starts[-1]
-        nei = np.full((total, q), self.pad, dtype=np.int64)
-        if depth >= 1:
-            nei[0, :] = np.arange(1, q + 1)
-        for d in range(1, depth + 1):
-            idx = np.arange(counts[d])
-            base = starts[d]
-            if d == 1:
-                nei[base + idx, 0] = 0
-            else:
-                nei[base + idx, 0] = starts[d - 1] + idx // (q - 1)
-            if d < depth:
-                child0 = starts[d + 1] + idx * (q - 1)
-                for j in range(q - 1):
-                    nei[base + idx, 1 + j] = child0 + j
-        self.nei = nei
+        self.n = n
+        self.depth = depth
+        self.starts = list(itertools.accumulate(ball_levels(n, depth),
+                                                initial=0))
+        self.total = self.starts[-1]
+
+    def _positions(self, word) -> list[int]:
+        """The index of each nonempty prefix of a reduced word within its
+        level: a child's is its parent's times 2n - 1, plus its letter's rank
+        among the letters that do not cancel the parent's last one."""
+        out, j, last = [], 0, 0
+        for g in word:
+            rank = 2 * abs(g) - 2 + (g < 0)
+            if last:
+                rank -= rank > 2 * abs(last) - 2 + (last > 0)
+            j = j * (2 * self.n - 1) + rank
+            out.append(j)
+            last = g
+        return out
+
+    def index(self, word) -> int:
+        """The node of a reduced word of norm <= depth."""
+        if len(word) > self.depth:
+            raise UsageError(f"word of norm {len(word)} outside B_{self.depth}")
+        return self.starts[len(word)] + (self._positions(word) or [0])[-1]
+
+    def distances(self, x) -> np.ndarray:
+        """d(w, x) = |w| + |x| - 2 lcp(w, x) for every node w: the nodes of
+        level d with the prefix x[:k] are one block of (2n - 1)^(d - k)."""
+        pos = self._positions(x)
+        out = np.empty(self.total, dtype=np.int64)
+        for d in range(self.depth + 1):
+            level = out[self.starts[d]:self.starts[d + 1]]
+            level[:] = d + len(x)
+            for k in range(1, min(d, len(x)) + 1):
+                size = (2 * self.n - 1) ** (d - k)
+                level[pos[k - 1] * size:(pos[k - 1] + 1) * size] = (
+                    d + len(x) - 2 * k)
+        return out
 
     def step_totalistic(self, values: np.ndarray) -> np.ndarray:
-        """values -> values + sum over tree neighbors, mod 2."""
-        ext = np.zeros(self.total + 1, dtype=np.uint8)
-        ext[:self.total] = values
-        gathered = ext[self.nei]
-        return (values ^ np.bitwise_xor.reduce(gathered, axis=1)).astype(np.uint8)
+        """values -> values + sum over tree neighbors, mod 2; each level
+        takes its parents and gives each parent its block of children, so a
+        node of the last level sees its parent alone."""
+        out = values.copy()
+        s = self.starts
+        for d in range(1, self.depth + 1):
+            upper, level = values[s[d - 1]:s[d]], values[s[d]:s[d + 1]]
+            children = level.reshape(len(upper), -1)
+            out[s[d]:s[d + 1]] ^= np.repeat(upper, children.shape[1])
+            for j in range(children.shape[1]):
+                out[s[d - 1]:s[d]] ^= children[:, j]
+        return out
 
 
 @dataclass(frozen=True)
 class LayerProfile:
-    """Common state of all norm-l cells of the spot orbit, per time step."""
+    """Common state of all norm-l cells of the spot orbit, per time step,
+    and the ball B_depth of ``nodes`` nodes it was stepped on."""
 
     n: int
     L: int
     t_max: int
     values: tuple[tuple[int, ...], ...]  # values[t][l]
+    depth: int
+    nodes: int
 
 
 def layer_profile(n: int, L: int, t_max: int) -> LayerProfile:
@@ -156,16 +177,18 @@ def layer_profile(n: int, L: int, t_max: int) -> LayerProfile:
     for lev in range(min(L, t_max) + 1):
         if rows[lev][lev] != 1:
             raise RuntimeError(f"first arrival at level {lev} is not 1")
-    return LayerProfile(n=n, L=L, t_max=t_max, values=tuple(rows))
+    return LayerProfile(n=n, L=L, t_max=t_max, values=tuple(rows),
+                        depth=tree.depth, nodes=tree.total)
 
 
 def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
     """Two equidistant spots hanging off the tip of z share their radius-|z|
     trace, so the rule is not 2-expansive for n >= 2; the construction
-    shields exactly the ball B_{|z|}, which is refused before it is listed
-    when it holds more than the node budget, as is the projection's orbit.
-    Distances come from common prefixes, and the sparse cross-check costs
-    the orbits' support, not the window."""
+    shields exactly the ball B_{|z|}, which is refused by the node budget
+    before any array over it is formed, as is the projection's orbit.
+    Window distances come from the ``BallTree`` index arithmetic, so no
+    word of the window is listed, and the sparse cross-check costs the
+    orbits' support, not the window."""
     if n < 2:
         raise UsageError("the two-spot witness needs at least 2 generators")
     lat = free(n)
@@ -173,7 +196,7 @@ def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
     if not z or any(g != z[0] for g in z):
         raise UsageError("z must be a positive power of a single generator")
     m = len(z)
-    ball_levels(n, m)
+    tree = BallTree(n, m)
     lat.validate_site(sprime)
     if len(sprime) != 1 or abs(sprime[0]) == abs(z[0]):
         raise UsageError("s' must be a generator distinct from +-s")
@@ -186,14 +209,14 @@ def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
                f"x={lat.format_site(x)} y={lat.format_site(y)}")
     # every window cell lies within m + norm(site) of each site
     orbit = _projection(m + max(len(x), len(y)), t_max)
-    window = lat.origin_ball(m)
-    dx, dy = (np.fromiter((_distance(w, site) for w in window),
-                          dtype=np.int64, count=len(window))
-              for site in (x, y))
+    dx, dy = tree.distances(x), tree.distances(y)
     rep.expect("windows are equidistant cell-by-cell", np.array_equal(dx, dy),
-               f"{len(window)} window cells")
+               f"{tree.total} window cells")
+    # the distinct (dx, dy) pairs, in lexicographic order
     width = orbit.shape[1]
-    a, b = np.divmod(np.unique(dx * width + dy), width)
+    pairs = np.zeros((width, width), dtype=bool)
+    pairs[dx, dy] = True
+    a, b = np.nonzero(pairs)
     rep.expect(f"traces equal through t={t_max}",
                np.array_equal(orbit[:, a], orbit[:, b]))
     # the cells of B_m where a sparse spot orbit is 1 are those whose distance
@@ -208,7 +231,7 @@ def fg_non2exp_witness(n: int, z, sprime, t_max: int = 64) -> Report:
         for t, state in enumerate(states):
             support = [w for w in state.cells if len(w) <= m]
             ok = ok and len(support) == ones[t] and all(
-                orbit[t, _distance(w, site)] for w in support)
+                orbit[t, dists[tree.index(w)]] for w in support)
     rep.expect(f"projection matches sparse engine through t={cross_t}", ok)
     return rep
 

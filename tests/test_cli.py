@@ -309,6 +309,16 @@ def test_oversized_run_is_refused(argv, tmp_path, capsys):
     assert "resource limit" in err and "Traceback" not in err
 
 
+def test_freegroup_largest_witness_window_is_admitted(capsys):
+    # the window B_13 of F_2 holds 3 188 645 nodes, under the 4 000 000-node
+    # budget that refuses z=14a and z=20a
+    assert run(["freegroup", "--n", "2", "--witness", "z=13a", "sprime=b",
+                "--tmax", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "fg-witness n=2" in out and ": pass" in out
+    assert "3188645 window cells" in out
+
+
 def test_freegroup_commands(capsys):
     code = run(["freegroup", "--n", "2", "--profile", "4,8"])
     assert code == 0

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from caexp import engine, freegroup
+from caexp import claims, engine, freegroup
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.expansivity import TraceTable
@@ -46,28 +46,24 @@ def test_lambda_fixes_zero():
 
 
 def test_ball_tree_matches_lattice_order():
-    # node i is the i-th word of origin_ball: its parent (nei[i, 0]) is the
-    # word less its last letter, and its other neighbors are its children in
-    # generator order, or the zero pad on the last level
+    # node i is the i-th word of origin_ball, and the distances read from
+    # its BFS blocks equal the word arithmetic, also from sites past the tree
     for n in (1, 2, 3):
-        words = free(n).origin_ball(4)
+        lat = free(n)
+        words = lat.origin_ball(4)
         tree = BallTree(n, 4)
-        assert tree.total == free(n).ball_size(4) == len(words)
-        index = {w: i for i, w in enumerate(words)}
-        children: dict = {}
-        for w in words[1:]:
-            children.setdefault(w[:-1], []).append(index[w])
-        for i, w in enumerate(words):
-            row = tree.nei[i].tolist()
-            if not w:
-                assert row == children[w]
-                continue
-            assert row[0] == index[w[:-1]], w
-            assert row[1:] == children.get(w, [tree.pad] * (2 * n - 1)), w
+        assert tree.total == lat.ball_size(4) == len(words)
+        assert [tree.index(w) for w in words] == list(range(tree.total))
+        for x in lat.origin_ball(5):
+            assert tree.distances(x).tolist() == [
+                lat.norm(lat.add(lat.neg(w), x)) for w in words], (n, x)
+        with pytest.raises(UsageError, match="outside B_4"):
+            tree.index((1,) * 5)
 
 
-def test_ball_tree_step_matches_sparse_engine():
-    n = 2
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_tree_step_matches_sparse_engine(n):
+    # n = 1 has one child per node, the root 2n
     depth = 5
     tree = BallTree(n, depth)
     words = free(n).origin_ball(depth)
@@ -98,15 +94,6 @@ def test_projection_small_values():
         assert not orbit[t, t + 1:].any()
 
 
-def test_prefix_distance_matches_word_arithmetic():
-    for n in (2, 3):
-        lat = free(n)
-        for w in lat.origin_ball(3):
-            for x in lat.origin_ball(4):
-                assert (freegroup._distance(w, x)
-                        == lat.norm(lat.add(lat.neg(w), x))), (w, x)
-
-
 def test_layer_profile_small():
     prof = layer_profile(2, 5, 10)
     assert all(prof.values[l][l] == 1 for l in range(6))
@@ -133,6 +120,73 @@ def test_profiles_agree_across_rank_at_depth_one():
     p3 = layer_profile(3, 2, 1)
     for t in range(2):
         assert p2.values[t][:2] == p3.values[t][:2]
+
+
+def _break_first_call(monkeypatch, owner, name, breaks):
+    # owner.name passes the result of its first call through breaks
+    original = getattr(owner, name)
+    calls = []
+
+    def broken(*args):
+        out = original(*args)
+        if not calls:
+            breaks(args, out)
+        calls.append(args)
+        return out
+    monkeypatch.setattr(owner, name, broken)
+
+
+def _flip_node(args, out):
+    out[args[0].starts[2]] ^= 1  # one node of level 2 after the first step
+
+
+def _flip_projection(args, out):
+    out[3, 1] ^= 1
+
+
+_BROKEN_PROFILES = {
+    "node": ((BallTree, "step_totalistic", _flip_node),
+             "norm equivariance violated at t=1 level=2"),
+    "projection": ((freegroup, "_projection", _flip_projection),
+                   "distance projection disagrees with simulation at "
+                   "t=3 level=1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_PROFILES))
+def test_layer_profile_raises_when_a_check_breaks(case, monkeypatch):
+    breaks, message = _BROKEN_PROFILES[case]
+    _break_first_call(monkeypatch, *breaks)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        layer_profile(2, 8, 16)
+
+
+def test_layer_profile_checks_the_first_arrival(monkeypatch):
+    # level 1 zeroed at t=1 in the simulation and in the projection alike:
+    # both checks of the step pass, and the arrival check does not
+    def zero_level_one(args, out):
+        out[args[0].starts[1]:args[0].starts[2]] = 0
+
+    def zero_arrival(args, out):
+        out[1, 1] = 0
+    _break_first_call(monkeypatch, BallTree, "step_totalistic",
+                      zero_level_one)
+    _break_first_call(monkeypatch, freegroup, "_projection", zero_arrival)
+    with pytest.raises(RuntimeError, match="^first arrival at level 1 is "
+                       "not 1$"):
+        layer_profile(2, 1, 1)
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_PROFILES))
+def test_freegroup_claim_records_a_broken_profile(case, monkeypatch):
+    # the claim reports the profile's RuntimeError as one failed check; the
+    # witness after it reads an unbroken projection
+    breaks, message = _BROKEN_PROFILES[case]
+    _break_first_call(monkeypatch, *breaks)
+    rep = claims.claim_freegroup(0)
+    failed = [(name, detail) for name, ok, detail in rep.checks if not ok]
+    assert failed == [("layer profile to norm 8, t<=16 (cell-by-cell)",
+                       message)]
 
 
 def test_witness_basic():
