@@ -94,6 +94,19 @@ def test_projection_small_values():
         assert not orbit[t, t + 1:].any()
 
 
+def test_prefix_distance_matches_word_arithmetic():
+    # the distance from each word w of B_3 to x, read from the tree's BFS
+    # blocks, is the norm of w^-1 x
+    for n in (2, 3):
+        lat = free(n)
+        words = lat.origin_ball(3)
+        tree = BallTree(n, 3)
+        for x in lat.origin_ball(4):
+            dist = tree.distances(x).tolist()
+            for i, w in enumerate(words):
+                assert dist[i] == lat.norm(lat.add(lat.neg(w), x)), (w, x)
+
+
 def test_layer_profile_small():
     prof = layer_profile(2, 5, 10)
     assert all(prof.values[l][l] == 1 for l in range(6))
