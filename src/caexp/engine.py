@@ -5,19 +5,28 @@ at site s seen through a neighborhood offset v contributes to the image at
 ``s - v``.  A dedicated test pins this.
 
 The sparse step below is the reference semantics for every rule and lattice.
-One backend decision (``_decimation_runs``, ``_bitgrid_runs``,
-``_dense1d_runs``) serves every reader of an orbit: ``spot_series``, which
-reads the orbit of a spot on a box for a trace table, ``window_series`` and
-its early-exit twin ``first_nonzero_time``, which read an orbit at fixed
-sites, and ``fronts_many``, which reads the difference fronts of many pairs.
-It picks decimation (``linearca.decimated_spot_series``) for the spot series
-of linear rules with a prime modulus on Z or Z^2 (``spot_series``; every
-other spot series is a ``window_series``), ``bitgrid`` for mod-2 linear
-rules on Z^2 whose x offsets are below 64 cells (``window_series`` and
-``first_nonzero_time``), ``dense1d`` for linear, multiplication and linear
-second-order rules on Z (``window_series`` and ``fronts_many``), and the
-sparse step otherwise, which keeps only the cells that can still reach a
-read site by t_max (``iterate`` and the fronts keep every cell).
+One backend decision per reader picks how an orbit is read:
+
+- ``spot_series`` (the orbit of a spot on a box, for a trace table): by
+  decimation (``linearca.decimated_spot_series``) for linear rules with a
+  prime modulus on Z or Z^2 (``_decimation_runs``), and otherwise as a
+  ``window_series``;
+- ``window_series`` (an orbit at fixed sites): ``bitgrid`` for mod-2 linear
+  rules on Z^2 whose x offsets are below 64 cells (``_bitgrid_runs``),
+  ``dense1d`` for linear, multiplication and linear second-order rules on Z
+  (``_dense1d_runs``), and the sparse step otherwise;
+- ``first_nonzero_time``, its early-exit twin: by decimation
+  (``linearca.decimated_first_nonzero_time``, one state-1 spot series on
+  the box of the offsets from the support to the read sites) where
+  ``_decimation_runs`` holds, int64 holds a sum over the support, and its
+  up-front count is the smaller one or the sparse bound refuses the run
+  (``_decimation_reads_first``), and the sparse step otherwise;
+- ``fronts_many`` (the difference fronts of many pairs on Z): ``dense1d``
+  blocks where ``_dense1d_runs`` holds for a pair's joint cells, and the
+  sparse step otherwise.
+
+The sparse step keeps only the cells that can still reach a read site by
+t_max (``iterate`` and the fronts keep every cell).
 Decimation and a ``dense1d`` kernel run only when int64 arithmetic is exact
 for the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Both dense
 backends step only the light-cone box of the support and the read sites,
@@ -31,8 +40,9 @@ skips such gaps, a dense row would allocate them.
 Every run counts its work before its first step: the dense backends their
 row elements stepped (``cone.MAX_CELL_STEPS``; a block of fronts over it
 splits, down to single pairs), decimation the words its steps read and a
-charge per step (the same cap), the sparse orbit a bound on its cells from
-ball sizes, weighted by ``Lattice.site_cost`` (``MAX_SPARSE_CELLS``).
+charge per step (the same cap; the early exit adds its gathered offsets),
+the sparse orbit a bound on its cells from ball sizes, weighted by
+``Lattice.site_cost`` (``MAX_SPARSE_CELLS``, ``_sparse_bound``).
 Arrays past ``errors.MAX_ARRAY_BYTES`` are refused up front, the
 (t_max+1, n) output of ``window_series`` on every backend.
 Every backend is cross-checked against the sparse step; results are
@@ -128,6 +138,30 @@ def _bitgrid_runs(rule: Rule, c: Configuration, sites, t_max: int) -> bool:
 MAX_SPARSE_CELLS = 2 ** 25
 
 
+def _sparse_bound(rule: Rule, c: Configuration, t_max: int, sites):
+    """(count, span, reach, peak) of the sparse orbit below: span bounds the
+    norm of the support, reach that of the read sites, peak that of the
+    cells a step reads, and count the cells its t_max steps read, each
+    charged ``Lattice.site_cost`` at peak.  count passes
+    ``MAX_SPARSE_CELLS`` exactly when the run is refused: a ball past the
+    budget is not formed (exponential in its radius on F_n)."""
+    lat, radius = rule.lattice, rule.radius
+    span = max((lat.norm(s) for s in c.cells), default=0)
+    reach = (span + t_max * radius if sites is None
+             else max((lat.norm(s) for s in sites), default=0))
+    peak = min(min(span, reach) + t_max * radius,
+               (span + reach + t_max * radius) // 2)
+    if not t_max:
+        return 0, span, reach, peak
+    # a ball of radius r holds over r cells; an empty support costs one cell
+    # a step
+    cap = MAX_SPARSE_CELLS // t_max
+    by_origin, by_support = (lat.ball_size(r) if r < cap else cap + 1
+                             for r in (peak, t_max * radius))
+    cells = min(by_origin, max(len(c), 1) * by_support)
+    return t_max * cells * lat.site_cost(peak), span, reach, peak
+
+
 def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
     """c, F(c), ..., F^t_max(c) through the sparse step, exact on the ball B
     of radius max norm(site) (everywhere if None): before step t+1 it drops
@@ -141,24 +175,13 @@ def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
     does not depend on t.  They also lie within t*radius of the initial
     support.  The run is refused before its first step when t_max steps of
     the fewer of these cells, each charged ``Lattice.site_cost`` at that
-    peak norm, pass ``MAX_SPARSE_CELLS``."""
+    peak norm, pass ``MAX_SPARSE_CELLS`` (``_sparse_bound``)."""
     lat, radius = rule.lattice, rule.radius
-    span = max((lat.norm(s) for s in c.cells), default=0)  # bounds the support
-    reach = (span + t_max * radius if sites is None
-             else max((lat.norm(s) for s in sites), default=0))
-    peak = min(min(span, reach) + t_max * radius,
-               (span + reach + t_max * radius) // 2)
-    if t_max:
-        # a ball of radius r holds over r cells: past the cap it is not formed
-        # (exponential in r on F_n); an empty support costs one cell a step
-        cap = MAX_SPARSE_CELLS // t_max
-        by_origin, by_support = (lat.ball_size(r) if r < cap else cap + 1
-                                 for r in (peak, t_max * radius))
-        cells = min(by_origin, max(len(c), 1) * by_support)
-        if cells * lat.site_cost(peak) > cap:
-            raise ResourceLimitError(
-                f"a sparse orbit of {t_max} steps within radius {peak} "
-                f"exceeds the {MAX_SPARSE_CELLS}-cell budget")
+    count, span, reach, peak = _sparse_bound(rule, c, t_max, sites)
+    if count > MAX_SPARSE_CELLS:
+        raise ResourceLimitError(
+            f"a sparse orbit of {t_max} steps within radius {peak} "
+            f"exceeds the {MAX_SPARSE_CELLS}-cell budget")
     yield c
     for t in range(t_max):
         keep = reach + (t_max - t) * radius
@@ -229,15 +252,29 @@ def spot_series(rule: Rule, state: int, R: int, t_max: int) -> np.ndarray:
     return window_series(rule, spot, size_domain(rule.lattice, R), t_max)
 
 
+def _decimation_reads_first(rule: Rule, c: Configuration, sites,
+                            t_max: int) -> bool:
+    """The early exit's one backend decision: decimation where it runs
+    (``_decimation_runs``, and int64 holds a sum over the support) and its
+    up-front count is below the sparse orbit's, or the sparse orbit would be
+    refused."""
+    if not (_decimation_runs(rule) and dense1d.int64_exact(len(c), rule.m)):
+        return False
+    sparse = _sparse_bound(rule, c, t_max, sites)[0]
+    return (sparse > MAX_SPARSE_CELLS
+            or linearca.early_exit_count(rule, c, sites, t_max) < sparse)
+
+
 def first_nonzero_time(rule: Rule, c: Configuration, sites,
                        t_max: int) -> int | None:
     """First t <= t_max at which F^t(c) is nonzero at some site, else None:
-    the early-exit twin of ``window_series``, through bitgrid where that runs
-    it and otherwise the sparse step."""
+    the early-exit twin of ``window_series``, through
+    ``linearca.decimated_first_nonzero_time`` where
+    ``_decimation_reads_first`` holds, and otherwise the sparse step."""
     _check_run(rule, c, t_max)
-    if _bitgrid_runs(rule, c, sites, t_max):
-        return bitgrid.first_nonzero_window_time(
-            rule.neighborhood, sorted(c.cells), t_max, list(sites))
+    sites = list(sites)
+    if _decimation_reads_first(rule, c, sites, t_max):
+        return linearca.decimated_first_nonzero_time(rule, c, sites, t_max)
     for t, cur in enumerate(_sparse_orbit(rule, c, t_max, sites)):
         if any(cur.restrict(sites)):
             return t

@@ -10,7 +10,8 @@ columns it has read.
 In prime characteristic p the p^k-th power of a linear rule is the same rule
 with its neighborhood scaled by p^k.  The same fact decides null traces for
 all time (``null_trace_forever``), the one exact oracle of the package, and
-builds the spot series of a trace table (``decimated_spot_series``): the
+builds the spot series of a trace table (``decimated_spot_series``) and the
+early exit of a null-trace read (``decimated_first_nonzero_time``): the
 spot orbit at time p*t is the orbit at time t dilated by p, so each time
 step costs one step of a box fixed by the read sites, not of the light cone.
 For a composite modulus ``crt_decompose`` splits the rule into one rule per
@@ -18,6 +19,8 @@ prime-power factor.  For a squarefree modulus every part is prime, and the
 oracle decides each of them; prime powers p^e with e > 1 stay undecided.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -209,6 +212,77 @@ def null_trace_forever(rule: LinearRule, c: Configuration, m: int) -> bool:
 _STEP_CHARGE = 2 ** 11
 
 
+def _decimation_frame(rule: LinearRule, R: int, t_max: int):
+    """(d, r, h, g, dtype) of a decimated run on the size-<=R box: the
+    dimension, the rule's L-inf radius, the size h = max(R, r) of the box H
+    it keeps, the growth g of the box E it steps, and its cells' dtype."""
+    r = max(rule.lattice.size_norm(v) for v in rule.coeffs)
+    d = 2 if isinstance(rule.lattice, Z2Lattice) else 1
+    dtype = np.dtype(np.uint8 if rule.m == 2 else np.int64)
+    return d, r, max(R, r), min(rule.m - 1, t_max) * r, dtype
+
+
+def _decimation_count(rule: LinearRule, R: int, t_max: int) -> int:
+    """The count a decimated run on the size-<=R box through t_max makes
+    before its first allocation: the 8-byte words its steps read, |E| * |N|
+    cells of its dtype, plus ``_STEP_CHARGE`` a step."""
+    d, _, h, g, dtype = _decimation_frame(rule, R, t_max)
+    words = -(-(2 * (h + g) + 1) ** d * len(rule.coeffs) * dtype.itemsize // 8)
+    return (t_max + 1) * (words + _STEP_CHARGE)
+
+
+def _decimated_rows(rule: LinearRule, state: int, h: int, t_max: int,
+                    store=None):
+    """Yield (t, S_t on H) for t = 0..t_max in increasing t: S_t = F^t(e),
+    e the spot of ``state`` at the origin, H the box of size h >= r, r the
+    rule's L-inf radius.  Each row is a view of the step's grid, valid until
+    the next one.
+
+    Over GF(p), Q(X)^p = Q(X^p) for the rule's polynomial Q, so the spot
+    orbit S_t = Q^t has S_{pt}(y) = S_t(y/p) where p divides y and 0
+    elsewhere, and S_{pt+j} = F^j(S_{pt}).  For each s, S_s is dilated into
+    the box E of size h + g, g = min(p-1, t_max) * r, which reads S_s only
+    on the box |y| <= k = (h+g)//p <= h, and stepped up to p - 1 times by
+    ``dense1d.linear_steps``.  On Z^2, E is stepped as one x-major row, by
+    the Z rule with offsets dx*w + dy (w the side of E).  Step j computes E
+    shrunk by j*r: each of its cells reads cells of E shrunk by (j-1)*r,
+    which step j-1 computed, without wrapping across a row end, so H stays
+    exact.  Row t is kept, cropped to the box of ``store``, in store[t]
+    while t < len(store); it must hold every source row, s <= t_max//p, on
+    a box of size >= k.  Without a store only those are kept, cropped to k;
+    its bytes are checked against the array cap before it is allocated."""
+    p = rule.m
+    d, r, _, g, dtype = _decimation_frame(rule, h, t_max)
+    n, w, k = 2 * h + 1, 2 * (h + g) + 1, (h + g) // p
+    if store is None:
+        shape = (t_max // p + 1,) + (2 * k + 1,) * d
+        check_array_bytes(dtype.itemsize * int(np.prod(shape)),
+                          "the source rows of a decimated spot series")
+        store = np.zeros(shape, dtype=dtype)
+    c = store.shape[1] // 2  # the size of the store's box
+    store[(0,) + (c,) * d] = state % p
+    dilate = (slice(h + g - p * k, h + g + p * k + 1, p),) * d
+    source = (slice(c - k, c + k + 1),) * d
+    core = (slice(g, g + n),) * d  # H within E
+    crop = (slice(h - c, h + c + 1),) * d  # the store's box within H
+    row = rule if d == 1 else LinearRule(
+        Z, p, {dx * w + dy: a for (dx, dy), a in rule.coeffs.items()})
+    edge = r * (w + 1) if d == 2 else r
+    grid = np.empty(w ** d, dtype=dtype)
+    for s in range(t_max // p + 1):
+        grid.fill(0)
+        grid.reshape((w,) * d)[dilate] = store[s][source]
+        boxes = ((p * s + j, j * edge, w ** d - j * edge)
+                 for j in range(1, min(p - 1, t_max - p * s) + 1))
+        steps = dense1d.linear_steps(row, boxes, grid)
+        for t, cur in itertools.chain(
+                [(p * s, grid)], ((t, cur) for t, _, _, (cur,) in steps)):
+            out = cur.reshape((w,) * d)[core]
+            if t < len(store):
+                store[t] = out[crop]
+            yield t, out
+
+
 def decimated_spot_series(rule: LinearRule, state: int, R: int,
                           t_max: int) -> np.ndarray:
     """F^t(e) on the size-<=R box for t = 0..t_max, e the spot of ``state``
@@ -216,54 +290,91 @@ def decimated_spot_series(rule: LinearRule, state: int, R: int,
     for a linear rule with prime modulus p on Z or Z^2 whose step int64
     holds (``dense1d.int64_exact``).
 
-    Over GF(p), Q(X)^p = Q(X^p) for the rule's polynomial Q, so the spot
-    orbit S_t = Q^t has S_{pt}(y) = S_t(y/p) where p divides y and 0
-    elsewhere, and S_{pt+j} = F^j(S_{pt}).  The series is kept on the box H
-    of size h = max(R, r), r the rule's L-inf radius: for each s, S_s is
-    dilated into the box E of size h + g, g = min(p-1, t_max) * r, which
-    reads S_s only on H because r <= h, and stepped up to p - 1 times by
-    ``dense1d.linear_steps``.  On Z^2, E is stepped as one x-major row, by
-    the Z rule with offsets dx*w + dy (w the side of E).  Step j computes E
-    shrunk by j*r: each of its cells reads cells of E shrunk by (j-1)*r,
-    which step j-1 computed, without wrapping across a row end, so H stays
-    exact.  The series is uint8 for p = 2, int64 otherwise, written
-    straight into the output when R >= r.  Before the first allocation the
-    run counts the 8-byte words its steps read, |E| * |N| cells of its
-    dtype, plus ``_STEP_CHARGE`` a step, against ``cone.MAX_CELL_STEPS``,
-    and the bytes of its store on H against the array cap."""
-    p, lat = rule.m, rule.lattice
-    d = 2 if isinstance(lat, Z2Lattice) else 1
-    r = max(lat.size_norm(v) for v in rule.coeffs)
-    h = max(R, r)
-    g = min(p - 1, t_max) * r
-    n, w = 2 * h + 1, 2 * (h + g) + 1
-    dtype = np.dtype(np.uint8 if p == 2 else np.int64)
-    words = -(-w ** d * len(rule.coeffs) * dtype.itemsize // 8)
-    cone.check_steps((t_max + 1) * (words + _STEP_CHARGE),
+    The rows of ``_decimated_rows`` on the box H of size h = max(R, r), r
+    the rule's radius, stored in increasing t; they are written straight
+    into the output when R >= r.  The series is uint8 for p = 2, int64
+    otherwise.  Before the first allocation the run checks
+    ``_decimation_count`` against ``cone.MAX_CELL_STEPS``, and the bytes of
+    its store on H against the array cap."""
+    d, _, h, _, dtype = _decimation_frame(rule, R, t_max)
+    cone.check_steps(_decimation_count(rule, R, t_max),
                      "a decimated spot series", "word reads")
-    check_array_bytes(dtype.itemsize * (t_max + 1) * n ** d,
+    check_array_bytes(dtype.itemsize * (t_max + 1) * (2 * h + 1) ** d,
                       "a decimated spot series")
-    store = np.zeros((t_max + 1,) + (n,) * d, dtype=dtype)
-    store[(0,) + (h,) * d] = state % p
-    k = (h + g) // p  # S_s(y) for |y| <= k lands in E
-    dilate = (slice(h + g - p * k, h + g + p * k + 1, p),) * d
-    source = (slice(h - k, h + k + 1),) * d
-    core = (slice(g, g + n),) * d  # H within E
-    row = rule if d == 1 else LinearRule(
-        Z, p, {dx * w + dy: a for (dx, dy), a in rule.coeffs.items()})
-    edge = r * (w + 1 if d == 2 else 1)  # the row cells of E shrunk by r
-    grid = np.empty(w ** d, dtype=dtype)
-    for s in range(t_max // p + 1):
-        grid.fill(0)
-        grid.reshape((w,) * d)[dilate] = store[s][source]
-        store[p * s] = grid.reshape((w,) * d)[core]
-        boxes = ((p * s + j, j * edge, w ** d - j * edge)
-                 for j in range(1, min(p - 1, t_max - p * s) + 1))
-        for t, _, _, (cur,) in dense1d.linear_steps(row, boxes, grid):
-            store[t] = cur.reshape((w,) * d)[core]
+    store = np.zeros((t_max + 1,) + (2 * h + 1,) * d, dtype=dtype)
+    for _ in _decimated_rows(rule, state, h, t_max, store):
+        pass
     if h > R:
         store = store[(slice(None),) + (slice(h - R, h + R + 1),) * d]
     return store.reshape(t_max + 1, -1)
+
+
+def _offset_axes(lat, c: Configuration, sites):
+    """Per axis, the coordinates of the sites and of the support of c, as
+    rows of Python ints."""
+    if isinstance(lat, Z2Lattice):
+        return ([[s[i] for s in sites] for i in (0, 1)],
+                [[z[i] for z in c.cells] for i in (0, 1)])
+    return [list(sites)], [list(c.cells)]
+
+
+def _offset_radius(c: Configuration, sites) -> int:
+    """max size_norm(w - z) over read sites w and support cells z of c on Z
+    or Z^2, from the extremes of each axis; 0 when either is empty."""
+    ws, zs = _offset_axes(c.lattice, c, sites)
+    if not ws[0] or not zs[0]:
+        return 0
+    return max(max(max(w) - min(z), max(z) - min(w)) for w, z in zip(ws, zs))
+
+
+def early_exit_count(rule: LinearRule, c: Configuration, sites,
+                     t_max: int) -> int:
+    """The up-front count of ``decimated_first_nonzero_time``: the steps'
+    ``_decimation_count`` on the box of size ``_offset_radius``, plus one word
+    a gathered offset (a read site and a support cell) a row."""
+    return (_decimation_count(rule, _offset_radius(c, sites), t_max)
+            + (t_max + 1) * len(sites) * len(c))
+
+
+def decimated_first_nonzero_time(rule: LinearRule, c: Configuration, sites,
+                                 t_max: int) -> int | None:
+    """First t <= t_max at which F^t(c) is nonzero at some read site, else
+    None, for a rule ``decimated_spot_series`` covers.
+
+    Over GF(p), F^t(c)(w) = sum over z of c(z) * S_t(w - z), S_t the orbit
+    of the state-1 spot.  So one decimated spot series on the box H of size
+    R = ``_offset_radius`` answers every read site: row t gathers S_t at the
+    offsets w - z, and ``(row[offsets] @ c_values) % p`` is F^t(c) on the
+    sites.  The rows come in increasing t and are dropped once read, so the
+    run holds only the grid and the source rows.  Before the first
+    allocation it checks ``_decimation_count`` plus one word a gathered
+    offset a row (``early_exit_count``) against ``cone.MAX_CELL_STEPS``, and
+    the bytes of its offsets against the array cap.  A sum of |support|
+    products below (p-1)^2 must fit int64 (``dense1d.int64_exact``)."""
+    sites = list(sites)
+    if not sites or c.is_zero():
+        return None
+    p = rule.m
+    R = _offset_radius(c, sites)
+    d, _, h, _, _ = _decimation_frame(rule, R, t_max)
+    cone.check_steps(early_exit_count(rule, c, sites, t_max),
+                     "a decimated early exit", "word reads")
+    check_array_bytes(8 * d * len(sites) * len(c),
+                      "the offsets of a decimated early exit")
+    ws, zs = _offset_axes(rule.lattice, c, sites)
+    # coordinates lie within 2R of their least one, so int64 holds them
+    offsets = []
+    for w, z in zip(ws, zs):
+        base = min(*w, *z)
+        w = np.array([x - base for x in w], dtype=np.int64)
+        z = np.array([x - base for x in z], dtype=np.int64)
+        offsets.append(w[:, None] - z[None, :] + h)
+    offsets = tuple(offsets)
+    values = np.array(list(c.cells.values()), dtype=np.int64)
+    for t, row in _decimated_rows(rule, 1, h, t_max):
+        if ((row[offsets] @ values) % p).any():
+            return t
+    return None
 
 
 def crt_decompose(rule: LinearRule) -> list[LinearRule]:

@@ -261,9 +261,9 @@ def test_rule_errors_keep_their_message(rule, message, tmp_path, capsys):
     # word-row steps
     ["bench", "--window", "4096", "--steps", "100000"],
     ["bench", "--window", "64", "--steps", "1000000000"],
-    # a bitgrid run of about 4.2*10^10 word-row steps, counted before the
-    # grid is allocated
-    ["z2", "--tri-claim", "--tsim", "20000"],
+    # a decimated early exit of 5 182 word reads a row, past the budget from
+    # t=26 534 on, counted before its rows are allocated
+    ["z2", "--tri-claim", "--tsim", "30000"],
     # a decimated vn2 spot series of 2.1*10^9 word reads
     ["check-kexp", "--rule", "vn2", "--k", "1", "--support-radius", "0",
      "--window", "0", "--tmax", "1000000"],
@@ -341,6 +341,17 @@ def test_z2_commands(tmp_path, capsys):
     assert run(["z2", "--null-check", str(cfg), "--window", "3"]) == 0
     assert "True" in capsys.readouterr().out
     assert run(["z2", "--tri-claim", "--tsim", "64"]) == 0
+
+
+def test_long_tri_claim_matches_the_default_report(capsys):
+    # the decimated early exit admits t=20000; only the horizon changes
+    reports = []
+    for tsim in ("2048", "20000"):
+        assert run(["z2", "--tri-claim", "--tsim", tsim]) == 0
+        out = capsys.readouterr().out
+        reports.append(out[:out.index("wall_seconds=")].replace(tsim, "T"))
+    assert reports[0] == reports[1]
+    assert "simulated trace null through t=T" in reports[0]
 
 
 def test_z2_null_check_exit_codes(tmp_path, capsys, monkeypatch):

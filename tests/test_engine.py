@@ -504,12 +504,60 @@ def test_batched_fronts_split_blocks_over_the_budget(monkeypatch):
 
 def test_first_nonzero_time_counts_the_last_step():
     # a spot four cells from the read site first reaches it at t=4, through
-    # bitgrid (vn2) and through the sparse step (f3)
+    # the sparse step (the dispatch's pick) and through decimation
+    from caexp import linearca
     for rule, spot in ((presets.vn2(), (0, 4)), (presets.f3(), 4)):
         c = Configuration.spot(rule.lattice, rule.q, 1, spot)
         origin = [rule.lattice.origin]
-        assert engine.first_nonzero_time(rule, c, origin, 4) == 4
-        assert engine.first_nonzero_time(rule, c, origin, 3) is None
+        for read in (engine.first_nonzero_time,
+                     linearca.decimated_first_nonzero_time):
+            assert read(rule, c, origin, 4) == 4
+            assert read(rule, c, origin, 3) is None
+
+
+def test_early_exit_dispatch_picks_the_smaller_count(monkeypatch):
+    # the claims' long null traces take decimation, whose count is far below
+    # the sparse bound, which refuses them; spots near or far from a short
+    # read take the sparse step
+    from caexp import claims, linearca, z2subst
+    picks = []
+    pick = engine._decimation_reads_first
+    monkeypatch.setattr(engine, "_decimation_reads_first",
+                        lambda *args: picks.append(pick(*args)) or picks[-1])
+    for name in ("tri-null", "vn-oracle-sim", "witness-additivity"):
+        picks.clear()
+        assert claims.CLAIMS[name][1](0).ok
+        assert picks and all(picks), name
+    both = z2subst.vn_witness(3).add(z2subst.vn_witness(5),
+                                     presets.vn2().alphabet)
+    for rule, c, window, t_max in (
+            (presets.tri2(), spot(Z2, 2, 1, (0, 36)), Z2.origin_ball(2), 2048),
+            (presets.vn2(), both, Z2.origin_ball(3), 512)):
+        assert engine._sparse_bound(rule, c, t_max, window)[0] \
+            > engine.MAX_SPARSE_CELLS
+        assert linearca.early_exit_count(rule, c, window, t_max) \
+            < engine.MAX_SPARSE_CELLS
+    for rule, c, window, t_max in (
+            (presets.f3(), spot(Z, 3, 1, 100), Z.origin_ball(1), 10),
+            (presets.f3(), spot(Z, 3, 1, 4), [0], 4),
+            (presets.vn2(), spot(Z2, 2, 1, (0, 3)), Z2.origin_ball(1), 8),
+            (presets.vn2(), spot(Z2, 2, 1, (300, 0)), Z2.origin_ball(1), 64)):
+        assert not engine._decimation_reads_first(rule, c, window, t_max)
+
+
+def test_empty_early_exit_reads_nothing():
+    # an empty configuration, an empty site list or both: no site is ever
+    # nonzero, whichever backend reads it, short or long
+    from caexp import linearca
+    for rule in (presets.vn2(), presets.tri2(), presets.f3()):
+        lat = rule.lattice
+        c = Configuration.spot(lat, rule.q, 1)
+        zero = Configuration.zero(lat, rule.q)
+        for cfg, sites in ((zero, lat.origin_ball(2)), (c, []), (zero, [])):
+            for t_max in (0, 8, 2048):
+                assert engine.first_nonzero_time(rule, cfg, sites, t_max) is None
+                assert linearca.decimated_first_nonzero_time(
+                    rule, cfg, sites, t_max) is None
 
 
 def test_window_series_steps_far_apart_cells_sparsely():
@@ -660,8 +708,8 @@ def test_orbit_reads_reach_the_names_the_benchmark_traces(monkeypatch):
 
     for name in ("orbit_linear", "orbit_second_order", "orbit_mult"):
         counted(dense1d, name)
-    for name in ("simulate_series", "first_nonzero_window_time"):
-        counted(bitgrid, name)
+    counted(bitgrid, "simulate_series")
+    counted(engine, "step")
     for rule, state, name in ((presets.f3(), 1, "orbit_linear"),
                               (presets.psi(), 4, "orbit_second_order"),
                               (presets.parse_rule("mult:3,2"), 5, "orbit_mult"),
@@ -676,10 +724,12 @@ def test_orbit_reads_reach_the_names_the_benchmark_traces(monkeypatch):
             steps, got = results[0]
             assert steps > 0 and got is series
         assert series.shape == (9, len(sites)) and series.any()
+    # the early exit of a spot near the window is cheaper sparse than
+    # decimated, so it steps the sparse orbit: two engine.step calls
     calls.clear()
     assert engine.first_nonzero_time(presets.vn2(), spot(Z2, 2, 1, (0, 3)),
                                      Z2.origin_ball(1), 8) == 2
-    assert calls == ["first_nonzero_window_time"]
+    assert calls == ["step", "step"]
 
 
 def test_dense_run_over_the_cell_step_cap_is_refused_up_front(monkeypatch):
@@ -723,7 +773,6 @@ def test_bitgrid_run_over_the_word_step_cap_is_refused_up_front(monkeypatch):
     monkeypatch.setattr(bitgrid.BitGrid, "__init__", no_grid)
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", bound - 1)
     for run in (lambda: engine.window_series(rule, c, window, 100),
-                lambda: engine.first_nonzero_time(rule, c, window, 100),
                 lambda: bitgrid.simulate_support(rule.neighborhood,
                                                  [(0, 36)], 100)):
         with pytest.raises(ResourceLimitError):
@@ -731,11 +780,13 @@ def test_bitgrid_run_over_the_word_step_cap_is_refused_up_front(monkeypatch):
 
 
 def test_sparse_run_over_the_cell_cap_is_refused_up_front(monkeypatch):
-    # a mod-3 Z^2 spot read on B_1 through t=10: span 0 and reach 1, so the
+    # a mod-4 Z^2 spot read on B_1 through t=10: span 0 and reach 1, so the
     # cells of step t lie within min(t, 11 - t) <= 5 of the origin, and the
-    # bound is 10 balls of radius 5, 61 sites each
-    rule = LinearRule(Z2, 3, {(1, 0): 1, (0, 1): 1})
-    c, window = spot(Z2, 3), Z2.origin_ball(1)
+    # bound is 10 balls of radius 5, 61 sites each.  No dense backend covers
+    # the rule, and the modulus is not prime, so no decimation takes over the
+    # early exit when the sparse bound refuses it
+    rule = LinearRule(Z2, 4, {(1, 0): 1, (0, 1): 1})
+    c, window = spot(Z2, 4), Z2.origin_ball(1)
     want = engine.window_series(rule, c, window, 10)
     monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 610)
     assert (engine.window_series(rule, c, window, 10) == want).all()
@@ -746,7 +797,7 @@ def test_sparse_run_over_the_cell_cap_is_refused_up_front(monkeypatch):
     monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 609)
     for run in (lambda: engine.window_series(rule, c, window, 10),
                 lambda: engine.first_nonzero_time(rule, c, window, 10),
-                lambda: engine.traces_equal(rule, c, spot(Z2, 3, 2), 1, 10)):
+                lambda: engine.traces_equal(rule, c, spot(Z2, 4, 2), 1, 10)):
         with pytest.raises(ResourceLimitError, match="radius 5"):
             run()
     # iterate reads every cell, so nothing is dropped: the cells of step t
@@ -759,16 +810,16 @@ def test_sparse_run_over_the_cell_cap_is_refused_up_front(monkeypatch):
     monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 2209)
     with pytest.raises(ResourceLimitError, match="radius 10"):
         engine.iterate(rule, c, 10)
-    # a spot at 100 read on B_1 through t=10: its cells lie within radius
-    # 11 of the origin, 23 sites, but also within 10 of the spot, 21 sites
+    # a spot at 100 read on B_1 through t=10 by f3's offsets mod 4: its cells
+    # lie within radius 11 of the origin, 23 sites, but also within 10 of
+    # the spot, 21 sites
     monkeypatch.undo()
-    far = spot(Z, 3, 1, 100)
+    f4, far = LinearRule(Z, 4, presets.f3().coeffs), spot(Z, 4, 1, 100)
     monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 210)
-    assert engine.first_nonzero_time(presets.f3(), far, Z.origin_ball(1),
-                                     10) is None
+    assert engine.first_nonzero_time(f4, far, Z.origin_ball(1), 10) is None
     monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 209)
     with pytest.raises(ResourceLimitError, match="radius 11"):
-        engine.first_nonzero_time(presets.f3(), far, Z.origin_ball(1), 10)
+        engine.first_nonzero_time(f4, far, Z.origin_ball(1), 10)
 
 
 def test_dense_series_peaks_near_its_own_size():

@@ -385,6 +385,82 @@ def test_decimated_spot_series_matches_sparse_orbit(rule):
             assert np.array_equal(series, want), (t_max, R)
 
 
+def _sparse_hit(rule, c, sites, t_max):
+    """The first t <= t_max at which the sparse orbit is nonzero on sites."""
+    return next((t for t, cur in enumerate(
+        engine._sparse_orbit(rule, c, t_max, sites)) if any(cur.restrict(sites))),
+        None)
+
+
+@pytest.mark.parametrize("rule", [
+    presets.f2(), presets.f3(), presets.vn2(), presets.tri2(),
+    LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}),
+    LinearRule(Z2, 3, {(1, 0): 2, (0, -1): 1, (-1, 1): 2}),
+], ids=lambda r: r.describe())
+def test_decimated_first_nonzero_time_matches_sparse_orbit(rule):
+    # multi-cell supports with states up to p - 1, read on balls that hold
+    # some of the support and on balls moved off it, the first of them out of
+    # reach of the support by t_max; each hit is read again with t_max at
+    # the hit, where the last row decides, and one below it
+    lat, p = rule.lattice, rule.m
+    rng = random.Random(p * 10 + len(rule.coeffs))
+    hits = set()
+    for i in range(26):
+        cells = rng.sample(lat.origin_ball(5), rng.randint(2, 5))
+        c = Configuration(lat, p, {s: rng.randint(1, p - 1) for s in cells})
+        move = rng.choice([0, 4, 9]) if i else 20  # the first, out of reach
+        shift = (move, -move) if lat == Z2 else move
+        sites = [lat.add(s, shift) for s in lat.origin_ball(rng.randint(0, 2))]
+        t_max = rng.randint(0, 3 * p * p) if i else 4
+        hit = _sparse_hit(rule, c, sites, t_max)
+        assert linearca.decimated_first_nonzero_time(rule, c, sites,
+                                                     t_max) == hit
+        assert engine.first_nonzero_time(rule, c, sites, t_max) == hit
+        if hit:
+            assert linearca.decimated_first_nonzero_time(rule, c, sites,
+                                                         hit) == hit
+            assert linearca.decimated_first_nonzero_time(rule, c, sites,
+                                                         hit - 1) is None
+        hits.add(hit if hit in (None, 0) else "later")
+    assert hits == {None, 0, "later"}
+
+
+def test_decimated_early_exit_is_refused_up_front(monkeypatch):
+    # tri-null's spot and window through t=100: refused one word read below
+    # its count, and its source rows one byte below their store, before any
+    # array is allocated
+    from caexp import cone, errors
+    rule, window = presets.tri2(), Z2.origin_ball(2)
+    c = Configuration.spot(Z2, 2, 1, (0, 36))
+    count = linearca.early_exit_count(rule, c, window, 100)
+    # 101 rows of the 79 x 79 box E, four uint8 reads a cell, the step
+    # charge, and 13 gathered offsets
+    assert count == 101 * (-(-79 * 79 * 4 // 8) + linearca._STEP_CHARGE + 13)
+    store = 51 * 39 * 39  # rows s <= 50 on the box |y| <= (38 + 1) // 2
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", count)
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", store)
+    assert linearca.decimated_first_nonzero_time(rule, c, window, 100) is None
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("an array was allocated for a refused run")
+    for name in ("array", "zeros", "empty"):
+        monkeypatch.setattr(np, name, no_alloc)
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", count - 1)
+    for run in (lambda: engine.first_nonzero_time(rule, c, window, 100),
+                lambda: linearca.decimated_first_nonzero_time(rule, c, window,
+                                                              100)):
+        with pytest.raises(ResourceLimitError, match="decimated early exit"):
+            run()
+    # the offsets may be built, the source store not
+    monkeypatch.undo()
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", count)
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", store - 1)
+    for name in ("zeros", "empty"):
+        monkeypatch.setattr(np, name, no_alloc)
+    with pytest.raises(ResourceLimitError, match="source rows"):
+        linearca.decimated_first_nonzero_time(rule, c, window, 100)
+
+
 def test_spot_series_steps_where_int64_would_overflow(monkeypatch):
     # 2 * (p-1)^2 passes 2^63 for this prime: the sparse step reads the box
     p = 3_100_000_027
