@@ -16,9 +16,9 @@ once and yields the values at the read sites after each step, which
 ``first_nonzero_window_time`` scans for the first nonzero row.
 ``simulate_support`` reads no sites, so every grid cell is exact.  Neither
 ``first_nonzero_window_time`` nor ``simulate_support`` has a caller in the
-package: ``engine.first_nonzero_time`` reads by decimation or the sparse
-step.  Both stay because the benchmark harness calls the first and wraps
-both by name.  A grid without boxes (``cli bench``) steps all of its cells.
+package: ``engine.first_nonzero_time`` reads by decimation or through
+``window_series``.  Both stay because the benchmark harness calls the first
+and wraps both by name.  A grid without boxes (``cli bench``) steps all of its cells.
 Before the grid is allocated a run bounds its word-row steps
 (``_word_steps``) against ``cone.MAX_CELL_STEPS``.  Results are
 bit-identical to the sparse engine.

@@ -31,9 +31,13 @@ from __future__ import annotations
 from .errors import ResourceLimitError
 
 # row elements one dense run may step (int64 cells in dense1d, uint64 words
-# in bitgrid): the cells of the 1.1 GB int64 space-time arrays dense1d once
-# built.  The largest run of the claims, tests and benchmark, tri-null's
-# 2048 bitgrid steps, bounds 49.1 * 10^6 (46.9 * 10^6 exactly) in about 1 s.
+# in bitgrid, the 8-byte words a decimated run reads): the cells of the
+# 1.1 GB int64 space-time arrays dense1d once built.  The largest count the
+# claims, tests and benchmark make is 103.6 * 10^6, the decimated early exit
+# of ``z2 --tri-claim --tsim 26533``, which a test admits at the cap's edge
+# (0.6 s for the whole command); of the claims, tri-null's early exit through
+# t=2048 counts 10.6 * 10^6, and of the benchmark, the decimated f3 table
+# through t=8192 counts 18.9 * 10^6.
 MAX_CELL_STEPS = 137_500_000
 
 

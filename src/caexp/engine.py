@@ -5,22 +5,24 @@ at site s seen through a neighborhood offset v contributes to the image at
 ``s - v``.  A dedicated test pins this.
 
 The sparse step below is the reference semantics for every rule and lattice.
-One backend decision per reader picks how an orbit is read:
+One backend decision per reader picks how an orbit is read.  The readers
+outside ``window_series`` follow one rule: decimation where it runs, and
+otherwise ``window_series``; the early exit also reads ``window_series``
+where decimation refuses its read up front.
 
-- ``spot_series`` (the orbit of a spot on a box, for a trace table): by
-  decimation (``linearca.decimated_spot_series``) for linear rules with a
-  prime modulus on Z or Z^2 (``_decimation_runs``), and otherwise as a
-  ``window_series``;
 - ``window_series`` (an orbit at fixed sites): ``bitgrid`` for mod-2 linear
   rules on Z^2 whose x offsets are below 64 cells (``_bitgrid_runs``),
   ``dense1d`` for linear, multiplication and linear second-order rules on Z
   (``_dense1d_runs``), and the sparse step otherwise;
-- ``first_nonzero_time``, its early-exit twin: by decimation
-  (``linearca.decimated_first_nonzero_time``, one state-1 spot series on
-  the box of the offsets from the support to the read sites) where
-  ``_decimation_runs`` holds, int64 holds a sum over the support, and its
-  up-front count is the smaller one or the sparse bound refuses the run
-  (``_decimation_reads_first``), and the sparse step otherwise;
+- ``spot_series`` (the orbit of a spot on a box, for a trace table): by
+  decimation (``linearca.decimated_spot_series``) for linear rules with a
+  prime modulus on Z or Z^2 (``_decimation_runs``), and otherwise as a
+  ``window_series``;
+- ``first_nonzero_time``, the early-exit twin of ``window_series``: by
+  decimation (``linearca.decimated_first_nonzero_time``, one state-1 spot
+  series on the box of the offsets from the support to the read sites)
+  where ``_decimation_runs`` holds and int64 holds a sum over the support,
+  unless decimation refuses the read up front;
 - ``fronts_many`` (the difference fronts of many pairs on Z): ``dense1d``
   blocks where ``_dense1d_runs`` holds for a pair's joint cells, and the
   sparse step otherwise.
@@ -42,7 +44,7 @@ row elements stepped (``cone.MAX_CELL_STEPS``; a block of fronts over it
 splits, down to single pairs), decimation the words its steps read and a
 charge per step (the same cap; the early exit adds its gathered offsets),
 the sparse orbit a bound on its cells from ball sizes, weighted by
-``Lattice.site_cost`` (``MAX_SPARSE_CELLS``, ``_sparse_bound``).
+``Lattice.site_cost`` (``MAX_SPARSE_CELLS``).
 Arrays past ``errors.MAX_ARRAY_BYTES`` are refused up front, the
 (t_max+1, n) output of ``window_series`` on every backend.
 Every backend is cross-checked against the sparse step; results are
@@ -133,33 +135,10 @@ def _bitgrid_runs(rule: Rule, c: Configuration, sites, t_max: int) -> bool:
 
 # cells the sparse orbit may step, bounded from ball sizes before its first
 # step: the largest bound the claims, tests and benchmark make is the mod-3
-# Z^2 witness through t=243, 29.8 * 10^6 (45 557 cells stepped, 0.06 s); on
-# a free group, an F_3 window series through t=8, 1.3 * 10^6 with its weight
+# Z^2 witness through t=243, 29.8 * 10^6 (43 466 cells stepped, 0.1 s); on
+# a free group, the sparse cross-check of ``freegroup --witness z=13a`` on
+# F_2 through t=8, 1.9 * 10^6 with its weight
 MAX_SPARSE_CELLS = 2 ** 25
-
-
-def _sparse_bound(rule: Rule, c: Configuration, t_max: int, sites):
-    """(count, span, reach, peak) of the sparse orbit below: span bounds the
-    norm of the support, reach that of the read sites, peak that of the
-    cells a step reads, and count the cells its t_max steps read, each
-    charged ``Lattice.site_cost`` at peak.  count passes
-    ``MAX_SPARSE_CELLS`` exactly when the run is refused: a ball past the
-    budget is not formed (exponential in its radius on F_n)."""
-    lat, radius = rule.lattice, rule.radius
-    span = max((lat.norm(s) for s in c.cells), default=0)
-    reach = (span + t_max * radius if sites is None
-             else max((lat.norm(s) for s in sites), default=0))
-    peak = min(min(span, reach) + t_max * radius,
-               (span + reach + t_max * radius) // 2)
-    if not t_max:
-        return 0, span, reach, peak
-    # a ball of radius r holds over r cells; an empty support costs one cell
-    # a step
-    cap = MAX_SPARSE_CELLS // t_max
-    by_origin, by_support = (lat.ball_size(r) if r < cap else cap + 1
-                             for r in (peak, t_max * radius))
-    cells = min(by_origin, max(len(c), 1) * by_support)
-    return t_max * cells * lat.site_cost(peak), span, reach, peak
 
 
 def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
@@ -175,13 +154,24 @@ def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
     does not depend on t.  They also lie within t*radius of the initial
     support.  The run is refused before its first step when t_max steps of
     the fewer of these cells, each charged ``Lattice.site_cost`` at that
-    peak norm, pass ``MAX_SPARSE_CELLS`` (``_sparse_bound``)."""
+    peak norm, pass ``MAX_SPARSE_CELLS``."""
     lat, radius = rule.lattice, rule.radius
-    count, span, reach, peak = _sparse_bound(rule, c, t_max, sites)
-    if count > MAX_SPARSE_CELLS:
-        raise ResourceLimitError(
-            f"a sparse orbit of {t_max} steps within radius {peak} "
-            f"exceeds the {MAX_SPARSE_CELLS}-cell budget")
+    span = max((lat.norm(s) for s in c.cells), default=0)
+    reach = (span + t_max * radius if sites is None
+             else max((lat.norm(s) for s in sites), default=0))
+    peak = min(min(span, reach) + t_max * radius,
+               (span + reach + t_max * radius) // 2)
+    if t_max:
+        # a ball of radius r holds over r cells: past the cap it is not formed
+        # (exponential in r on F_n); an empty support costs one cell a step
+        cap = MAX_SPARSE_CELLS // t_max
+        by_origin, by_support = (lat.ball_size(r) if r < cap else cap + 1
+                                 for r in (peak, t_max * radius))
+        cells = min(by_origin, max(len(c), 1) * by_support)
+        if t_max * cells * lat.site_cost(peak) > MAX_SPARSE_CELLS:
+            raise ResourceLimitError(
+                f"a sparse orbit of {t_max} steps within radius {peak} "
+                f"exceeds the {MAX_SPARSE_CELLS}-cell budget")
     yield c
     for t in range(t_max):
         keep = reach + (t_max - t) * radius
@@ -252,33 +242,22 @@ def spot_series(rule: Rule, state: int, R: int, t_max: int) -> np.ndarray:
     return window_series(rule, spot, size_domain(rule.lattice, R), t_max)
 
 
-def _decimation_reads_first(rule: Rule, c: Configuration, sites,
-                            t_max: int) -> bool:
-    """The early exit's one backend decision: decimation where it runs
-    (``_decimation_runs``, and int64 holds a sum over the support) and its
-    up-front count is below the sparse orbit's, or the sparse orbit would be
-    refused."""
-    if not (_decimation_runs(rule) and dense1d.int64_exact(len(c), rule.m)):
-        return False
-    sparse = _sparse_bound(rule, c, t_max, sites)[0]
-    return (sparse > MAX_SPARSE_CELLS
-            or linearca.early_exit_count(rule, c, sites, t_max) < sparse)
-
-
 def first_nonzero_time(rule: Rule, c: Configuration, sites,
                        t_max: int) -> int | None:
     """First t <= t_max at which F^t(c) is nonzero at some site, else None:
-    the early-exit twin of ``window_series``, through
-    ``linearca.decimated_first_nonzero_time`` where
-    ``_decimation_reads_first`` holds, and otherwise the sparse step."""
+    the early-exit twin of ``window_series``.  By decimation
+    (``linearca.decimated_first_nonzero_time``) where ``_decimation_runs``
+    holds and int64 holds a sum over the support, unless decimation refuses
+    the read up front; otherwise the first nonzero row of ``window_series``."""
     _check_run(rule, c, t_max)
     sites = list(sites)
-    if _decimation_reads_first(rule, c, sites, t_max):
-        return linearca.decimated_first_nonzero_time(rule, c, sites, t_max)
-    for t, cur in enumerate(_sparse_orbit(rule, c, t_max, sites)):
-        if any(cur.restrict(sites)):
-            return t
-    return None
+    if _decimation_runs(rule) and dense1d.int64_exact(len(c), rule.m):
+        try:
+            return linearca.decimated_first_nonzero_time(rule, c, sites, t_max)
+        except ResourceLimitError:
+            pass  # refused before any array exists
+    series = window_series(rule, c, sites, t_max)
+    return next((t for t, row in enumerate(series) if row.any()), None)
 
 
 def traces_equal(rule: Rule, c: Configuration, d: Configuration,

@@ -15,9 +15,12 @@ class ResourceLimitError(RuntimeError):
     The message states the budget and the size that passed it."""
 
 
-# the largest array one orbit or search may allocate: above the 128 MB int64
-# spot series of the vn2 trace table (15 625 offsets through t=1024), the
-# largest a benchmark search builds
+# the largest array one orbit or search may allocate.  The largest count the
+# claims, tests and benchmark make against it is 144 * 10^6 bytes, the series
+# of a ``freegroup --profile`` that the cell-step cap then refuses; of the
+# runs that go on, 128.1 * 10^6, which the benchmark's vn2 trace table counts
+# at 8 bytes a value (15 625 offsets through t=1024; its decimated spot series
+# is a 16 MB uint8 array)
 MAX_ARRAY_BYTES = 2 ** 28
 
 

@@ -231,8 +231,7 @@ def _decimation_count(rule: LinearRule, R: int, t_max: int) -> int:
     return (t_max + 1) * (words + _STEP_CHARGE)
 
 
-def _decimated_rows(rule: LinearRule, state: int, h: int, t_max: int,
-                    store=None):
+def _decimated_rows(rule: LinearRule, state: int, h: int, t_max: int):
     """Yield (t, S_t on H) for t = 0..t_max in increasing t: S_t = F^t(e),
     e the spot of ``state`` at the origin, H the box of size h >= r, r the
     rule's L-inf radius.  Each row is a view of the step's grid, valid until
@@ -247,40 +246,39 @@ def _decimated_rows(rule: LinearRule, state: int, h: int, t_max: int,
     the Z rule with offsets dx*w + dy (w the side of E).  Step j computes E
     shrunk by j*r: each of its cells reads cells of E shrunk by (j-1)*r,
     which step j-1 computed, without wrapping across a row end, so H stays
-    exact.  Row t is kept, cropped to the box of ``store``, in store[t]
-    while t < len(store); it must hold every source row, s <= t_max//p, on
-    a box of size >= k.  Without a store only those are kept, cropped to k;
-    its bytes are checked against the array cap before it is allocated."""
+    exact.  The source rows, s <= t_max//p on the box |y| <= k, are kept as
+    they pass; their bytes are checked against the array cap when the
+    function is called, before any array exists."""
     p = rule.m
     d, r, _, g, dtype = _decimation_frame(rule, h, t_max)
     n, w, k = 2 * h + 1, 2 * (h + g) + 1, (h + g) // p
-    if store is None:
-        shape = (t_max // p + 1,) + (2 * k + 1,) * d
-        check_array_bytes(dtype.itemsize * int(np.prod(shape)),
-                          "the source rows of a decimated spot series")
-        store = np.zeros(shape, dtype=dtype)
-    c = store.shape[1] // 2  # the size of the store's box
-    store[(0,) + (c,) * d] = state % p
+    shape = (t_max // p + 1,) + (2 * k + 1,) * d
+    check_array_bytes(dtype.itemsize * int(np.prod(shape)),
+                      "the source rows of a decimated spot series")
     dilate = (slice(h + g - p * k, h + g + p * k + 1, p),) * d
-    source = (slice(c - k, c + k + 1),) * d
     core = (slice(g, g + n),) * d  # H within E
-    crop = (slice(h - c, h + c + 1),) * d  # the store's box within H
+    source = (slice(h - k, h + k + 1),) * d  # the source box within H
     row = rule if d == 1 else LinearRule(
         Z, p, {dx * w + dy: a for (dx, dy), a in rule.coeffs.items()})
     edge = r * (w + 1) if d == 2 else r
-    grid = np.empty(w ** d, dtype=dtype)
-    for s in range(t_max // p + 1):
-        grid.fill(0)
-        grid.reshape((w,) * d)[dilate] = store[s][source]
-        boxes = ((p * s + j, j * edge, w ** d - j * edge)
-                 for j in range(1, min(p - 1, t_max - p * s) + 1))
-        steps = dense1d.linear_steps(row, boxes, grid)
-        for t, cur in itertools.chain(
-                [(p * s, grid)], ((t, cur) for t, _, _, (cur,) in steps)):
-            out = cur.reshape((w,) * d)[core]
-            if t < len(store):
-                store[t] = out[crop]
-            yield t, out
+
+    def rows():
+        store = np.zeros(shape, dtype=dtype)
+        store[(0,) + (k,) * d] = state % p
+        grid = np.empty(w ** d, dtype=dtype)
+        for s in range(len(store)):
+            grid.fill(0)
+            grid.reshape((w,) * d)[dilate] = store[s]
+            boxes = ((p * s + j, j * edge, w ** d - j * edge)
+                     for j in range(1, min(p - 1, t_max - p * s) + 1))
+            steps = dense1d.linear_steps(row, boxes, grid)
+            for t, cur in itertools.chain(
+                    [(p * s, grid)], ((t, cur) for t, _, _, (cur,) in steps)):
+                out = cur.reshape((w,) * d)[core]
+                if t < len(store):
+                    store[t] = out[source]
+                yield t, out
+    return rows()
 
 
 def decimated_spot_series(rule: LinearRule, state: int, R: int,
@@ -290,23 +288,22 @@ def decimated_spot_series(rule: LinearRule, state: int, R: int,
     for a linear rule with prime modulus p on Z or Z^2 whose step int64
     holds (``dense1d.int64_exact``).
 
-    The rows of ``_decimated_rows`` on the box H of size h = max(R, r), r
-    the rule's radius, stored in increasing t; they are written straight
-    into the output when R >= r.  The series is uint8 for p = 2, int64
-    otherwise.  Before the first allocation the run checks
-    ``_decimation_count`` against ``cone.MAX_CELL_STEPS``, and the bytes of
-    its store on H against the array cap."""
+    Each row of ``_decimated_rows`` on the box H of size h = max(R, r), r
+    the rule's radius, is copied, cropped to the size-<=R box, into the
+    output, uint8 for p = 2 and int64 otherwise.  Before the first
+    allocation the run checks ``_decimation_count`` against
+    ``cone.MAX_CELL_STEPS``, and the bytes of its output against the array
+    cap."""
     d, _, h, _, dtype = _decimation_frame(rule, R, t_max)
     cone.check_steps(_decimation_count(rule, R, t_max),
                      "a decimated spot series", "word reads")
-    check_array_bytes(dtype.itemsize * (t_max + 1) * (2 * h + 1) ** d,
+    check_array_bytes(dtype.itemsize * (t_max + 1) * (2 * R + 1) ** d,
                       "a decimated spot series")
-    store = np.zeros((t_max + 1,) + (2 * h + 1,) * d, dtype=dtype)
-    for _ in _decimated_rows(rule, state, h, t_max, store):
-        pass
-    if h > R:
-        store = store[(slice(None),) + (slice(h - R, h + R + 1),) * d]
-    return store.reshape(t_max + 1, -1)
+    series = np.empty((t_max + 1,) + (2 * R + 1,) * d, dtype=dtype)
+    crop = (slice(h - R, h + R + 1),) * d
+    for t, row in _decimated_rows(rule, state, h, t_max):
+        series[t] = row[crop]
+    return series.reshape(t_max + 1, -1)
 
 
 def _offset_axes(lat, c: Configuration, sites):
@@ -349,7 +346,8 @@ def decimated_first_nonzero_time(rule: LinearRule, c: Configuration, sites,
     run holds only the grid and the source rows.  Before the first
     allocation it checks ``_decimation_count`` plus one word a gathered
     offset a row (``early_exit_count``) against ``cone.MAX_CELL_STEPS``, and
-    the bytes of its offsets against the array cap.  A sum of |support|
+    the bytes of its offsets and of its source rows against the array cap,
+    so every refusal comes before any array exists.  A sum of |support|
     products below (p-1)^2 must fit int64 (``dense1d.int64_exact``)."""
     sites = list(sites)
     if not sites or c.is_zero():
@@ -361,6 +359,7 @@ def decimated_first_nonzero_time(rule: LinearRule, c: Configuration, sites,
                      "a decimated early exit", "word reads")
     check_array_bytes(8 * d * len(sites) * len(c),
                       "the offsets of a decimated early exit")
+    rows = _decimated_rows(rule, 1, h, t_max)
     ws, zs = _offset_axes(rule.lattice, c, sites)
     # coordinates lie within 2R of their least one, so int64 holds them
     offsets = []
@@ -371,7 +370,7 @@ def decimated_first_nonzero_time(rule: LinearRule, c: Configuration, sites,
         offsets.append(w[:, None] - z[None, :] + h)
     offsets = tuple(offsets)
     values = np.array(list(c.cells.values()), dtype=np.int64)
-    for t, row in _decimated_rows(rule, 1, h, t_max):
+    for t, row in rows:
         if ((row[offsets] @ values) % p).any():
             return t
     return None

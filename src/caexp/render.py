@@ -14,7 +14,7 @@ import numpy as np
 
 from . import engine
 from .config import Configuration
-from .errors import UsageError
+from .errors import UsageError, check_array_bytes
 from .lattice import Z2Lattice, ZLattice
 from .rules import Rule
 
@@ -50,6 +50,9 @@ def render_frames(rule: Rule, c: Configuration, width_window: int,
     if not isinstance(rule.lattice, Z2Lattice):
         raise UsageError("frame rendering needs a Z^2 rule")
     span = _span(width_window)
+    # (2w+1)^2 sites: sized before they are listed
+    check_array_bytes(8 * (t_max + 1) * len(span) ** 2,
+                      "an orbit window series")
     sites = [(x, y) for y in reversed(span) for x in span]
     series = engine.window_series(rule, c, sites, t_max)
     return list(_gray(series, rule.q).reshape(t_max + 1, len(span), len(span)))

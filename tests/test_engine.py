@@ -235,6 +235,21 @@ def test_render_free_group_rejected(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_render_frames_are_sized_before_listed(monkeypatch):
+    # a 3001 x 3001 frame through t=64 passes the array cap: refused before
+    # the 9 * 10^6 sites of a frame are listed
+    class Span:
+        def __len__(self):
+            return 3001
+
+        def __iter__(self):
+            raise AssertionError("the sites of a refused render were listed")
+        __reversed__ = __iter__
+    monkeypatch.setattr(render, "_span", lambda width_window: Span())
+    with pytest.raises(ResourceLimitError, match="an orbit window series"):
+        render.render_frames(presets.vn2(), spot(Z2, 2), 1500, 64)
+
+
 def test_psi_orbit_first_steps_exact():
     """First six steps of the spot-(1,0) orbit, worked out by hand."""
     rule = presets.psi()
@@ -504,7 +519,7 @@ def test_batched_fronts_split_blocks_over_the_budget(monkeypatch):
 
 def test_first_nonzero_time_counts_the_last_step():
     # a spot four cells from the read site first reaches it at t=4, through
-    # the sparse step (the dispatch's pick) and through decimation
+    # the early exit and through decimation itself
     from caexp import linearca
     for rule, spot in ((presets.vn2(), (0, 4)), (presets.f3(), 4)):
         c = Configuration.spot(rule.lattice, rule.q, 1, spot)
@@ -515,34 +530,63 @@ def test_first_nonzero_time_counts_the_last_step():
             assert read(rule, c, origin, 3) is None
 
 
-def test_early_exit_dispatch_picks_the_smaller_count(monkeypatch):
-    # the claims' long null traces take decimation, whose count is far below
-    # the sparse bound, which refuses them; spots near or far from a short
-    # read take the sparse step
-    from caexp import claims, linearca, z2subst
-    picks = []
-    pick = engine._decimation_reads_first
-    monkeypatch.setattr(engine, "_decimation_reads_first",
-                        lambda *args: picks.append(pick(*args)) or picks[-1])
-    for name in ("tri-null", "vn-oracle-sim", "witness-additivity"):
-        picks.clear()
+def test_prime_linear_early_exits_decimate_where_admitted(monkeypatch):
+    # the claims' 202 long null-trace reads all decimate; near and far spots
+    # decimate too, or fall to window_series where decimation refuses them,
+    # and give the sparse orbit's answer; a non-prime rule and a prime one
+    # whose sum over the support passes int64 read through window_series
+    from caexp import claims, linearca
+    reads, decimated, series = [], [], []
+
+    def counted(module, name, log):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            out = fn(*args)
+            log.append(name)
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+    counted(engine, "first_nonzero_time", reads)
+    counted(linearca, "decimated_first_nonzero_time", decimated)
+    counted(engine, "window_series", series)
+    for name, n in (("tri-null", 1), ("vn-oracle-sim", 200),
+                    ("witness-additivity", 1)):
+        reads.clear()
+        decimated.clear()
         assert claims.CLAIMS[name][1](0).ok
-        assert picks and all(picks), name
-    both = z2subst.vn_witness(3).add(z2subst.vn_witness(5),
-                                     presets.vn2().alphabet)
-    for rule, c, window, t_max in (
-            (presets.tri2(), spot(Z2, 2, 1, (0, 36)), Z2.origin_ball(2), 2048),
-            (presets.vn2(), both, Z2.origin_ball(3), 512)):
-        assert engine._sparse_bound(rule, c, t_max, window)[0] \
-            > engine.MAX_SPARSE_CELLS
-        assert linearca.early_exit_count(rule, c, window, t_max) \
-            < engine.MAX_SPARSE_CELLS
-    for rule, c, window, t_max in (
-            (presets.f3(), spot(Z, 3, 1, 100), Z.origin_ball(1), 10),
-            (presets.f3(), spot(Z, 3, 1, 4), [0], 4),
-            (presets.vn2(), spot(Z2, 2, 1, (0, 3)), Z2.origin_ball(1), 8),
-            (presets.vn2(), spot(Z2, 2, 1, (300, 0)), Z2.origin_ball(1), 64)):
-        assert not engine._decimation_reads_first(rule, c, window, t_max)
+        assert len(reads) == len(decimated) == n, name
+    for rule, c, window, t_max, decimates in (
+            (presets.f3(), spot(Z, 3, 1, 100), Z.origin_ball(1), 10, True),
+            (presets.f3(), spot(Z, 3, 1, 4), [0], 4, True),
+            (presets.vn2(), spot(Z2, 2, 1, (0, 3)), Z2.origin_ball(1), 8, True),
+            (presets.vn2(), spot(Z2, 2, 1, (300, 0)), Z2.origin_ball(1), 64,
+             True),
+            # past the word-read cap, refused before any array exists
+            (presets.vn2(), spot(Z2, 2, 1, (3000, 0)), Z2.origin_ball(1), 64,
+             False)):
+        decimated.clear()
+        series.clear()
+        want = next((t for t, cur in enumerate(
+            engine._sparse_orbit(rule, c, t_max, window))
+            if any(cur.restrict(window))), None)
+        assert engine.first_nonzero_time(rule, c, window, t_max) == want
+        assert (decimated, series) == (
+            (["decimated_first_nonzero_time"], []) if decimates
+            else ([], ["window_series"]))
+    p = 1_700_000_009  # 3 (p-1)^2 fits int64, 4 (p-1)^2 does not
+    prime = LinearRule(Z, p, {-1: 1, 0: p - 1, 2: 3})
+    assert linearca.is_prime(p) and engine._decimation_runs(prime)
+    for rule, c in ((LinearRule(Z, 4, presets.f3().coeffs),
+                     Configuration(Z, 4, {0: 1, 3: 2})),
+                    (prime, Configuration(Z, p, {0: p - 1, 1: p - 2, 3: 5,
+                                                 4: p - 1}))):
+        decimated.clear()
+        series.clear()
+        want = next((t for t, cur in enumerate(_sparse_orbit(rule, c, 6))
+                     if any(cur.restrict([9, 10]))), None)
+        assert want is not None
+        assert engine.first_nonzero_time(rule, c, [9, 10], 6) == want
+        assert (decimated, series) == ([], ["window_series"])
 
 
 def test_empty_early_exit_reads_nothing():
@@ -724,12 +768,18 @@ def test_orbit_reads_reach_the_names_the_benchmark_traces(monkeypatch):
             steps, got = results[0]
             assert steps > 0 and got is series
         assert series.shape == (9, len(sites)) and series.any()
-    # the early exit of a spot near the window is cheaper sparse than
-    # decimated, so it steps the sparse orbit: two engine.step calls
+    # a mod-4 Z^2 early exit has no dense backend and no decimation: it steps
+    # the sparse orbit through window_series, ten engine.step calls; vn2's
+    # decimates, and steps neither the sparse orbit nor bitgrid
+    mod4 = LinearRule(Z2, 4, {(1, 0): 1, (0, 1): 1})
+    calls.clear()
+    assert engine.first_nonzero_time(mod4, spot(Z2, 4, 1, (0, 3)),
+                                     Z2.origin_ball(1), 10) == 2
+    assert calls == ["step"] * 10
     calls.clear()
     assert engine.first_nonzero_time(presets.vn2(), spot(Z2, 2, 1, (0, 3)),
                                      Z2.origin_ball(1), 8) == 2
-    assert calls == ["step", "step"]
+    assert calls == []
 
 
 def test_dense_run_over_the_cell_step_cap_is_refused_up_front(monkeypatch):
@@ -783,8 +833,8 @@ def test_sparse_run_over_the_cell_cap_is_refused_up_front(monkeypatch):
     # a mod-4 Z^2 spot read on B_1 through t=10: span 0 and reach 1, so the
     # cells of step t lie within min(t, 11 - t) <= 5 of the origin, and the
     # bound is 10 balls of radius 5, 61 sites each.  No dense backend covers
-    # the rule, and the modulus is not prime, so no decimation takes over the
-    # early exit when the sparse bound refuses it
+    # the rule, and the modulus is not prime, so the early exit reads the
+    # sparse orbit through window_series, under the same bound
     rule = LinearRule(Z2, 4, {(1, 0): 1, (0, 1): 1})
     c, window = spot(Z2, 4), Z2.origin_ball(1)
     want = engine.window_series(rule, c, window, 10)
@@ -810,16 +860,17 @@ def test_sparse_run_over_the_cell_cap_is_refused_up_front(monkeypatch):
     monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 2209)
     with pytest.raises(ResourceLimitError, match="radius 10"):
         engine.iterate(rule, c, 10)
-    # a spot at 100 read on B_1 through t=10 by f3's offsets mod 4: its cells
-    # lie within radius 11 of the origin, 23 sites, but also within 10 of
-    # the spot, 21 sites
+    # a spot at 100 compared with zero on B_1 through t=10 by f3's offsets
+    # mod 4: its cells lie within radius 11 of the origin, 23 sites, but also
+    # within 10 of the spot, 21 sites
     monkeypatch.undo()
     f4, far = LinearRule(Z, 4, presets.f3().coeffs), spot(Z, 4, 1, 100)
+    zero = Configuration.zero(Z, 4)
     monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 210)
-    assert engine.first_nonzero_time(f4, far, Z.origin_ball(1), 10) is None
+    assert engine.traces_equal(f4, far, zero, 1, 10)
     monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 209)
     with pytest.raises(ResourceLimitError, match="radius 11"):
-        engine.first_nonzero_time(f4, far, Z.origin_ball(1), 10)
+        engine.traces_equal(f4, far, zero, 1, 10)
 
 
 def test_dense_series_peaks_near_its_own_size():

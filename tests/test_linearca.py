@@ -369,7 +369,7 @@ def test_kexp_certifies_prime_z_witness():
 ], ids=lambda r: r.describe())
 def test_decimated_spot_series_matches_sparse_orbit(rule):
     # horizons around the first two decimation levels, on boxes smaller than
-    # the rule radius (the store on H is cut to the box), equal to it and
+    # the rule radius (each row on H is cropped to the box), equal to it and
     # wider; the spot's state scales the orbit
     assert engine._decimation_runs(rule)
     lat, p = rule.lattice, rule.m
@@ -397,12 +397,16 @@ def _sparse_hit(rule, c, sites, t_max):
     LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}),
     LinearRule(Z2, 3, {(1, 0): 2, (0, -1): 1, (-1, 1): 2}),
 ], ids=lambda r: r.describe())
-def test_decimated_first_nonzero_time_matches_sparse_orbit(rule):
+def test_decimated_first_nonzero_time_matches_sparse_orbit(rule, monkeypatch):
     # multi-cell supports with states up to p - 1, read on balls that hold
     # some of the support and on balls moved off it, the first of them out of
     # reach of the support by t_max; each hit is read again with t_max at
-    # the hit, where the last row decides, and one below it
+    # the hit, where the last row decides, and one below it.  The early exit
+    # gives the same hit by decimation and, where decimation refuses the
+    # read, through window_series
+    from caexp import cone
     lat, p = rule.lattice, rule.m
+    over = cone.MAX_CELL_STEPS + 1
     rng = random.Random(p * 10 + len(rule.coeffs))
     hits = set()
     for i in range(26):
@@ -416,6 +420,9 @@ def test_decimated_first_nonzero_time_matches_sparse_orbit(rule):
         assert linearca.decimated_first_nonzero_time(rule, c, sites,
                                                      t_max) == hit
         assert engine.first_nonzero_time(rule, c, sites, t_max) == hit
+        with monkeypatch.context() as m:
+            m.setattr(linearca, "early_exit_count", lambda *args: over)
+            assert engine.first_nonzero_time(rule, c, sites, t_max) == hit
         if hit:
             assert linearca.decimated_first_nonzero_time(rule, c, sites,
                                                          hit) == hit
@@ -427,8 +434,9 @@ def test_decimated_first_nonzero_time_matches_sparse_orbit(rule):
 
 def test_decimated_early_exit_is_refused_up_front(monkeypatch):
     # tri-null's spot and window through t=100: refused one word read below
-    # its count, and its source rows one byte below their store, before any
-    # array is allocated
+    # its count, and with the array cap one byte below its source rows,
+    # before any array is allocated; engine.first_nonzero_time then reads
+    # the same answer through window_series
     from caexp import cone, errors
     rule, window = presets.tri2(), Z2.origin_ball(2)
     c = Configuration.spot(Z2, 2, 1, (0, 36))
@@ -436,29 +444,31 @@ def test_decimated_early_exit_is_refused_up_front(monkeypatch):
     # 101 rows of the 79 x 79 box E, four uint8 reads a cell, the step
     # charge, and 13 gathered offsets
     assert count == 101 * (-(-79 * 79 * 4 // 8) + linearca._STEP_CHARGE + 13)
-    store = 51 * 39 * 39  # rows s <= 50 on the box |y| <= (38 + 1) // 2
+    store = 51 * 39 * 39  # source rows s <= 50 on the box |y| <= (38 + 1) // 2
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", count)
     monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", store)
     assert linearca.decimated_first_nonzero_time(rule, c, window, 100) is None
+    assert engine.first_nonzero_time(rule, c, window, 100) is None
 
     def no_alloc(*args, **kwargs):
         raise AssertionError("an array was allocated for a refused run")
-    for name in ("array", "zeros", "empty"):
-        monkeypatch.setattr(np, name, no_alloc)
-    monkeypatch.setattr(cone, "MAX_CELL_STEPS", count - 1)
-    for run in (lambda: engine.first_nonzero_time(rule, c, window, 100),
-                lambda: linearca.decimated_first_nonzero_time(rule, c, window,
-                                                              100)):
-        with pytest.raises(ResourceLimitError, match="decimated early exit"):
-            run()
-    # the offsets may be built, the source store not
-    monkeypatch.undo()
-    monkeypatch.setattr(cone, "MAX_CELL_STEPS", count)
-    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", store - 1)
-    for name in ("zeros", "empty"):
-        monkeypatch.setattr(np, name, no_alloc)
-    with pytest.raises(ResourceLimitError, match="source rows"):
-        linearca.decimated_first_nonzero_time(rule, c, window, 100)
+    series = []
+    window_series = engine.window_series
+    monkeypatch.setattr(engine, "window_series",
+                        lambda *args: series.append(window_series(*args))
+                        or series[-1])
+    for steps, nbytes, match in ((count - 1, store, "decimated early exit"),
+                                 (count, store - 1, "source rows")):
+        monkeypatch.setattr(cone, "MAX_CELL_STEPS", steps)
+        monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", nbytes)
+        with monkeypatch.context() as m:
+            for name in ("array", "zeros", "empty"):
+                m.setattr(np, name, no_alloc)
+            with pytest.raises(ResourceLimitError, match=match):
+                linearca.decimated_first_nonzero_time(rule, c, window, 100)
+        series.clear()
+        assert engine.first_nonzero_time(rule, c, window, 100) is None
+        assert len(series) == 1 and series[0].shape == (101, len(window))
 
 
 def test_spot_series_steps_where_int64_would_overflow(monkeypatch):
