@@ -86,6 +86,8 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     rule = presets.parse_rule(args.rule)
     init = _parse_init(args.init, rule)
+    if args.render:
+        render.check_render(rule.lattice, args.window, args.format)
     out_dir = _out_dir(args.out)
     final = engine.iterate(rule, init, args.steps)
     dump_path = os.path.join(out_dir, "final.cfg")

@@ -34,10 +34,11 @@ from .errors import ResourceLimitError
 # in bitgrid, the 8-byte words a decimated run reads): the cells of the
 # 1.1 GB int64 space-time arrays dense1d once built.  The largest count the
 # claims, tests and benchmark make is 103.6 * 10^6, the decimated early exit
-# of ``z2 --tri-claim --tsim 26533``, which a test admits at the cap's edge
-# (0.6 s for the whole command); of the claims, tri-null's early exit through
-# t=2048 counts 10.6 * 10^6, and of the benchmark, the decimated f3 table
-# through t=8192 counts 18.9 * 10^6.
+# of ``z2 --tri-claim --tsim 20000``, which a test admits (0.6 s for the
+# whole command); ``--tsim 26533`` counts 137.5 * 10^6, at the cap's edge;
+# of the claims, tri-null's early exit through t=2048 counts 10.6 * 10^6,
+# and of the benchmark, the decimated f3 table through t=8192 counts
+# 18.9 * 10^6.
 MAX_CELL_STEPS = 137_500_000
 
 

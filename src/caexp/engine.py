@@ -20,9 +20,10 @@ where decimation refuses its read up front.
   ``window_series``;
 - ``first_nonzero_time``, the early-exit twin of ``window_series``: by
   decimation (``linearca.decimated_first_nonzero_time``, one state-1 spot
-  series on the box of the offsets from the support to the read sites)
-  where ``_decimation_runs`` holds and int64 holds a sum over the support,
-  unless decimation refuses the read up front;
+  series on the box of the offsets to the read sites from the support cells
+  within their reach, None with no step when no cell is) where
+  ``_decimation_runs`` holds and int64 holds a sum over the support, unless
+  decimation refuses the read up front;
 - ``fronts_many`` (the difference fronts of many pairs on Z): ``dense1d``
   blocks where ``_dense1d_runs`` holds for a pair's joint cells, and the
   sparse step otherwise.
@@ -42,7 +43,8 @@ skips such gaps, a dense row would allocate them.
 Every run counts its work before its first step: the dense backends their
 row elements stepped (``cone.MAX_CELL_STEPS``; a block of fronts over it
 splits, down to single pairs), decimation the words its steps read and a
-charge per step (the same cap; the early exit adds its gathered offsets),
+charge per step (the same cap, in one count of ``linearca._decimated_rows``;
+the early exit adds its gathered offsets),
 the sparse orbit a bound on its cells from ball sizes, weighted by
 ``Lattice.site_cost`` (``MAX_SPARSE_CELLS``).
 Arrays past ``errors.MAX_ARRAY_BYTES`` are refused up front, the
@@ -248,7 +250,11 @@ def first_nonzero_time(rule: Rule, c: Configuration, sites,
     the early-exit twin of ``window_series``.  By decimation
     (``linearca.decimated_first_nonzero_time``) where ``_decimation_runs``
     holds and int64 holds a sum over the support, unless decimation refuses
-    the read up front; otherwise the first nonzero row of ``window_series``."""
+    the read up front; otherwise the first nonzero row of ``window_series``.
+    Decimation first drops the support cells that cannot reach a read site
+    by t_max (farther than t_max times the rule's L-inf radius from the
+    sites' box on an axis), answers None with no step when none is left,
+    and counts its run on the box of the cells left."""
     _check_run(rule, c, t_max)
     sites = list(sites)
     if _decimation_runs(rule) and dense1d.int64_exact(len(c), rule.m):

@@ -212,52 +212,45 @@ def null_trace_forever(rule: LinearRule, c: Configuration, m: int) -> bool:
 _STEP_CHARGE = 2 ** 11
 
 
-def _decimation_frame(rule: LinearRule, R: int, t_max: int):
-    """(d, r, h, g, dtype) of a decimated run on the size-<=R box: the
-    dimension, the rule's L-inf radius, the size h = max(R, r) of the box H
-    it keeps, the growth g of the box E it steps, and its cells' dtype."""
-    r = max(rule.lattice.size_norm(v) for v in rule.coeffs)
-    d = 2 if isinstance(rule.lattice, Z2Lattice) else 1
-    dtype = np.dtype(np.uint8 if rule.m == 2 else np.int64)
-    return d, r, max(R, r), min(rule.m - 1, t_max) * r, dtype
-
-
-def _decimation_count(rule: LinearRule, R: int, t_max: int) -> int:
-    """The count a decimated run on the size-<=R box through t_max makes
-    before its first allocation: the 8-byte words its steps read, |E| * |N|
-    cells of its dtype, plus ``_STEP_CHARGE`` a step."""
-    d, _, h, g, dtype = _decimation_frame(rule, R, t_max)
-    words = -(-(2 * (h + g) + 1) ** d * len(rule.coeffs) * dtype.itemsize // 8)
-    return (t_max + 1) * (words + _STEP_CHARGE)
-
-
-def _decimated_rows(rule: LinearRule, state: int, h: int, t_max: int):
-    """Yield (t, S_t on H) for t = 0..t_max in increasing t: S_t = F^t(e),
-    e the spot of ``state`` at the origin, H the box of size h >= r, r the
-    rule's L-inf radius.  Each row is a view of the step's grid, valid until
-    the next one.
+def _decimated_rows(rule: LinearRule, state: int, R: int, t_max: int,
+                    reads: int = 0):
+    """Yield (t, S_t on the size-<=R box) for t = 0..t_max in increasing t:
+    S_t = F^t(e), e the spot of ``state`` at the origin.  Each row is a view
+    of the step's grid, valid until the next one.
 
     Over GF(p), Q(X)^p = Q(X^p) for the rule's polynomial Q, so the spot
     orbit S_t = Q^t has S_{pt}(y) = S_t(y/p) where p divides y and 0
-    elsewhere, and S_{pt+j} = F^j(S_{pt}).  For each s, S_s is dilated into
-    the box E of size h + g, g = min(p-1, t_max) * r, which reads S_s only
-    on the box |y| <= k = (h+g)//p <= h, and stepped up to p - 1 times by
-    ``dense1d.linear_steps``.  On Z^2, E is stepped as one x-major row, by
-    the Z rule with offsets dx*w + dy (w the side of E).  Step j computes E
-    shrunk by j*r: each of its cells reads cells of E shrunk by (j-1)*r,
-    which step j-1 computed, without wrapping across a row end, so H stays
-    exact.  The source rows, s <= t_max//p on the box |y| <= k, are kept as
-    they pass; their bytes are checked against the array cap when the
-    function is called, before any array exists."""
+    elsewhere, and S_{pt+j} = F^j(S_{pt}).  The run keeps the box H of size
+    h = max(R, r), r the rule's L-inf radius.  For each s, S_s is dilated
+    into the box E of size h + g, g = min(p-1, t_max) * r, which reads S_s
+    only on the box |y| <= k = (h+g)//p <= h, and stepped up to p - 1 times
+    by ``dense1d.linear_steps``, in uint8 for p = 2 and int64 otherwise.  On
+    Z^2, E is stepped as one x-major row, by the Z rule with offsets
+    dx*w + dy (w the side of E).  Step j computes E shrunk by j*r: each of
+    its cells reads cells of E shrunk by (j-1)*r, which step j-1 computed,
+    without wrapping across a row end, so H stays exact.  The source rows,
+    s <= t_max//p on the box |y| <= k, are kept as they pass.
+
+    When the function is called, before any array exists, the run checks
+    against ``cone.MAX_CELL_STEPS`` the 8-byte words a row costs, the
+    |E| * |N| cells its step reads, ``_STEP_CHARGE`` and the caller's
+    ``reads``, and the bytes of its source rows against the array cap."""
     p = rule.m
-    d, r, _, g, dtype = _decimation_frame(rule, h, t_max)
-    n, w, k = 2 * h + 1, 2 * (h + g) + 1, (h + g) // p
+    r = max(rule.lattice.size_norm(v) for v in rule.coeffs)
+    d = 2 if isinstance(rule.lattice, Z2Lattice) else 1
+    dtype = np.dtype(np.uint8 if p == 2 else np.int64)
+    h = max(R, r)
+    g = min(p - 1, t_max) * r
+    w, k = 2 * (h + g) + 1, (h + g) // p
+    words = -(-w ** d * len(rule.coeffs) * dtype.itemsize // 8)
+    cone.check_steps((t_max + 1) * (words + _STEP_CHARGE + reads),
+                     "a decimated run", "word reads")
     shape = (t_max // p + 1,) + (2 * k + 1,) * d
-    check_array_bytes(dtype.itemsize * int(np.prod(shape)),
-                      "the source rows of a decimated spot series")
+    check_array_bytes(dtype.itemsize * shape[0] * shape[1] ** d,
+                      "the source rows of a decimated run")
     dilate = (slice(h + g - p * k, h + g + p * k + 1, p),) * d
-    core = (slice(g, g + n),) * d  # H within E
-    source = (slice(h - k, h + k + 1),) * d  # the source box within H
+    crop = (slice(h + g - R, h + g + R + 1),) * d  # the size-<=R box in E
+    source = (slice(h + g - k, h + g + k + 1),) * d  # the source box in E
     row = rule if d == 1 else LinearRule(
         Z, p, {dx * w + dy: a for (dx, dy), a in rule.coeffs.items()})
     edge = r * (w + 1) if d == 2 else r
@@ -274,10 +267,10 @@ def _decimated_rows(rule: LinearRule, state: int, h: int, t_max: int):
             steps = dense1d.linear_steps(row, boxes, grid)
             for t, cur in itertools.chain(
                     [(p * s, grid)], ((t, cur) for t, _, _, (cur,) in steps)):
-                out = cur.reshape((w,) * d)[core]
+                cur = cur.reshape((w,) * d)
                 if t < len(store):
-                    store[t] = out[source]
-                yield t, out
+                    store[t] = cur[source]
+                yield t, cur[crop]
     return rows()
 
 
@@ -286,51 +279,19 @@ def decimated_spot_series(rule: LinearRule, state: int, R: int,
     """F^t(e) on the size-<=R box for t = 0..t_max, e the spot of ``state``
     at the origin, shape (t_max+1, |box|) in ``lattice.size_domain`` order,
     for a linear rule with prime modulus p on Z or Z^2 whose step int64
-    holds (``dense1d.int64_exact``).
-
-    Each row of ``_decimated_rows`` on the box H of size h = max(R, r), r
-    the rule's radius, is copied, cropped to the size-<=R box, into the
-    output, uint8 for p = 2 and int64 otherwise.  Before the first
-    allocation the run checks ``_decimation_count`` against
-    ``cone.MAX_CELL_STEPS``, and the bytes of its output against the array
-    cap."""
-    d, _, h, _, dtype = _decimation_frame(rule, R, t_max)
-    cone.check_steps(_decimation_count(rule, R, t_max),
-                     "a decimated spot series", "word reads")
+    holds (``dense1d.int64_exact``): the rows of ``_decimated_rows``, in
+    their dtype, uint8 for p = 2 and int64 otherwise, copied into one array
+    whose bytes are checked against the array cap after the run's own
+    checks, before any array exists."""
+    rows = _decimated_rows(rule, state, R, t_max)
+    dtype = np.dtype(np.uint8 if rule.m == 2 else np.int64)
+    d = 2 if isinstance(rule.lattice, Z2Lattice) else 1
     check_array_bytes(dtype.itemsize * (t_max + 1) * (2 * R + 1) ** d,
                       "a decimated spot series")
     series = np.empty((t_max + 1,) + (2 * R + 1,) * d, dtype=dtype)
-    crop = (slice(h - R, h + R + 1),) * d
-    for t, row in _decimated_rows(rule, state, h, t_max):
-        series[t] = row[crop]
+    for t, row in rows:
+        series[t] = row
     return series.reshape(t_max + 1, -1)
-
-
-def _offset_axes(lat, c: Configuration, sites):
-    """Per axis, the coordinates of the sites and of the support of c, as
-    rows of Python ints."""
-    if isinstance(lat, Z2Lattice):
-        return ([[s[i] for s in sites] for i in (0, 1)],
-                [[z[i] for z in c.cells] for i in (0, 1)])
-    return [list(sites)], [list(c.cells)]
-
-
-def _offset_radius(c: Configuration, sites) -> int:
-    """max size_norm(w - z) over read sites w and support cells z of c on Z
-    or Z^2, from the extremes of each axis; 0 when either is empty."""
-    ws, zs = _offset_axes(c.lattice, c, sites)
-    if not ws[0] or not zs[0]:
-        return 0
-    return max(max(max(w) - min(z), max(z) - min(w)) for w, z in zip(ws, zs))
-
-
-def early_exit_count(rule: LinearRule, c: Configuration, sites,
-                     t_max: int) -> int:
-    """The up-front count of ``decimated_first_nonzero_time``: the steps'
-    ``_decimation_count`` on the box of size ``_offset_radius``, plus one word
-    a gathered offset (a read site and a support cell) a row."""
-    return (_decimation_count(rule, _offset_radius(c, sites), t_max)
-            + (t_max + 1) * len(sites) * len(c))
 
 
 def decimated_first_nonzero_time(rule: LinearRule, c: Configuration, sites,
@@ -339,39 +300,45 @@ def decimated_first_nonzero_time(rule: LinearRule, c: Configuration, sites,
     None, for a rule ``decimated_spot_series`` covers.
 
     Over GF(p), F^t(c)(w) = sum over z of c(z) * S_t(w - z), S_t the orbit
-    of the state-1 spot.  So one decimated spot series on the box H of size
-    R = ``_offset_radius`` answers every read site: row t gathers S_t at the
-    offsets w - z, and ``(row[offsets] @ c_values) % p`` is F^t(c) on the
-    sites.  The rows come in increasing t and are dropped once read, so the
-    run holds only the grid and the source rows.  Before the first
-    allocation it checks ``_decimation_count`` plus one word a gathered
-    offset a row (``early_exit_count``) against ``cone.MAX_CELL_STEPS``, and
-    the bytes of its offsets and of its source rows against the array cap,
-    so every refusal comes before any array exists.  A sum of |support|
-    products below (p-1)^2 must fit int64 (``dense1d.int64_exact``)."""
+    of the state-1 spot, which vanishes past t*r in L-inf, r the rule's
+    radius.  So a support cell farther than t_max*r from the read sites'
+    bounding box on some axis adds zero to every read: such cells are
+    dropped first, and with none left the answer is None, with no step.
+    One decimated spot series on the size-<=R box, R the largest |w - z|
+    on an axis over read sites w and kept cells z, answers every read site:
+    row t gathers S_t at w - z + R, and ``(row[offsets] @ c_values) % p``
+    is F^t(c) on the sites.  The rows come in increasing t and are dropped
+    once read, so the run holds only the grid and the source rows.
+    ``_decimated_rows`` counts one word a gathered offset a row besides its
+    own, and the offsets' bytes are checked against the array cap, so every
+    refusal comes before any array exists.  A sum of |support| products
+    below (p-1)^2 must fit int64 (``dense1d.int64_exact``)."""
     sites = list(sites)
     if not sites or c.is_zero():
         return None
-    p = rule.m
-    R = _offset_radius(c, sites)
-    d, _, h, _, _ = _decimation_frame(rule, R, t_max)
-    cone.check_steps(early_exit_count(rule, c, sites, t_max),
-                     "a decimated early exit", "word reads")
-    check_array_bytes(8 * d * len(sites) * len(c),
+
+    def coords(s):
+        return (s,) if isinstance(s, int) else s
+    reach = t_max * max(rule.lattice.size_norm(v) for v in rule.coeffs)
+    ws = list(zip(*map(coords, sites)))  # per axis, the sites' coordinates
+    box = [(min(a), max(a)) for a in ws]
+    kept = {z: v for z, v in c.cells.items() if all(
+        lo - reach <= x <= hi + reach for x, (lo, hi) in zip(coords(z), box))}
+    if not kept:
+        return None
+    zs = list(zip(*map(coords, kept)))
+    R = max(max(hi - min(a), max(a) - lo) for a, (lo, hi) in zip(zs, box))
+    rows = _decimated_rows(rule, 1, R, t_max, len(sites) * len(kept))
+    check_array_bytes(8 * len(box) * len(sites) * len(kept),
                       "the offsets of a decimated early exit")
-    rows = _decimated_rows(rule, 1, h, t_max)
-    ws, zs = _offset_axes(rule.lattice, c, sites)
-    # coordinates lie within 2R of their least one, so int64 holds them
-    offsets = []
-    for w, z in zip(ws, zs):
-        base = min(*w, *z)
-        w = np.array([x - base for x in w], dtype=np.int64)
-        z = np.array([x - base for x in z], dtype=np.int64)
-        offsets.append(w[:, None] - z[None, :] + h)
-    offsets = tuple(offsets)
-    values = np.array(list(c.cells.values()), dtype=np.int64)
+    # w - lo and z - lo lie in [-R, 2R]: int64 holds them once R is checked
+    offsets = tuple(
+        np.array([x - lo for x in w], dtype=np.int64)[:, None]
+        - np.array([x - lo for x in z], dtype=np.int64)[None, :] + R
+        for w, z, (lo, _) in zip(ws, zs, box))
+    values = np.array(list(kept.values()), dtype=np.int64)
     for t, row in rows:
-        if ((row[offsets] @ values) % p).any():
+        if ((row[offsets] @ values) % rule.m).any():
             return t
     return None
 

@@ -63,22 +63,28 @@ def render_spacetime(rule: Rule, c: Configuration, width_window: int,
     """Write the render into ``out_dir`` and return the paths written: one
     ``spacetime.pgm`` or ``spacetime.txt`` strip on Z, one
     ``spacetime_<t>.pgm`` frame per step on Z^2 (PGM only)."""
-    lat = rule.lattice
-    if isinstance(lat, ZLattice):
+    check_render(rule.lattice, width_window, fmt)
+    if isinstance(rule.lattice, ZLattice):
         img = render_strip(rule, c, width_window, t_max)
         if fmt == "text":
             txt = "\n".join("".join(str((int(v) * (rule.q - 1) + 254) // 255) for v in row)
                             for row in img) + "\n"
             return [_write(out_dir, "spacetime.txt", txt.encode())]
         return [_write(out_dir, "spacetime.pgm", _pgm_bytes(img))]
-    if isinstance(lat, Z2Lattice):
-        if fmt == "text":
-            raise UsageError("text format is only available for Z strips")
-        frames = render_frames(rule, c, width_window, t_max)
-        return [_write(out_dir, f"spacetime_{t:04d}.pgm", _pgm_bytes(img))
-                for t, img in enumerate(frames)]
-    raise UsageError("rendering supports Z and Z^2 only; "
-                     "use the textual configuration dump for free groups")
+    frames = render_frames(rule, c, width_window, t_max)
+    return [_write(out_dir, f"spacetime_{t:04d}.pgm", _pgm_bytes(img))
+            for t, img in enumerate(frames)]
+
+
+def check_render(lat, width_window: int, fmt: str) -> None:
+    """Refuse a render ``render_spacetime`` cannot write, before any step:
+    a lattice other than Z and Z^2, text on Z^2, or a negative window."""
+    if not isinstance(lat, (ZLattice, Z2Lattice)):
+        raise UsageError("rendering supports Z and Z^2 only; "
+                         "use the textual configuration dump for free groups")
+    if isinstance(lat, Z2Lattice) and fmt == "text":
+        raise UsageError("text format is only available for Z strips")
+    _span(width_window)
 
 
 def _write(out_dir: str, name: str, data: bytes) -> str:

@@ -64,6 +64,27 @@ def test_simulate_z2_frames(tmp_path):
     assert len(frames) == 5
 
 
+@pytest.mark.parametrize("rule, flags", [
+    ("lambda:2", []),                    # free groups are not rendered
+    ("vn2", ["--format", "text"]),       # text is for Z strips only
+    ("f2", ["--window", "-3"]),
+])
+def test_simulate_render_is_refused_before_stepping(rule, flags, tmp_path,
+                                                    monkeypatch, capsys):
+    # a render simulate cannot write is refused before the orbit is stepped
+    # and before final.cfg is written
+    from caexp import engine
+
+    def no_step(*args):
+        raise AssertionError("stepped before the render was checked")
+    monkeypatch.setattr(engine, "iterate", no_step)
+    out = tmp_path / "out"
+    assert run(["simulate", "--rule", rule, "--steps", "10", "--render",
+                *flags, "--out", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (out / "final.cfg").exists()
+
+
 def test_verify_single_claim(capsys):
     assert run(["verify", "--only", "vn-kexp1"]) == 0
     out = capsys.readouterr().out

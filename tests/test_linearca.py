@@ -404,9 +404,10 @@ def test_decimated_first_nonzero_time_matches_sparse_orbit(rule, monkeypatch):
     # the hit, where the last row decides, and one below it.  The early exit
     # gives the same hit by decimation and, where decimation refuses the
     # read, through window_series
-    from caexp import cone
     lat, p = rule.lattice, rule.m
-    over = cone.MAX_CELL_STEPS + 1
+
+    def refused(*args):
+        raise ResourceLimitError("decimation refused")
     rng = random.Random(p * 10 + len(rule.coeffs))
     hits = set()
     for i in range(26):
@@ -421,7 +422,7 @@ def test_decimated_first_nonzero_time_matches_sparse_orbit(rule, monkeypatch):
                                                      t_max) == hit
         assert engine.first_nonzero_time(rule, c, sites, t_max) == hit
         with monkeypatch.context() as m:
-            m.setattr(linearca, "early_exit_count", lambda *args: over)
+            m.setattr(linearca, "_decimated_rows", refused)
             assert engine.first_nonzero_time(rule, c, sites, t_max) == hit
         if hit:
             assert linearca.decimated_first_nonzero_time(rule, c, sites,
@@ -432,18 +433,64 @@ def test_decimated_first_nonzero_time_matches_sparse_orbit(rule, monkeypatch):
     assert hits == {None, 0, "later"}
 
 
+def test_early_exit_drops_the_support_cells_out_of_reach(monkeypatch):
+    # S_t vanishes past t*r, so a support cell farther than t_max*r from the
+    # read sites' box on an axis adds nothing to any read: a read left with
+    # no cell answers None with no step, and the box is sized by the cells
+    # within reach; a cell exactly t_max*r away is kept
+    from caexp import dense1d
+    steps, boxes = [], []
+    linear_steps, decimated_rows = dense1d.linear_steps, linearca._decimated_rows
+
+    def counted_steps(*args):
+        steps.append(args[0])
+        return linear_steps(*args)
+
+    def counted_rows(rule, state, R, t_max, reads=0):
+        boxes.append(R)
+        return decimated_rows(rule, state, R, t_max, reads)
+    monkeypatch.setattr(dense1d, "linear_steps", counted_steps)
+    monkeypatch.setattr(linearca, "_decimated_rows", counted_rows)
+    vn2, f3 = presets.vn2(), presets.f3()
+    far = Configuration.spot(Z2, 2, 1, (300, 0))
+    for read in (linearca.decimated_first_nonzero_time,
+                 engine.first_nonzero_time):
+        assert read(vn2, far, Z2.origin_ball(1), 64) is None
+    assert steps == boxes == []
+    for rule, cells, sites, t_max, R in (
+            (vn2, {(0, 3): 1, (200, 1): 1}, Z2.origin_ball(1), 8, 4),
+            (vn2, {(2, -3): 1, (-1, 90): 1}, Z2.origin_ball(1), 12, 4),
+            (f3, {4: 1, 1000: 2}, [0, 1], 10, 4),
+            (f3, {-3: 2, 40: 1}, [0], 6, 3)):
+        c = Configuration(rule.lattice, rule.q, cells)
+        hit = _sparse_hit(rule, c, sites, t_max)
+        assert hit is not None
+        boxes.clear()
+        assert linearca.decimated_first_nonzero_time(rule, c, sites,
+                                                     t_max) == hit
+        assert boxes == [R]
+    # the edge: the spot four cells off is kept through t=4 and dropped
+    # through t=3
+    edge = Configuration.spot(Z2, 2, 1, (0, 4))
+    for t_max, hit, R in ((4, 4, 4), (3, None, None)):
+        steps.clear()
+        boxes.clear()
+        assert linearca.decimated_first_nonzero_time(vn2, edge, [(0, 0)],
+                                                     t_max) == hit
+        assert boxes == ([R] if R else []) and bool(steps) == bool(R)
+
+
 def test_decimated_early_exit_is_refused_up_front(monkeypatch):
     # tri-null's spot and window through t=100: refused one word read below
     # its count, and with the array cap one byte below its source rows,
     # before any array is allocated; engine.first_nonzero_time then reads
-    # the same answer through window_series
+    # the same answer through window_series.  The count is 101 rows of the
+    # 79 x 79 box E, four uint8 reads a cell, the step charge, and 13
+    # gathered offsets
     from caexp import cone, errors
     rule, window = presets.tri2(), Z2.origin_ball(2)
     c = Configuration.spot(Z2, 2, 1, (0, 36))
-    count = linearca.early_exit_count(rule, c, window, 100)
-    # 101 rows of the 79 x 79 box E, four uint8 reads a cell, the step
-    # charge, and 13 gathered offsets
-    assert count == 101 * (-(-79 * 79 * 4 // 8) + linearca._STEP_CHARGE + 13)
+    count = 101 * (-(-79 * 79 * 4 // 8) + linearca._STEP_CHARGE + 13)
     store = 51 * 39 * 39  # source rows s <= 50 on the box |y| <= (38 + 1) // 2
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", count)
     monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", store)
@@ -457,8 +504,9 @@ def test_decimated_early_exit_is_refused_up_front(monkeypatch):
     monkeypatch.setattr(engine, "window_series",
                         lambda *args: series.append(window_series(*args))
                         or series[-1])
-    for steps, nbytes, match in ((count - 1, store, "decimated early exit"),
-                                 (count, store - 1, "source rows")):
+    for steps, nbytes, match in (
+            (count - 1, store, f"decimated run of {count} "),
+            (count, store - 1, "source rows")):
         monkeypatch.setattr(cone, "MAX_CELL_STEPS", steps)
         monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", nbytes)
         with monkeypatch.context() as m:
