@@ -1,27 +1,28 @@
 """Dense array kernels for orbits of Z rules, read at fixed sites or as
 difference fronts of pairs.
 
-Each kernel's step arithmetic is written once, in a step body over the last
-axis.  One block run (``_run``) steps every dense run, a row per
-configuration in one (rows, width) block per alphabet component, and yields
-the blocks at t = 0..t_max: an orbit gathers its row's read sites into row t
-of a (t_max+1, n) series, encoded through the alphabet, and ``fronts``
-records each pair's first and last differing cell, so no space-time array is
-built.  Step t computes the light-cone box B_t of one ``cone.Axis`` and meets
-the ``cone`` invariant: the rows hold the support on B_0 and span
-F_{t_max} & K_0 plus the offsets' reach, so no read falls off them.  Each
-gather is exact but at sites off the rows, which lie outside every F_t and
-which the orbit zeroes.
+One step body (``steps``) serves every rule: acc = sum of w_v * old[x+v],
+then the in-place finish that ``kernel`` picks with the weights (mod m for
+a linear rule, else a lookup in ``Rule.table`` of base-q digit sums).  One
+block run (``_run``) steps every dense run, a row per configuration in one
+(rows, width) int64 block of encoded states, and yields the block at t =
+0..t_max: an orbit gathers its row's read sites into row t of a (t_max+1,
+n) series, and ``fronts`` records each pair's first and last differing
+cell, so no space-time array is built.  Step t computes the light-cone box
+B_t of one ``cone.Axis`` and meets the ``cone`` invariant: the rows hold
+the support on B_0 and span F_{t_max} & K_0 plus the offsets' reach, so no
+read falls off them.  Each gather is exact but at sites off the rows,
+which lie outside every F_t and which the orbit zeroes.
 
 Before the first step a run counts its cell steps, each box's width plus two
 per row, and is refused above ``cone.MAX_CELL_STEPS``; for one row the count
 never exceeds the cells of the light-cone array these kernels replaced.
 
-``kernel`` picks the step body for a rule, or none; ``engine.window_series``
-calls ``orbit`` and ``engine.fronts_many`` calls ``fronts`` where it picks
-one, and the tests cross-check both against the sparse engine.  The linear
-body, which keeps the dtype of its input, also steps the decimated spot
-series of ``linearca`` on Z and, flattened to one row, on Z^2.
+``engine.window_series`` calls ``orbit`` and ``engine.fronts_many`` calls
+``fronts`` where ``kernel`` covers the rule, and the tests cross-check both
+against the sparse engine.  The step body, which keeps the dtype of its
+input, also steps the decimated spot series of ``linearca`` on Z and,
+flattened to one row, on Z^2.
 """
 from __future__ import annotations
 
@@ -30,8 +31,9 @@ import numpy as np
 from . import cone
 from .config import Configuration
 from .errors import ResourceLimitError, UsageError, check_array_bytes
-from .lattice import Z
-from .rules import LinearRule, MultRule, Rule, SecondOrderRule
+from .lattice import ZLattice
+from .rules import (LinearRule, MultRule, Rule, SecondOrderInverseRule,
+                    SecondOrderRule)
 
 
 class _Frame:
@@ -67,101 +69,81 @@ def add_shifted(acc: np.ndarray, row: np.ndarray, v: int) -> None:
         acc[-v:] += row[:n + v]
 
 
-# The step bodies.  Each steps a row or a block of rows, over the last axis,
-# through ``boxes`` (t, a, b) counted from the row origin, and yields
-# (t, a, b, state) after step t; the state's layers hold F^t on cells a..b-1.
-# A one-layer body makes its second buffer with np.zeros, not zeros_like,
-# which writes every page: np.zeros pages are mapped only once a box reaches
-# them.
-
-
-def linear_steps(rule: LinearRule, boxes, old: np.ndarray):
-    """The linear step body, in the dtype of ``old``: a uint8 sum wraps mod
-    256, which keeps it mod 2; other moduli need int64 (``int64_exact``).  A
-    power-of-two modulus reduces by a mask, which costs a fifth to a seventh
-    of ``%``."""
-    new = np.zeros(old.shape, dtype=old.dtype)
-    m = rule.m
-    mask = m - 1 if m & (m - 1) == 0 else None
-    (v0, a0), *rest = sorted(rule.coeffs.items())
-    for t, a, b in boxes:  # row cells a..b-1
-        acc = new[..., a:b]
-        np.multiply(old[..., a + v0:b + v0], a0, out=acc)
-        for v, co in rest:
-            src = old[..., a + v:b + v]
-            acc += src if co == 1 else co * src
-        if mask is None:
-            acc %= m
-        else:
-            acc &= mask
-        old, new = new, old
-        yield t, a, b, (old,)
-
-
-def _second_order_steps(rule: SecondOrderRule, boxes, first: np.ndarray,
-                        second: np.ndarray):
-    """The layers update in place: the new second component F(b) + a
-    overwrites a, and the old b becomes the new first component."""
-    q = rule.inner.q
-    items = sorted(rule.inner.coeffs.items())
-    for t, a, b in boxes:
-        acc = first[..., a:b]
-        for v, co in items:
-            src = second[..., a + v:b + v]
-            acc += src if co == 1 else co * src
-        acc %= q
-        first, second = second, first
-        yield t, a, b, (first, second)
-
-
-def _mult_steps(rule: MultRule, boxes, old: np.ndarray):
-    new = np.zeros(old.shape, dtype=np.int64)
-    k, m = rule.k, rule.m
-    for t, a, b in boxes:  # each cell reads its right neighbour's carry
-        carry, digit = np.divmod(k * old[..., a:b + 1], m)
-        np.add(digit[..., :-1], carry[..., 1:], out=new[..., a:b])
-        old, new = new, old
-        yield t, a, b, (old,)
+# entries a rule's table may hold: layered:2's 8^5 = 2^15 is the largest
+# among the presets, built in a few ms; past it a rule steps sparsely, as
+# second-order rules mod q >= 7 on three cells and mult:k,k' with kk' > 256 do
+MAX_TABLE = 2 ** 16
 
 
 def int64_exact(n_terms: int, m: int) -> bool:
-    """Does int64 hold every intermediate value?  A step sums ``n_terms``
-    products below (m-1)^2; the second-order wrapper adds one more state."""
-    return n_terms * (m - 1) ** 2 + (m - 1) < 2 ** 63
+    """Does int64 hold a sum of ``n_terms`` products below (m-1)^2?"""
+    return n_terms * (m - 1) ** 2 < 2 ** 63
 
 
 def kernel(rule: Rule):
-    """The step body that steps ``rule`` with exact int64 arithmetic, or None
-    when no kernel covers the rule or int64 would not hold its values."""
-    if isinstance(rule, MultRule):
-        return _mult_steps if int64_exact(2, rule.m) else None
-    inner = rule.inner if isinstance(rule, SecondOrderRule) else rule
-    if not (isinstance(inner, LinearRule) and inner.lattice == Z
-            and int64_exact(len(inner.coeffs), inner.m)):
+    """The terms [(v, w_v)] and in-place finish of ``steps`` for a Z rule,
+    or None.  A linear rule whose sums int64 holds keeps its coefficients
+    and reduces mod m, by a mask for a power of two (a fifth to a seventh
+    of the cost of ``%``); any other rule of at most ``MAX_TABLE``
+    neighbourhoods weighs site i by q^(n-1-i) and looks up ``rule.table``."""
+    if not isinstance(rule.lattice, ZLattice):
         return None
-    return linear_steps if inner is rule else _second_order_steps
+    if isinstance(rule, LinearRule):
+        m = rule.m
+        if not int64_exact(len(rule.coeffs), m):
+            return None
+        mask = m - 1
+        return sorted(rule.coeffs.items()), (
+            (lambda acc: np.remainder(acc, m, out=acc)) if m & mask
+            else (lambda acc: np.bitwise_and(acc, mask, out=acc)))
+    q, n = rule.q, len(rule.neighborhood)
+    if q ** n > MAX_TABLE:
+        return None
+    table = rule.table
+    # every sum indexes the table, so mode="clip" changes nothing, and it
+    # writes straight into a contiguous ``acc``; "raise" would buffer it
+    return ([(v, q ** (n - 1 - i)) for i, v in enumerate(rule.neighborhood)],
+            lambda acc: np.take(table, acc, out=acc, mode="clip"))
+
+
+def steps(kern, boxes, old: np.ndarray):
+    """The one step body, over the last axis of a row or a block of rows:
+    acc = sum of w_v * old[x + v] over the terms of ``kern``, then its
+    finish, in the dtype of ``old`` (a uint8 sum wraps mod 256, which keeps
+    it mod 2).  Yields (t, a, b, state) for each box (t, a, b), counted from
+    the row origin, the state holding F^t on cells a..b-1.  The second
+    buffer is made with np.zeros, not zeros_like, which writes every page:
+    np.zeros pages are mapped only once a box reaches them."""
+    ((v0, w0), *rest), finish = kern
+    new = np.zeros(old.shape, dtype=old.dtype)
+    for t, a, b in boxes:  # row cells a..b-1
+        acc = new[..., a:b]
+        np.multiply(old[..., a + v0:b + v0], w0, out=acc)
+        for v, w in rest:
+            src = old[..., a + v:b + v]
+            acc += src if w == 1 else w * src
+        finish(acc)
+        old, new = new, old
+        yield t, a, b, old
 
 
 def _run(rule: Rule, f: _Frame, configs, shifts):
     """Step the cells of ``configs``, row i holding configs[i] translated by
-    -shifts[i] and dropped off box 0, as one block; yields (t, a, b, layers)
-    for t = 0..t_max, the layers (one (rows, width) block per component of
-    the alphabet) holding F^t on row cells a..b-1 and zero off them."""
-    body = kernel(rule)
-    if body is None:
+    -shifts[i] and dropped off box 0, as one (rows, width) int64 block of
+    encoded states; yields (t, a, b, block) for t = 0..t_max, the block
+    holding F^t on row cells a..b-1 and zero off them."""
+    kern = kernel(rule)
+    if kern is None:
         raise UsageError(f"no exact dense kernel covers {rule.describe()}")
-    components = rule.alphabet.components
-    layers = tuple(np.zeros((len(configs), f.width), dtype=np.int64)
-                   for _ in rule.alphabet.moduli)
+    block = np.zeros((len(configs), f.width), dtype=np.int64)
     _, lo, end = next(f.axis.boxes(0, f.x0))
     for i, (cells, s) in enumerate(zip(configs, shifts)):
         for x, v in cells.items():
             col = x - s - f.x0
             if lo <= col < end:
-                for layer, value in zip(layers, components(v)):
-                    layer[i, col] = value
-    yield 0, lo, end, layers
-    yield from body(rule, f.axis.boxes(1, f.x0), *layers)
+                block[i, col] = v
+    yield 0, lo, end, block
+    yield from steps(kern, f.axis.boxes(1, f.x0), block)
 
 
 def _orbit(rule: Rule, c: Configuration, sites, t_max: int):
@@ -171,13 +153,9 @@ def _orbit(rule: Rule, c: Configuration, sites, t_max: int):
     out = np.zeros((t_max + 1, len(sites)), dtype=np.int64)
     if f.empty:
         return 0, out
-    encode = rule.alphabet.from_components
     # mode="clip" writes straight into ``out``; "raise" would buffer it
-    for t, _, _, layers in _run(rule, f, [c.cells], [0]):
-        if len(layers) == 1:
-            layers[0][0].take(f.cols, out=out[t], mode="clip")
-        else:
-            out[t] = encode([x[0].take(f.cols, mode="clip") for x in layers])
+    for t, _, _, block in _run(rule, f, [c.cells], [0]):
+        block[0].take(f.cols, out=out[t], mode="clip")
     if f.off.any():  # the clipped gathers misread the sites off the rows
         out[:, f.off] = 0
     return f.steps, out
@@ -190,24 +168,26 @@ def orbit_linear(rule: LinearRule, c: Configuration, sites, t_max: int):
 
 def orbit_second_order(rule: SecondOrderRule, c: Configuration, sites,
                        t_max: int):
-    """(cell steps, series) of SO(F, +) read at ``sites``, encoded a*q + b."""
+    """(cell steps, series) of SO(F, +), or of its inverse, read at
+    ``sites``, encoded a*q + b."""
     return _orbit(rule, c, sites, t_max)
 
 
 def orbit_mult(rule: MultRule, c: Configuration, sites, t_max: int):
-    """(cell steps, series) of the multiplication rule read at ``sites``."""
+    """(cell steps, series) of the multiplication rule, or of any other
+    tabulated Z rule (the layered flip rules), read at ``sites``."""
     return _orbit(rule, c, sites, t_max)
 
 
 def orbit(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray:
     """Encoded orbit values at ``sites``, shape (t_max+1, len(sites)), of a
-    rule that ``kernel`` covers."""
-    # looked up at each call, so that a wrapper bound to a name is reached
-    run = {linear_steps: orbit_linear, _second_order_steps: orbit_second_order,
-           _mult_steps: orbit_mult}.get(kernel(rule))
-    if run is None:
+    rule that ``kernel`` covers, through one ``orbit_*`` by rule class."""
+    if kernel(rule) is None:
         raise UsageError(f"no exact dense kernel covers {rule.describe()}")
-    return run(rule, c, sites, t_max)[1]
+    # looked up at each call, so that a wrapper bound to a name is reached
+    by_class = {LinearRule: orbit_linear, SecondOrderRule: orbit_second_order,
+                SecondOrderInverseRule: orbit_second_order}
+    return by_class.get(type(rule), orbit_mult)(rule, c, sites, t_max)[1]
 
 
 def fronts(rule: Rule, pairs: list, t_max: int) -> list[tuple[list, list]]:
@@ -252,11 +232,9 @@ def _block_fronts(rule: Rule, f: _Frame, pairs, shifts):
     lo = np.empty((f.t_max + 1, n), dtype=np.int64)
     hi = np.empty_like(lo)
     some = np.empty((f.t_max + 1, n), dtype=bool)
-    for t, a, b, state in _run(rule, f, configs, shifts + shifts):
+    for t, a, b, block in _run(rule, f, configs, shifts + shifts):
         # the rows are zero off box t, so every difference lies on it
-        diff = state[0][:n, a:b] != state[0][n:, a:b]
-        for layer in state[1:]:
-            diff |= layer[:n, a:b] != layer[n:, a:b]
+        diff = block[:n, a:b] != block[n:, a:b]
         diff.any(axis=1, out=some[t])
         np.add(diff.argmax(axis=1), a, out=lo[t])
         np.subtract(b - 1, diff[:, ::-1].argmax(axis=1), out=hi[t])

@@ -12,7 +12,7 @@ where decimation refuses its read up front.
 
 - ``window_series`` (an orbit at fixed sites): ``bitgrid`` for mod-2 linear
   rules on Z^2 whose x offsets are below 64 cells (``_bitgrid_runs``),
-  ``dense1d`` for linear, multiplication and linear second-order rules on Z
+  ``dense1d`` for the Z rules a ``dense1d.kernel`` covers
   (``_dense1d_runs``), and the sparse step otherwise;
 - ``spot_series`` (the orbit of a spot on a box, for a trace table): by
   decimation (``linearca.decimated_spot_series``) for linear rules with a
@@ -25,20 +25,22 @@ where decimation refuses its read up front.
   ``_decimation_runs`` holds and int64 holds a sum over the support, unless
   decimation refuses the read up front;
 - ``fronts_many`` (the difference fronts of many pairs on Z): ``dense1d``
-  blocks where ``_dense1d_runs`` holds for a pair's joint cells, and the
-  sparse step otherwise.
+  blocks where the same test holds for a pair's joint cells, and the sparse
+  orbits of c and d otherwise.
 
 The sparse step keeps only the cells that can still reach a read site by
 t_max (``iterate`` and the fronts keep every cell).
-Decimation and a ``dense1d`` kernel run only when int64 arithmetic is exact
-for the rule: n*(m-1)^2 + (m-1) < 2^63 for n coefficients mod m.  Both dense
-backends step only the light-cone box of the support and the read sites,
-from ``cone``; ``dense1d`` gathers the read sites, or records the fronts of a
-block of pairs, after each step, so no space-time array exists.  Neither
-dense backend runs where the cells it would span (the support, on Z^2 the
-read sites too, and for fronts both configurations of a pair) leave a gap
-wider than the light cone spreads plus one 64-cell word: the sparse step
-skips such gaps, a dense row would allocate them.
+Decimation and a linear ``dense1d`` kernel run only when int64 holds a sum
+of n products below (m-1)^2, n coefficients mod m; every other Z rule runs
+``dense1d`` through its tabulated local function, up to
+``dense1d.MAX_TABLE`` entries.  Both dense backends step only the light-cone
+box of the support and the read sites, from ``cone``; ``dense1d`` gathers
+the read sites, or records the fronts of a block of pairs, after each step,
+so no space-time array exists.  Neither dense backend runs where the cells
+it would span (the support, on Z^2 the read sites too, and for fronts both
+configurations of a pair) leave a gap wider than the light cone spreads plus
+one 64-cell word: the sparse step skips such gaps, a dense row would
+allocate them.
 
 Every run counts its work before its first step: the dense backends their
 row elements stepped (``cone.MAX_CELL_STEPS``; a block of fronts over it
@@ -119,10 +121,9 @@ def _gaps_within(coords, rule: Rule, t_max: int) -> bool:
 
 
 def _dense1d_runs(rule: Rule, cells, t_max: int) -> bool:
-    """The one dense1d test: a Z rule an exact int64 kernel covers, over
-    cells without a gap a row would allocate."""
-    return (isinstance(rule.lattice, ZLattice)
-            and dense1d.kernel(rule) is not None
+    """The one dense1d test: a Z rule a dense kernel covers, over cells
+    without a gap a row would allocate."""
+    return (dense1d.kernel(rule) is not None
             and _gaps_within(cells, rule, t_max))
 
 

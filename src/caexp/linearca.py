@@ -224,7 +224,7 @@ def _decimated_rows(rule: LinearRule, state: int, R: int, t_max: int,
     h = max(R, r), r the rule's L-inf radius.  For each s, S_s is dilated
     into the box E of size h + g, g = min(p-1, t_max) * r, which reads S_s
     only on the box |y| <= k = (h+g)//p <= h, and stepped up to p - 1 times
-    by ``dense1d.linear_steps``, in uint8 for p = 2 and int64 otherwise.  On
+    by ``dense1d.steps``, in uint8 for p = 2 and int64 otherwise.  On
     Z^2, E is stepped as one x-major row, by the Z rule with offsets
     dx*w + dy (w the side of E).  Step j computes E shrunk by j*r: each of
     its cells reads cells of E shrunk by (j-1)*r, which step j-1 computed,
@@ -253,6 +253,7 @@ def _decimated_rows(rule: LinearRule, state: int, R: int, t_max: int,
     source = (slice(h + g - k, h + g + k + 1),) * d  # the source box in E
     row = rule if d == 1 else LinearRule(
         Z, p, {dx * w + dy: a for (dx, dy), a in rule.coeffs.items()})
+    kern = dense1d.kernel(row)
     edge = r * (w + 1) if d == 2 else r
 
     def rows():
@@ -264,9 +265,9 @@ def _decimated_rows(rule: LinearRule, state: int, R: int, t_max: int,
             grid.reshape((w,) * d)[dilate] = store[s]
             boxes = ((p * s + j, j * edge, w ** d - j * edge)
                      for j in range(1, min(p - 1, t_max - p * s) + 1))
-            steps = dense1d.linear_steps(row, boxes, grid)
+            steps = dense1d.steps(kern, boxes, grid)
             for t, cur in itertools.chain(
-                    [(p * s, grid)], ((t, cur) for t, _, _, (cur,) in steps)):
+                    [(p * s, grid)], ((t, cur) for t, _, _, cur in steps)):
                 cur = cur.reshape((w,) * d)
                 if t < len(store):
                     store[t] = cur[source]

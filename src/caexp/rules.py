@@ -9,7 +9,10 @@ preserved and ``step`` never fails on data.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .alphabet import Alphabet, Bits, Cyclic, Pair
 from .errors import UsageError
@@ -35,8 +38,19 @@ class Rule:
         return max(self.lattice.norm(v) for v in self.neighborhood)
 
     def local(self, values: Sequence[int]) -> int:
-        """Local function on states listed in neighborhood order."""
+        """Local function on states listed in neighborhood order.  The states
+        may be int64 arrays of one shape, and ``local`` applies elementwise:
+        ``table`` evaluates it once on arrays."""
         raise NotImplementedError
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """``local`` of all q^n neighbourhoods of n sites, built once: entry
+        sum_i s_i * q^(n-1-i) holds local(s_0, ..., s_{n-1})."""
+        q, n = self.q, len(self.neighborhood)
+        index = np.arange(q ** n, dtype=np.int64)
+        digits = [index // q ** (n - 1 - i) % q for i in range(n)]
+        return np.asarray(self.local(digits), dtype=np.int64)
 
     def describe(self) -> str:
         return self.name

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from caexp import configio, engine, presets, render
@@ -348,17 +349,58 @@ def _sparse_orbit(rule, c, t_max):
     return orbit
 
 
-def test_dense_kernels_cover_exactly_the_int64_z_presets():
-    # the rest take the sparse fallbacks, and no dense orbit runs them
+def test_dense_kernels_cover_exactly_the_exact_or_tabulated_z_presets():
+    # the rest take the sparse fallbacks, and no dense orbit runs them, not
+    # even on an empty support: big-m and huge-m pass int64, and mult:17,17's
+    # table would hold 289^2 = 83 521 entries
     from caexp import dense1d
     cases = _window_series_cases()
     assert {name for name, rule in cases.items()
             if dense1d.kernel(rule) is not None} == {
-        "f2", "f3", "psi", "upsilon", "mult:3,2", "mult:2,4", "mod5"}
-    for name in ("layered:2", "so-inverse", "big-m", "huge-m"):
+        "f2", "f3", "psi", "upsilon", "mult:3,2", "mult:2,4", "layered:2",
+        "mod5", "so-inverse"}
+    for name in ("big-m", "huge-m", "mult:17,17"):
         rule = cases[name]
-        with pytest.raises(UsageError):
-            dense1d.orbit(rule, Configuration.spot(Z, rule.q, 1, 0), [0], 3)
+        for c in (Configuration.spot(Z, rule.q, 1, 0),
+                  Configuration.zero(Z, rule.q)):
+            with pytest.raises(UsageError):
+                dense1d.orbit(rule, c, [0], 3)
+
+
+@pytest.mark.parametrize("name", ["psi", "upsilon", "mult:3,2", "mult:2,4",
+                                  "layered:2", "so-inverse"])
+def test_rule_tables_hold_the_scalar_local_function(name):
+    # each entry, the neighbourhood's states read as base-q digits in
+    # neighbourhood order, is the scalar local function there: all 8^5
+    # entries of layered:2
+    import itertools
+    rule = _window_series_cases()[name]
+    want = [rule.local(states) for states in
+            itertools.product(range(rule.q), repeat=len(rule.neighborhood))]
+    assert rule.table.dtype == np.int64
+    assert rule.table.tolist() == want
+
+
+def test_int64_exact_at_the_boundary():
+    # one product below (m-1)^2 fits while (m-1)^2 < 2^63; a sum of two
+    # reaches 2^63 from m = 2^31 + 1 on.  Dense runs near the largest exact
+    # modulus, reduced by % and by a mask, with states m-1 match the sparse
+    # step, and the next modulus steps sparsely
+    from caexp import dense1d
+    m = 3_037_000_500  # (m-1)^2 < 2^63 <= m^2
+    assert (m - 1) ** 2 < 2 ** 63 <= m ** 2
+    assert dense1d.int64_exact(1, m) and not dense1d.int64_exact(1, m + 1)
+    assert dense1d.int64_exact(2, 2 ** 31)
+    assert not dense1d.int64_exact(2, 2 ** 31 + 1)
+    sites = Z.origin_ball(3)
+    for m, dense in ((2 ** 31 - 1, True), (2 ** 31, True),
+                     (2 ** 31 + 1, False)):
+        rule = LinearRule(Z, m, {-1: m - 1, 1: m - 1})
+        assert (dense1d.kernel(rule) is not None) == dense
+        c = Configuration(Z, m, {0: m - 1, 1: m - 1})
+        want = [[cur.get(s) for s in sites]
+                for cur in _sparse_orbit(rule, c, 5)]
+        assert engine.window_series(rule, c, sites, 5).tolist() == want
 
 
 def _sparse_fronts(rule, c, d, t_max):
@@ -380,12 +422,13 @@ def _window_series_cases():
         "mult:2,4": presets.mult(2, 4), "layered:2": presets.layered(2),
         "lambda:2": presets.lambda_rule(2), "lambda:3": presets.lambda_rule(3),
         "mod5": LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}),
-        # inputs no dense kernel covers
         "so-inverse": SecondOrderInverseRule(presets.psi()),
+        # inputs no dense kernel covers
         "z2-mod3": LinearRule(Z2, 3, {(0, 0): 1, (1, 0): 2, (0, -1): 1}),
         "z2-dx64": LinearRule(Z2, 2, {(0, 0): 1, (64, 0): 1, (-1, 1): 1}),
         "big-m": LinearRule(Z, big, {-1: big - 1, 0: 12345678901, 2: 3}),
         "huge-m": LinearRule(Z, 2 ** 64 + 13, {-1: 3, 1: 2 ** 64}),  # past int64
+        "mult:17,17": presets.mult(17, 17),  # a table past dense1d.MAX_TABLE
     }
 
 
@@ -466,7 +509,8 @@ def _far_pairs(q):
     ]
 
 
-@pytest.mark.parametrize("name", ["f3", "psi", "mult:3,2", "mod5"])
+@pytest.mark.parametrize("name", ["f3", "psi", "mult:3,2", "mod5",
+                                  "layered:2", "so-inverse"])
 def test_batched_fronts_translate_far_pairs(name, monkeypatch):
     # every kernel steps the three pairs as one block, each translated to 0,
     # with no sparse fallback, and gives the unpruned sparse fronts in order
@@ -735,6 +779,7 @@ def test_orbit_reads_reach_the_names_the_benchmark_traces(monkeypatch):
     # perfbench/tracing.py wraps these functions by name; a reader that
     # bypassed one would zero its per-layer counts and fail nothing else
     from caexp import bitgrid, dense1d
+    from caexp.rules import SecondOrderInverseRule
     calls, results = [], []
 
     def counted(module, name):
@@ -753,6 +798,9 @@ def test_orbit_reads_reach_the_names_the_benchmark_traces(monkeypatch):
     for rule, state, name in ((presets.f3(), 1, "orbit_linear"),
                               (presets.psi(), 4, "orbit_second_order"),
                               (presets.parse_rule("mult:3,2"), 5, "orbit_mult"),
+                              (presets.layered(2), 4, "orbit_mult"),
+                              (SecondOrderInverseRule(presets.psi()), 4,
+                               "orbit_second_order"),
                               (presets.vn2(), 1, "simulate_series")):
         calls.clear()
         results.clear()

@@ -440,16 +440,16 @@ def test_early_exit_drops_the_support_cells_out_of_reach(monkeypatch):
     # within reach; a cell exactly t_max*r away is kept
     from caexp import dense1d
     steps, boxes = [], []
-    linear_steps, decimated_rows = dense1d.linear_steps, linearca._decimated_rows
+    step_body, decimated_rows = dense1d.steps, linearca._decimated_rows
 
     def counted_steps(*args):
         steps.append(args[0])
-        return linear_steps(*args)
+        return step_body(*args)
 
     def counted_rows(rule, state, R, t_max, reads=0):
         boxes.append(R)
         return decimated_rows(rule, state, R, t_max, reads)
-    monkeypatch.setattr(dense1d, "linear_steps", counted_steps)
+    monkeypatch.setattr(dense1d, "steps", counted_steps)
     monkeypatch.setattr(linearca, "_decimated_rows", counted_rows)
     vn2, f3 = presets.vn2(), presets.f3()
     far = Configuration.spot(Z2, 2, 1, (300, 0))
