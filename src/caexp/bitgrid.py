@@ -12,12 +12,12 @@ per axis, rounded out to whole words, and meet its invariant: the grid holds
 the support, the read sites and F_{t_max} with a one-cell margin, so reads
 off it fall outside every F_t.  One read loop (``_read``) builds the grid
 once and yields the values at the read sites after each step, which
-``simulate_series`` stores for ``engine.window_series`` and
+``simulate_series`` stores for ``engine.window_series_many`` and
 ``first_nonzero_window_time`` scans for the first nonzero row.
 ``simulate_support`` reads no sites, so every grid cell is exact.  Neither
 ``first_nonzero_window_time`` nor ``simulate_support`` has a caller in the
-package: ``engine.first_nonzero_time`` reads by decimation or through
-``window_series``.  Both stay because the benchmark harness calls the first
+package: ``engine.first_nonzero_times`` reads by decimation or through
+``window_series_many``.  Both stay because the benchmark harness calls the first
 and wraps both by name.  A grid without boxes (``cli bench``) steps all of its cells.
 Before the grid is allocated a run bounds its word-row steps
 (``_word_steps``) against ``cone.MAX_CELL_STEPS``.  Results are

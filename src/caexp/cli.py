@@ -194,17 +194,25 @@ def cmd_check_kexp(args) -> int:
                                     m=args.window, t_max=args.tmax)
     print(f"verdict: {verdict}")
     artifacts = 0
-    witness = verdict.witness or (verdict.pair[1] if verdict.pair else None)
+    # a witness is compared with zero; a pair probe's witness is the pair
+    if verdict.witness is not None:
+        c, d = verdict.witness, Configuration.zero(rule.lattice, rule.q)
+        files = {"witness.cfg": c}
+    elif verdict.pair is not None:
+        c, d = verdict.pair
+        files = {"witness-c.cfg": c, "witness-d.cfg": d}
     if verdict.found and args.out:
-        path = os.path.join(_out_dir(args.out), "witness.cfg")
-        configio.save(witness, path)
-        print(f"artifact: {path}")
-        artifacts = 1
+        out = _out_dir(args.out)
+        for name, cfg in files.items():
+            path = os.path.join(out, name)
+            configio.save(cfg, path)
+            print(f"artifact: {path}")
+        artifacts = len(files)
     if alpha is not None and verdict.found and rule.lattice.kind == "z":
-        zero = Configuration.zero(rule.lattice, rule.q)
-        d = directional_fronts(rule, witness, zero, alpha, args.tmax)
-        print(f"directional alpha={alpha}: escapes_below={d.escapes_below} "
-              f"escapes_above={d.escapes_above} threshold={d.threshold}")
+        fr = directional_fronts(rule, c, d, alpha, args.tmax)
+        print(f"directional alpha={alpha}: escapes_below={fr.escapes_below} "
+              f"escapes_above={fr.escapes_above} threshold={fr.threshold} "
+              f"at t={args.tmax}: l={fr.adj_l[-1]} r={fr.adj_r[-1]}")
     _summary(sys.stdout, status="ok", found=str(verdict.found).lower(),
              searched=verdict.searched,
              kernel_dim=("none" if verdict.kernel_dim is None

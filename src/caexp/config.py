@@ -90,6 +90,7 @@ class Configuration:
     def shift(self, z: Site) -> "Configuration":
         """sigma_z(c), with sigma_z(c)(x) = c(z + x)."""
         lat = self.lattice
+        lat.validate_site(z)  # a free-group z must be a reduced word
         zinv = lat.neg(z)
         return Configuration(lat, self.q,
                              {lat.add(zinv, s): v for s, v in self.cells.items()},

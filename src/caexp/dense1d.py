@@ -4,23 +4,24 @@ difference fronts of pairs.
 One step body (``steps``) serves every rule: acc = sum of w_v * old[x+v],
 then the in-place finish that ``kernel`` picks with the weights (mod m for
 a linear rule, else a lookup in ``Rule.table`` of base-q digit sums).  One
-block run (``_run``) steps every dense run, a row per configuration in one
-(rows, width) int64 block of encoded states, and yields the block at t =
-0..t_max: an orbit gathers its row's read sites into row t of a (t_max+1,
-n) series, and ``fronts`` records each pair's first and last differing
-cell, so no space-time array is built.  Step t computes the light-cone box
-B_t of one ``cone.Axis`` and meets the ``cone`` invariant: the rows hold
-the support on B_0 and span F_{t_max} & K_0 plus the offsets' reach, so no
-read falls off them.  Each gather is exact but at sites off the rows,
-which lie outside every F_t and which the orbit zeroes.
+block generator (``_blocks``) frames and counts every dense run, halving a
+block over a budget, and its block run (``_run``) steps a row per
+configuration in one (rows, width) int64 block of encoded states: ``orbit``
+gathers each row's read sites into row t of a (t_max+1, B, n) series, and
+``fronts`` records each pair's first and last differing cell, so no
+space-time array is built.  Step t computes the light-cone box B_t of one
+``cone.Axis`` of the block's joint cells and meets the ``cone`` invariant:
+the rows hold the support on B_0 and span F_{t_max} & K_0 plus the offsets'
+reach.  Each gather is exact but at sites off the rows, which lie outside
+every F_t and which the orbit zeroes.
 
-Before the first step a run counts its cell steps, each box's width plus two
-per row, and is refused above ``cone.MAX_CELL_STEPS``; for one row the count
-never exceeds the cells of the light-cone array these kernels replaced.
+A block counts its cell steps, each box's width plus two per row, and is
+refused above ``cone.MAX_CELL_STEPS``; for one row the count never exceeds
+the cells of the light-cone array these kernels replaced.
 
-``engine.window_series`` calls ``orbit`` and ``engine.fronts_many`` calls
-``fronts`` where ``kernel`` covers the rule, and the tests cross-check both
-against the sparse engine.  The step body, which keeps the dtype of its
+``engine.window_series_many`` calls ``orbit`` and ``engine.fronts_many``
+calls ``fronts`` where ``kernel`` covers the rule, and the tests cross-check
+both against the sparse engine.  The step body, which keeps the dtype of its
 input, also steps the decimated spot series of ``linearca`` on Z and,
 flattened to one row, on Z^2.
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import cone
-from .config import Configuration
 from .errors import ResourceLimitError, UsageError, check_array_bytes
 from .lattice import ZLattice
 from .rules import (LinearRule, MultRule, Rule, SecondOrderInverseRule,
@@ -44,7 +44,6 @@ class _Frame:
     """
 
     def __init__(self, cells, sites, offsets, t_max: int, rows: int = 1):
-        self.t_max = t_max
         self.axis = ax = cone.Axis(offsets, cells, sites, t_max)
         self.empty = ax.empty
         if self.empty:
@@ -61,12 +60,12 @@ class _Frame:
 
 
 def add_shifted(acc: np.ndarray, row: np.ndarray, v: int) -> None:
-    """acc[x] += row[x + v], reading zeros past either end of row."""
-    n = len(row)
+    """acc[..., x] += row[..., x + v], reading zeros past either end."""
+    n = row.shape[-1]
     if v >= 0:
-        acc[:n - v] += row[v:]
+        acc[..., :n - v] += row[..., v:]
     else:
-        acc[-v:] += row[:n + v]
+        acc[..., -v:] += row[..., :n + v]
 
 
 # entries a rule's table may hold: layered:2's 8^5 = 2^15 is the largest
@@ -146,48 +145,76 @@ def _run(rule: Rule, f: _Frame, configs, shifts):
     yield from steps(kern, f.axis.boxes(1, f.x0), block)
 
 
-def _orbit(rule: Rule, c: Configuration, sites, t_max: int):
-    """(cell steps, series) of a rule ``kernel`` covers, read at ``sites``:
-    series[t] holds the encoded states of F^t(c) there."""
-    f = _Frame(c.cells, sites, rule.neighborhood, t_max)
-    out = np.zeros((t_max + 1, len(sites)), dtype=np.int64)
-    if f.empty:
-        return 0, out
-    # mode="clip" writes straight into ``out``; "raise" would buffer it
-    for t, _, _, block in _run(rule, f, [c.cells], [0]):
-        block[0].take(f.cols, out=out[t], mode="clip")
-    if f.off.any():  # the clipped gathers misread the sites off the rows
-        out[:, f.off] = 0
-    return f.steps, out
+def _blocks(rule: Rule, items: list, sites, t_max: int, rows, record=0):
+    """Yield (lo, hi, f, shifts, run) for the blocks items[lo:hi] in order,
+    but those with an empty frame: ``rows(part)`` gives the cells and shifts
+    of a block's rows, whose ``_Frame`` on their joint translated cells
+    counts and checks the block, with ``record`` bytes an item and step
+    besides, and ``run`` steps them.  A refused block is halved, down to a
+    single item."""
+    todo = [(0, len(items))] if items else []
+    while todo:
+        lo, hi = todo.pop()
+        cells, shifts = rows(items[lo:hi])
+        try:
+            f = _Frame([x - s for c, s in zip(cells, shifts) for x in c], sites,
+                       rule.neighborhood, t_max, rows=len(cells))
+            check_array_bytes(record * (t_max + 1) * (hi - lo),
+                              "a dense block's records")
+        except ResourceLimitError:
+            if hi - lo == 1:
+                raise
+            todo += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+            continue
+        if not f.empty:
+            yield lo, hi, f, shifts, _run(rule, f, cells, shifts)
 
 
-def orbit_linear(rule: LinearRule, c: Configuration, sites, t_max: int):
+def _orbit(rule: Rule, configs, sites, t_max: int):
+    """(cell steps, series) of a rule ``kernel`` covers: series[t, b*n + i]
+    holds the encoded state of F^t(configs[b]) at sites[i], n = len(sites)."""
+    out = np.zeros((t_max + 1, len(configs), len(sites)), dtype=np.int64)
+    steps = 0
+    for lo, hi, f, _, run in _blocks(rule, configs, sites, t_max, lambda part: (
+            [c.cells for c in part], [0] * len(part))):
+        steps += f.steps
+        # mode="clip" writes straight into ``out``; "raise" would buffer it
+        for t, _, _, block in run:
+            block.take(f.cols, axis=1, out=out[t, lo:hi], mode="clip")
+        if f.off.any():  # the clipped gathers misread the sites off the rows
+            out[:, lo:hi, f.off] = 0
+    return steps, out.reshape(t_max + 1, -1)
+
+
+def orbit_linear(rule: LinearRule, configs, sites, t_max: int):
     """(cell steps, series) of a linear Z rule read at ``sites``."""
-    return _orbit(rule, c, sites, t_max)
+    return _orbit(rule, configs, sites, t_max)
 
 
-def orbit_second_order(rule: SecondOrderRule, c: Configuration, sites,
-                       t_max: int):
+def orbit_second_order(rule: SecondOrderRule, configs, sites, t_max: int):
     """(cell steps, series) of SO(F, +), or of its inverse, read at
     ``sites``, encoded a*q + b."""
-    return _orbit(rule, c, sites, t_max)
+    return _orbit(rule, configs, sites, t_max)
 
 
-def orbit_mult(rule: MultRule, c: Configuration, sites, t_max: int):
+def orbit_mult(rule: MultRule, configs, sites, t_max: int):
     """(cell steps, series) of the multiplication rule, or of any other
     tabulated Z rule (the layered flip rules), read at ``sites``."""
-    return _orbit(rule, c, sites, t_max)
+    return _orbit(rule, configs, sites, t_max)
 
 
-def orbit(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray:
-    """Encoded orbit values at ``sites``, shape (t_max+1, len(sites)), of a
-    rule that ``kernel`` covers, through one ``orbit_*`` by rule class."""
+def orbit(rule: Rule, configs, sites, t_max: int) -> np.ndarray:
+    """Encoded orbit values at ``sites``, shape (t_max+1, B, len(sites)), of
+    B configurations of a rule that ``kernel`` covers, through one
+    ``orbit_*`` by rule class."""
     if kernel(rule) is None:
         raise UsageError(f"no exact dense kernel covers {rule.describe()}")
     # looked up at each call, so that a wrapper bound to a name is reached
     by_class = {LinearRule: orbit_linear, SecondOrderRule: orbit_second_order,
                 SecondOrderInverseRule: orbit_second_order}
-    return by_class.get(type(rule), orbit_mult)(rule, c, sites, t_max)[1]
+    read = by_class.get(type(rule), orbit_mult)
+    series = read(rule, configs, sites, t_max)[1]
+    return series.reshape(t_max + 1, len(configs), len(sites))
 
 
 def fronts(rule: Rule, pairs: list, t_max: int) -> list[tuple[list, list]]:
@@ -195,53 +222,33 @@ def fronts(rule: Rule, pairs: list, t_max: int) -> list[tuple[list, list]]:
     ``kernel`` covers, in order: the first and last cell where F^t(c) and
     F^t(d) differ, for t = 0..t_max, None where they agree.
 
-    The pairs step together as one block run, the c's in rows 0..B-1 and the
-    d's in rows B..2B-1, each pair translated so that its lowest cell sits at
-    0 (the rule commutes with shifts), so pairs far apart never widen it.  A
-    block steps the whole light cone of its rows, and after each step records
-    each row pair's first and last differing cell; no space-time array
-    exists.  A block is counted and refused like an orbit of 2B rows; one
-    over a budget is halved, so only a single pair over it is refused.
+    A block of B pairs steps the c's in rows 0..B-1 and the d's in rows
+    B..2B-1, each pair translated so that its lowest cell sits at 0 (the
+    rule commutes with shifts), so pairs far apart never widen it.  It steps
+    the whole light cone of its rows, and after each step records each row
+    pair's first and last differing cell; no space-time array exists.
     """
-    out: list[tuple[list, list]] = []
-    todo = [pairs] if pairs else []
-    while todo:
-        part = todo.pop()
+    def rows(part):
         shifts = [min([*c.cells, *d.cells]) for c, d in part]
-        span = max(max([*c.cells, *d.cells]) - s
-                   for (c, d), s in zip(part, shifts))
-        try:
-            f = _Frame((0, span), None, rule.neighborhood, t_max,
-                       rows=2 * len(part))
-            # two int64 positions and a bool per pair and step
-            check_array_bytes((8 + 8 + 1) * (t_max + 1) * len(part),
-                              "a dense block's front records")
-        except ResourceLimitError:
-            if len(part) == 1:
-                raise
-            half = len(part) // 2
-            todo += [part[half:], part[:half]]
-            continue
-        out += _block_fronts(rule, f, part, shifts)
-    return out
-
-
-def _block_fronts(rule: Rule, f: _Frame, pairs, shifts):
-    n = len(pairs)
-    configs = [c.cells for c, _ in pairs] + [d.cells for _, d in pairs]
-    lo = np.empty((f.t_max + 1, n), dtype=np.int64)
-    hi = np.empty_like(lo)
-    some = np.empty((f.t_max + 1, n), dtype=bool)
-    for t, a, b, block in _run(rule, f, configs, shifts + shifts):
-        # the rows are zero off box t, so every difference lies on it
-        diff = block[:n, a:b] != block[n:, a:b]
-        diff.any(axis=1, out=some[t])
-        np.add(diff.argmax(axis=1), a, out=lo[t])
-        np.subtract(b - 1, diff[:, ::-1].argmax(axis=1), out=hi[t])
-    out = []
-    for s, ls, rs, ok in zip(shifts, lo.T.tolist(), hi.T.tolist(),
-                             some.T.tolist()):
-        x = f.x0 + s
-        out.append(([v + x if k else None for v, k in zip(ls, ok)],
-                    [v + x if k else None for v, k in zip(rs, ok)]))
+        return ([c.cells for c, _ in part] + [d.cells for _, d in part],
+                shifts + shifts)
+    out: list[tuple[list, list]] = []
+    # two int64 positions and a bool per pair and step
+    for lo, hi, f, shifts, run in _blocks(rule, pairs, None, t_max, rows,
+                                          8 + 8 + 1):
+        n = hi - lo
+        first = np.empty((t_max + 1, n), dtype=np.int64)
+        last = np.empty_like(first)
+        some = np.empty((t_max + 1, n), dtype=bool)
+        for t, a, b, block in run:
+            # the rows are zero off box t, so every difference lies on it
+            diff = block[:n, a:b] != block[n:, a:b]
+            diff.any(axis=1, out=some[t])
+            np.add(diff.argmax(axis=1), a, out=first[t])
+            np.subtract(b - 1, diff[:, ::-1].argmax(axis=1), out=last[t])
+        for s, ls, rs, ok in zip(shifts[:n], first.T.tolist(),
+                                 last.T.tolist(), some.T.tolist()):
+            x = f.x0 + s
+            out.append(([v + x if k else None for v, k in zip(ls, ok)],
+                        [v + x if k else None for v, k in zip(rs, ok)]))
     return out

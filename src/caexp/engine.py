@@ -5,25 +5,23 @@ at site s seen through a neighborhood offset v contributes to the image at
 ``s - v``.  A dedicated test pins this.
 
 The sparse step below is the reference semantics for every rule and lattice.
-One backend decision per reader picks how an orbit is read.  The readers
-outside ``window_series`` follow one rule: decimation where it runs, and
-otherwise ``window_series``; the early exit also reads ``window_series``
-where decimation refuses its read up front.
+Each orbit reader takes many configurations of one rule, its single form
+being the one-element block, and decides the backends once per block.  The
+readers outside ``window_series_many`` use decimation where it runs, and
+otherwise ``window_series_many``, also where decimation refuses a block.
 
-- ``window_series`` (an orbit at fixed sites): ``bitgrid`` for mod-2 linear
-  rules on Z^2 whose x offsets are below 64 cells (``_bitgrid_runs``),
-  ``dense1d`` for the Z rules a ``dense1d.kernel`` covers
-  (``_dense1d_runs``), and the sparse step otherwise;
+- ``window_series_many`` (orbits at fixed sites): one ``dense1d`` block of
+  the configurations that ``_dense1d_runs`` admits, ``bitgrid`` for each
+  one of a mod-2 linear Z^2 rule with x offsets below 64 cells
+  (``_bitgrid_runs``), and the sparse step for each other one;
 - ``spot_series`` (the orbit of a spot on a box, for a trace table): by
   decimation (``linearca.decimated_spot_series``) for linear rules with a
-  prime modulus on Z or Z^2 (``_decimation_runs``), and otherwise as a
-  ``window_series``;
-- ``first_nonzero_time``, the early-exit twin of ``window_series``: by
-  decimation (``linearca.decimated_first_nonzero_time``, one state-1 spot
-  series on the box of the offsets to the read sites from the support cells
-  within their reach, None with no step when no cell is) where
-  ``_decimation_runs`` holds and int64 holds a sum over the support, unless
-  decimation refuses the read up front;
+  prime modulus on Z or Z^2 (``_decimation_runs``);
+- ``first_nonzero_times``, the early-exit twin of ``window_series_many``:
+  where ``_decimation_runs``, one state-1 spot series on the box of the
+  offsets to the read sites from the support cells within their reach
+  (``linearca.decimated_first_nonzero_times``) answers every configuration
+  whose sum over the support int64 holds;
 - ``fronts_many`` (the difference fronts of many pairs on Z): ``dense1d``
   blocks where the same test holds for a pair's joint cells, and the sparse
   orbits of c and d otherwise.
@@ -43,14 +41,14 @@ one 64-cell word: the sparse step skips such gaps, a dense row would
 allocate them.
 
 Every run counts its work before its first step: the dense backends their
-row elements stepped (``cone.MAX_CELL_STEPS``; a block of fronts over it
-splits, down to single pairs), decimation the words its steps read and a
-charge per step (the same cap, in one count of ``linearca._decimated_rows``;
-the early exit adds its gathered offsets),
+row elements stepped (``cone.MAX_CELL_STEPS``; a ``dense1d`` block over it
+halves, down to single configurations or pairs), decimation the words its
+steps read and a charge per step (the same cap, in one count of
+``linearca._decimated_rows``; the early exit adds its gathered offsets),
 the sparse orbit a bound on its cells from ball sizes, weighted by
 ``Lattice.site_cost`` (``MAX_SPARSE_CELLS``).
 Arrays past ``errors.MAX_ARRAY_BYTES`` are refused up front, the
-(t_max+1, n) output of ``window_series`` on every backend.
+(t_max+1, n) series of each configuration on every backend.
 Every backend is cross-checked against the sparse step; results are
 bit-identical.
 """
@@ -188,40 +186,55 @@ def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
         yield c
 
 
-def _check_run(rule: Rule, c: Configuration, t_max: int) -> None:
+def _check_run(rule: Rule, configs, t_max: int) -> None:
     if t_max < 0:
         raise UsageError("step count t_max must be >= 0")
-    _check_match(rule, c)
+    for c in configs:
+        _check_match(rule, c)
 
 
 def iterate(rule: Rule, c: Configuration, t: int) -> Configuration:
     """F^t(c), the last state of the sparse orbit with no read sites, bounded
     before its first step like every sparse run; iterate(rule, c, 0) = c."""
-    _check_run(rule, c, t)
+    _check_run(rule, [c], t)
     for cur in _sparse_orbit(rule, c, t, None):
         pass
     return cur
 
 
 def window_series(rule: Rule, c: Configuration, sites, t_max: int) -> np.ndarray:
-    """Orbit values F^t(c)(sites[i]) for t = 0..t_max, shape (t_max+1, n).
+    """Orbit values F^t(c)(sites[i]) for t = 0..t_max, shape (t_max+1, n)."""
+    return window_series_many(rule, [c], sites, t_max)[0]
 
-    The one backend dispatch (see the module docstring); it accepts every
-    input the sparse step accepts.
+
+def window_series_many(rule: Rule, configs, sites,
+                       t_max: int) -> list[np.ndarray]:
+    """The ``window_series`` of each configuration, by the one backend
+    dispatch (see the module docstring); it accepts every input the sparse
+    step accepts.
     """
-    _check_run(rule, c, t_max)
-    check_array_bytes(8 * (t_max + 1) * len(sites), "an orbit window series")
-    if _bitgrid_runs(rule, c, sites, t_max):
-        return bitgrid.simulate_series(rule.neighborhood, sorted(c.cells),
-                                       t_max, list(sites))
-    if _dense1d_runs(rule, c.cells, t_max):
-        return dense1d.orbit(rule, c, sites, t_max)
-    # states past int64 stay Python ints
-    out = np.zeros((t_max + 1, len(sites)),
-                   dtype=np.int64 if rule.q <= 2 ** 63 else object)
-    for t, cur in enumerate(_sparse_orbit(rule, c, t_max, sites)):
-        out[t] = cur.restrict(sites)
-    return out
+    configs, sites = list(configs), list(sites)
+    _check_run(rule, configs, t_max)
+    check_array_bytes(8 * (t_max + 1) * len(configs) * len(sites),
+                      "an orbit window series")
+    dense = [i for i, c in enumerate(configs)
+             if _dense1d_runs(rule, c.cells, t_max)]
+    out = {}
+    if dense:
+        block = dense1d.orbit(rule, [configs[i] for i in dense], sites, t_max)
+        out = dict(zip(dense, block.swapaxes(0, 1)))
+    for i, c in enumerate(configs):
+        if i in out:
+            continue
+        if _bitgrid_runs(rule, c, sites, t_max):
+            out[i] = bitgrid.simulate_series(rule.neighborhood, sorted(c.cells),
+                                             t_max, sites)
+        else:  # states past int64 stay Python ints
+            out[i] = np.zeros((t_max + 1, len(sites)),
+                              dtype=np.int64 if rule.q <= 2 ** 63 else object)
+            for t, cur in enumerate(_sparse_orbit(rule, c, t_max, sites)):
+                out[i][t] = cur.restrict(sites)
+    return [out[i] for i in range(len(configs))]
 
 
 def _decimation_runs(rule: Rule) -> bool:
@@ -238,7 +251,7 @@ def spot_series(rule: Rule, state: int, R: int, t_max: int) -> np.ndarray:
     box, shape (t_max+1, |box|) in ``size_domain`` order: by decimation
     where ``_decimation_runs``, and otherwise ``window_series``."""
     spot = Configuration.spot(rule.lattice, rule.q, state)
-    _check_run(rule, spot, t_max)
+    _check_run(rule, [spot], t_max)
     size_count(rule.lattice, R)  # refuses R < 0
     if _decimation_runs(rule):
         return linearca.decimated_spot_series(rule, state, R, t_max)
@@ -247,24 +260,32 @@ def spot_series(rule: Rule, state: int, R: int, t_max: int) -> np.ndarray:
 
 def first_nonzero_time(rule: Rule, c: Configuration, sites,
                        t_max: int) -> int | None:
-    """First t <= t_max at which F^t(c) is nonzero at some site, else None:
-    the early-exit twin of ``window_series``.  By decimation
-    (``linearca.decimated_first_nonzero_time``) where ``_decimation_runs``
-    holds and int64 holds a sum over the support, unless decimation refuses
-    the read up front; otherwise the first nonzero row of ``window_series``.
-    Decimation first drops the support cells that cannot reach a read site
-    by t_max (farther than t_max times the rule's L-inf radius from the
-    sites' box on an axis), answers None with no step when none is left,
-    and counts its run on the box of the cells left."""
-    _check_run(rule, c, t_max)
-    sites = list(sites)
-    if _decimation_runs(rule) and dense1d.int64_exact(len(c), rule.m):
+    """First t <= t_max at which F^t(c) is nonzero at some site, else None."""
+    return first_nonzero_times(rule, [c], sites, t_max)[0]
+
+
+def first_nonzero_times(rule: Rule, configs, sites,
+                        t_max: int) -> list[int | None]:
+    """For each configuration c, the first t <= t_max at which F^t(c) is
+    nonzero at some site, else None: by decimation (see the module
+    docstring) unless it refuses the block up front, and otherwise the first
+    nonzero row of its ``window_series``."""
+    configs, sites = list(configs), list(sites)
+    _check_run(rule, configs, t_max)
+    out = dict.fromkeys(range(len(configs)))
+    dec = []
+    if _decimation_runs(rule):
+        dec = [i for i in out if dense1d.int64_exact(len(configs[i]), rule.m)]
         try:
-            return linearca.decimated_first_nonzero_time(rule, c, sites, t_max)
+            out.update(zip(dec, linearca.decimated_first_nonzero_times(
+                rule, [configs[i] for i in dec], sites, t_max)))
         except ResourceLimitError:
-            pass  # refused before any array exists
-    series = window_series(rule, c, sites, t_max)
-    return next((t for t, row in enumerate(series) if row.any()), None)
+            dec = []  # refused before any array exists
+    rest = sorted(out.keys() - set(dec))
+    for i, series in zip(rest, window_series_many(
+            rule, [configs[i] for i in rest], sites, t_max)):
+        out[i] = next((t for t, row in enumerate(series) if row.any()), None)
+    return list(out.values())
 
 
 def traces_equal(rule: Rule, c: Configuration, d: Configuration,
@@ -275,8 +296,7 @@ def traces_equal(rule: Rule, c: Configuration, d: Configuration,
     Steps the sparse engine on purpose: most pairs differ within a few steps,
     and a full dense orbit of each pair costs far more than those steps.
     """
-    _check_run(rule, c, t_max)
-    _check_match(rule, d)
+    _check_run(rule, [c, d], t_max)
     ball = tuple(rule.lattice.origin_ball(m))
     for cc, dd in zip(_sparse_orbit(rule, c, t_max, ball),
                       _sparse_orbit(rule, d, t_max, ball)):
@@ -307,8 +327,7 @@ def fronts_many(rule: Rule, pairs, t_max: int) -> list[FrontSeries]:
         raise UsageError("fronts are defined on the Z lattice only")
     pairs = list(pairs)
     for c, d in pairs:
-        _check_run(rule, c, t_max)
-        _check_match(rule, d)
+        _check_run(rule, [c, d], t_max)
         if c == d:
             raise UsageError("fronts undefined for equal configurations")
     dense = [i for i, (c, d) in enumerate(pairs)

@@ -348,44 +348,40 @@ def directional_fronts(rule: Rule, c: Configuration, d: Configuration,
 # ---------------------------------------------------------------------------
 # the second-order examples on Z
 
-def _psi_identity_failures(c: Configuration, ks, ts) -> int:
-    """Number of (k, t) pairs whose dependency identity fails for c.
+def psi_relation_sweep(configs, k_max: int, t_max: int) -> tuple[int, int]:
+    """The (checked, bad) counts of (configuration, k, t) comparisons of the
+    dependency identity, for every k <= k_max and t <= t_max.
 
-    The orbit spans the light cone of the latest step plus one cell and the
-    shifts read zeros past its ends, so every cell that can be nonzero is
-    compared.  Shifting by z relabels positions identically on both sides,
-    so one comparison per (k, t) holds for every z at once.
+    Each configuration is translated to start at 0, and blocks of them are
+    read as orbit series of at most 2^19 bytes on the light cone of the
+    latest step around the widest support, plus one cell: the shifts read
+    zeros past its ends, so every cell that can be nonzero is compared.
+    Shifting by z relabels positions identically on both sides, so one
+    comparison per (k, t) holds for every z at once.
     """
-    if c.q != 9 or not isinstance(c.lattice, ZLattice):
-        raise UsageError("expected a 9-state Z configuration")
-    top = 2 * 3 ** max(ks) + max(ts)
-    xs = list(c.cells) or [0]
-    cone = range(min(xs) - top - 1, max(xs) + top + 2)  # psi has radius 1
-    rule = make_psi()
-    series = engine.window_series(rule, c, cone, top)
-    a, b = rule.alphabet.components(series)
-    bad = 0
-    for k in ks:
-        d = 3 ** k
-        for t in ts:
-            for x in (a, b):
-                rhs = x[t].copy()
-                dense1d.add_shifted(rhs, x[d + t], d)
-                dense1d.add_shifted(rhs, x[d + t], -d)
-                if not np.array_equal(x[2 * d + t], rhs % 3):
-                    bad += 1
-                    break
-    return bad
-
-
-def psi_relation_sweep(c: Configuration, k_max: int,
-                       t_max: int) -> tuple[int, int]:
-    """Check the dependency identity for every k <= k_max and t <= t_max;
-    returns the (checked, bad) counts of (k, t) comparisons."""
     if k_max < 0 or t_max < 0:
         raise UsageError("need k >= 0 and t >= 0")
-    ks, ts = range(k_max + 1), range(t_max + 1)
-    return len(ks) * len(ts), _psi_identity_failures(c, ks, ts)
+    if any(c.q != 9 or not isinstance(c.lattice, ZLattice) for c in configs):
+        raise UsageError("expected 9-state Z configurations")
+    top = 2 * 3 ** k_max + t_max
+    moved = [c.shift(min(c.cells, default=0)) for c in configs]
+    span = max((max(c.cells, default=0) for c in moved), default=0)
+    cone = range(-top - 1, span + top + 2)  # psi has radius 1
+    size = max(1, 2 ** 19 // (8 * (top + 1) * len(cone)))
+    rule = make_psi()
+    bad = 0
+    for i in range(0, len(moved), size):
+        a, b = rule.alphabet.components(np.stack(
+            engine.window_series_many(rule, moved[i:i + size], cone, top), 1))
+        for d in (3 ** k for k in range(k_max + 1)):  # all t <= t_max at once
+            wrong = False
+            for x in (a, b):
+                rhs = x[:t_max + 1].copy()
+                dense1d.add_shifted(rhs, x[d:d + t_max + 1], d)
+                dense1d.add_shifted(rhs, x[d:d + t_max + 1], -d)
+                wrong |= (x[2 * d:2 * d + t_max + 1] != rhs % 3).any(axis=2)
+            bad += int(np.sum(wrong))
+    return len(moved) * (k_max + 1) * (t_max + 1), bad
 
 
 def psi_relation_config_check(c: Configuration, k: int, t: int, z: int) -> bool:

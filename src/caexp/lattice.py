@@ -194,7 +194,15 @@ class FreeLattice(Lattice):
         return ()
 
     def add(self, a, b):
-        return reduce_word(tuple(a) + tuple(b))
+        # sites are reduced words (``parse_site`` reduces, ``validate_site``
+        # refuses any other, ``neg`` keeps a word reduced), so a + b cancels
+        # only where a's tail meets b's head
+        if not (a and b and a[-1] == -b[0]):
+            return a + b
+        n, i = min(len(a), len(b)), 1
+        while i < n and a[-1 - i] == -b[i]:
+            i += 1
+        return a[:len(a) - i] + b[i:]
 
     def neg(self, a):
         return tuple(-g for g in reversed(a))
@@ -244,7 +252,10 @@ class FreeLattice(Lattice):
         return 1 + q * ((q - 1) ** r - 1) // (q - 2)
 
     def site_cost(self, r: int) -> int:
-        return r + 1  # add re-reduces the whole concatenated word
+        # add copies both words into a new tuple, so its cost grows with the
+        # word length: weight r + 1 (its Python loop runs only over the
+        # letters that cancel at the junction, at most the shorter word)
+        return r + 1
 
     def parse_site(self, text):
         text = text.strip()

@@ -11,9 +11,10 @@ In prime characteristic p the p^k-th power of a linear rule is the same rule
 with its neighborhood scaled by p^k.  The same fact decides null traces for
 all time (``null_trace_forever``), the one exact oracle of the package, and
 builds the spot series of a trace table (``decimated_spot_series``) and the
-early exit of a null-trace read (``decimated_first_nonzero_time``): the
-spot orbit at time p*t is the orbit at time t dilated by p, so each time
-step costs one step of a box fixed by the read sites, not of the light cone.
+early exit of a block of null-trace reads, all off one spot series
+(``decimated_first_nonzero_times``): the spot orbit at time p*t is the
+orbit at time t dilated by p, so each time step costs one step of a box
+fixed by the read sites, not of the light cone.
 For a composite modulus ``crt_decompose`` splits the rule into one rule per
 prime-power factor.  For a squarefree modulus every part is prime, and the
 oracle decides each of them; prime powers p^e with e > 1 stay undecided.
@@ -295,39 +296,42 @@ def decimated_spot_series(rule: LinearRule, state: int, R: int,
     return series.reshape(t_max + 1, -1)
 
 
-def decimated_first_nonzero_time(rule: LinearRule, c: Configuration, sites,
-                                 t_max: int) -> int | None:
-    """First t <= t_max at which F^t(c) is nonzero at some read site, else
-    None, for a rule ``decimated_spot_series`` covers.
+def decimated_first_nonzero_times(rule: LinearRule, configs, sites,
+                                  t_max: int) -> list[int | None]:
+    """For each configuration c, the first t <= t_max at which F^t(c) is
+    nonzero at some read site, else None, for a rule
+    ``decimated_spot_series`` covers.
 
     Over GF(p), F^t(c)(w) = sum over z of c(z) * S_t(w - z), S_t the orbit
     of the state-1 spot, which vanishes past t*r in L-inf, r the rule's
     radius.  So a support cell farther than t_max*r from the read sites'
     bounding box on some axis adds zero to every read: such cells are
-    dropped first, and with none left the answer is None, with no step.
+    dropped first, and with none left every answer is None, with no step.
     One decimated spot series on the size-<=R box, R the largest |w - z|
-    on an axis over read sites w and kept cells z, answers every read site:
-    row t gathers S_t at w - z + R, and ``(row[offsets] @ c_values) % p``
-    is F^t(c) on the sites.  The rows come in increasing t and are dropped
-    once read, so the run holds only the grid and the source rows.
+    on an axis over read sites w and kept cells z, answers every read:
+    row t gathers S_t at w - z + R, and the products with the kept values,
+    summed per configuration mod p, are F^t(c) on the sites.  The rows come
+    in increasing t and are dropped once read, until every configuration
+    has answered, so the run holds only the grid and the source rows.
     ``_decimated_rows`` counts one word a gathered offset a row besides its
     own, and the offsets' bytes are checked against the array cap, so every
     refusal comes before any array exists.  A sum of |support| products
     below (p-1)^2 must fit int64 (``dense1d.int64_exact``)."""
     sites = list(sites)
-    if not sites or c.is_zero():
-        return None
+    out: list[int | None] = [None] * len(configs)
 
     def coords(s):
         return (s,) if isinstance(s, int) else s
     reach = t_max * max(rule.lattice.size_norm(v) for v in rule.coeffs)
     ws = list(zip(*map(coords, sites)))  # per axis, the sites' coordinates
     box = [(min(a), max(a)) for a in ws]
-    kept = {z: v for z, v in c.cells.items() if all(
-        lo - reach <= x <= hi + reach for x, (lo, hi) in zip(coords(z), box))}
+    kept = [(i, z, v) for i, c in enumerate(configs) for z, v in c.cells.items()
+            if sites and all(lo - reach <= x <= hi + reach
+                             for x, (lo, hi) in zip(coords(z), box))]
     if not kept:
-        return None
-    zs = list(zip(*map(coords, kept)))
+        return out
+    owner, cells, values = zip(*kept)
+    zs = list(zip(*map(coords, cells)))
     R = max(max(hi - min(a), max(a) - lo) for a, (lo, hi) in zip(zs, box))
     rows = _decimated_rows(rule, 1, R, t_max, len(sites) * len(kept))
     check_array_bytes(8 * len(box) * len(sites) * len(kept),
@@ -337,11 +341,17 @@ def decimated_first_nonzero_time(rule: LinearRule, c: Configuration, sites,
         np.array([x - lo for x in w], dtype=np.int64)[:, None]
         - np.array([x - lo for x in z], dtype=np.int64)[None, :] + R
         for w, z, (lo, _) in zip(ws, zs, box))
-    values = np.array(list(kept.values()), dtype=np.int64)
+    owner, values = np.array(owner), np.array(values, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))  # each one's cells
     for t, row in rows:
-        if ((row[offsets] @ values) % rule.m).any():
-            return t
-    return None
+        sums = np.add.reduceat(row[offsets] * values, starts, axis=1) % rule.m
+        if sums.any():  # the values of a configuration that answered are 0
+            for i in owner[starts[sums.any(axis=0)]]:
+                out[i] = t
+                values[owner == i] = 0
+            if not values.any():
+                break
+    return out
 
 
 def crt_decompose(rule: LinearRule) -> list[LinearRule]:

@@ -80,7 +80,8 @@ def _parse_linear_spec(text: str) -> LinearRule:
         raw = fields["coeffs"]
     except (KeyError, ValueError):
         raise UsageError(f"bad linear rule spec: {text!r}") from None
-    entries = raw.split(";") if ";" in raw else raw.split(",")
+    # a Z^2 site holds a comma, so Z^2 entries are separated by ";" only
+    entries = raw.split(";" if ";" in raw or lat == Z2 else ",")
     coeffs = {}
     for entry in entries:
         site_text, _, coef_text = entry.rpartition(":")

@@ -98,9 +98,12 @@ class LinearRule(Rule):
         return sum(self.coeffs[v] * x for v, x in zip(self.neighborhood, values)) % m
 
     def describe(self):
-        terms = ",".join(f"{self.lattice.format_site(v)}:{a}"
-                         for v, a in sorted(self.coeffs.items()))
-        return f"linear m={self.m} coeffs={terms}"
+        """The spec ``presets.parse_rule`` reads back into this rule."""
+        lat = self.lattice
+        terms = (";" if lat.kind == "z2" else ",").join(
+            f"{lat.format_site(v)}:{a}" for v, a in sorted(self.coeffs.items()))
+        where = "" if lat.kind == "z" else f" lattice={lat.kind}"
+        return f"linear{where} m={self.m} coeffs={terms}"
 
 
 class MultRule(Rule):

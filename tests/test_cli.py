@@ -408,6 +408,27 @@ def test_bench_small(capsys):
     assert "cell_updates=524288" in capsys.readouterr().out
 
 
+def test_check_kexp_writes_and_fronts_a_witness_pair(tmp_path, capsys):
+    # the pair probe's witness is a pair of configurations: both are
+    # written, and --alpha reads the fronts of the pair itself, whose right
+    # front at t=2 is 1, or -1 after the drift 1*2 (d against zero reads 0)
+    from caexp import presets
+    from caexp.expansivity import directional_fronts
+    out = tmp_path / "w"
+    assert run(["check-kexp", "--rule", "mult:3,2", "--k", "4",
+                "--support-radius", "2", "--window", "0", "--tmax", "2",
+                "--alpha", "1", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "artifacts=2" in text
+    c, d = (configio.load(out / name)
+            for name in ("witness-c.cfg", "witness-d.cfg"))
+    assert (c.cells, d.cells) == ({1: 1}, {-2: 1, -1: 1, 2: 4})
+    assert c.diff_count(d) == 4
+    fr = directional_fronts(presets.mult(3, 2), c, d, 1, 2)
+    assert (fr.adj_l[-1], fr.adj_r[-1]) == (-5, -1)
+    assert "at t=2: l=-5 r=-1" in text
+
+
 def test_check_kexp_alpha_flag(capsys):
     code = run(["check-kexp", "--rule", "linear m=4 coeffs=1:2", "--k", "1",
                 "--support-radius", "4", "--window", "1", "--tmax", "16",
@@ -441,10 +462,36 @@ def test_verify_reports_failures_with_exit_1(capsys):
 
 _RULES = ["f2", "f3", "psi", "upsilon", "vn2", "tri2", "mult:3,2", "lambda:2",
           "layered:2", "linear m=5 coeffs=1:2,2:3", "linear m=4 coeffs=1:2",
-          "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1", "linear m=0 coeffs=1:1",
+          "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1",
+          "linear lattice=z2 m=3 coeffs=0,1:1", "linear m=0 coeffs=1:1",
           "linear m=3 coeffs=1:0", "linear m=2 lattice=z2 coeffs=1:1",
           "linear m=3 coeffs=1:x", "mult:x", "lambda:0", "nope", ""]
 _SMALL = ["-1", "0", "1", "2", "x", ""]
+
+
+def test_linear_rule_specs_round_trip_through_describe(tmp_path):
+    # every linear spec of the pool that parses reads back from its own
+    # describe(); a Z^2 site holds a comma, so Z^2 entries are joined and
+    # split on ";", and a single Z^2 entry is read as one site
+    from caexp import presets
+    from caexp.errors import UsageError
+    parsed = 0
+    for spec in _RULES:
+        if not spec.startswith("linear"):
+            continue
+        try:
+            rule = presets.parse_rule(spec)
+        except UsageError:
+            continue
+        again = presets.parse_rule(rule.describe())
+        assert (again.lattice, again.m, again.coeffs) == (
+            rule.lattice, rule.m, rule.coeffs), spec
+        parsed += 1
+    assert parsed == 4
+    assert presets.parse_rule("linear lattice=z2 m=3 coeffs=0,1:1").coeffs == {
+        (0, 1): 1}
+    assert run(["simulate", "--rule", "linear lattice=z2 m=3 coeffs=0,1:1",
+                "--steps", "2", "--out", str(tmp_path)]) == 0
 
 
 def _flag(name, values):

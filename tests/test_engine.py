@@ -364,7 +364,7 @@ def test_dense_kernels_cover_exactly_the_exact_or_tabulated_z_presets():
         for c in (Configuration.spot(Z, rule.q, 1, 0),
                   Configuration.zero(Z, rule.q)):
             with pytest.raises(UsageError):
-                dense1d.orbit(rule, c, [0], 3)
+                dense1d.orbit(rule, [c], [0], 3)
 
 
 @pytest.mark.parametrize("name", ["psi", "upsilon", "mult:3,2", "mult:2,4",
@@ -437,7 +437,9 @@ def test_window_series_and_fronts_match_sparse(name):
     # every fast path behind window_series, and the cone-pruned sparse orbit,
     # is bit-identical to stepping the unpruned sparse engine, and so are
     # first_nonzero_time, traces_equal and the fronts read through the same
-    # dispatch
+    # dispatch; the six draws, read again as one block with an empty
+    # configuration among them, give the same series and early exits, also
+    # through t = 0
     rule = _window_series_cases()[name]
     lat = rule.lattice
     far = {"z": [-40, 40], "z2": [(70, -1), (-3, 40)]}.get(lat.kind, [])
@@ -453,11 +455,13 @@ def test_window_series_and_fronts_match_sparse(name):
         cells = rng.sample(lat.origin_ball(radius), rng.randint(1, 4))
         return Configuration(lat, rule.q, {s: rng.choice(states) for s in cells})
 
-    pairs, want_fronts = [], []
+    pairs, want_fronts, draws, wants = [], [], [], []
     for _ in range(6):
         c = draw()
         orbit = _sparse_orbit(rule, c, t_max)
         want = [[cur.get(s) for s in sites] for cur in orbit]
+        draws.append(c)
+        wants.append(want)
         assert engine.window_series(rule, c, sites, t_max).tolist() == want
         # on the whole window, and on its last two sites (the far ones, or the
         # ball's edge), where a nonzero value arrives later or never
@@ -480,6 +484,17 @@ def test_window_series_and_fronts_match_sparse(name):
     if lat == Z:  # the same pairs batched, dense blocks and sparse fallbacks
         got = engine.fronts_many(rule, pairs, t_max)
         assert [(fr.l, fr.r) for fr in got] == want_fronts
+    zero = Configuration.zero(lat, rule.q)
+    block = draws[:3] + [zero] + draws[3:]
+    wants = wants[:3] + [[[0] * len(sites)] * (t_max + 1)] + wants[3:]
+    for t in (t_max, 0):
+        series = engine.window_series_many(rule, block, sites, t)
+        assert [s.shape for s in series] == [(t + 1, len(sites))] * len(block)
+        assert [s.tolist() for s in series] == [want[:t + 1] for want in wants]
+        for cols in (slice(None), slice(-2, None)):
+            assert engine.first_nonzero_times(rule, block, sites[cols], t) == [
+                next((s for s, row in enumerate(want[:t + 1]) if any(row[cols])),
+                     None) for want in wants]
 
 
 def test_traces_equal_stops_once_the_states_are_equal(monkeypatch):
@@ -545,12 +560,12 @@ def test_batched_fronts_split_blocks_over_the_budget(monkeypatch):
     want = [_sparse_fronts(rule, c, d, t_max) for c, d in pairs]
     one = dense1d._Frame((0, 5), None, rule.neighborhood, t_max, rows=2).steps
     blocks = []
-    block_fronts = dense1d._block_fronts
+    run = dense1d._run
 
-    def counted(rule, f, part, shifts):
-        blocks.append(len(part))
-        return block_fronts(rule, f, part, shifts)
-    monkeypatch.setattr(dense1d, "_block_fronts", counted)
+    def counted(rule, f, rows, shifts):  # a block of pairs steps 2 rows each
+        blocks.append(len(rows) // 2)
+        return run(rule, f, rows, shifts)
+    monkeypatch.setattr(dense1d, "_run", counted)
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", one)
     got = engine.fronts_many(rule, pairs, t_max)
     assert [(fr.l, fr.r) for fr in got] == want
@@ -561,6 +576,66 @@ def test_batched_fronts_split_blocks_over_the_budget(monkeypatch):
     assert blocks == [1, 1, 1]
 
 
+def test_orbit_blocks_split_over_the_budget(monkeypatch):
+    # with the cell-step budget at one configuration's count, a block of
+    # three splits until every block holds one, at twice that into blocks of
+    # one and two, and each gives the sparse series; a block holding a
+    # configuration over the budget on its own is refused
+    from caexp import cone, dense1d
+    rule, t_max, sites = presets.f3(), 10, list(range(-2, 6))
+    configs = [Configuration(Z, 3, cells)
+               for cells in ({0: 1, 3: 2}, {1: 1}, {0: 2, 2: 1, 3: 1})]
+    want = [[[cur.get(s) for s in sites]
+             for cur in _sparse_orbit(rule, c, t_max)] for c in configs]
+    one = dense1d._Frame([0, 3], sites, rule.neighborhood, t_max).steps
+    blocks = []
+    run = dense1d._run
+
+    def counted(rule, f, rows, shifts):
+        blocks.append(len(rows))
+        return run(rule, f, rows, shifts)
+    monkeypatch.setattr(dense1d, "_run", counted)
+    for budget, split in ((one, [1, 1, 1]), (2 * one, [1, 2]), (3 * one, [3])):
+        blocks.clear()
+        monkeypatch.setattr(cone, "MAX_CELL_STEPS", budget)
+        got = engine.window_series_many(rule, configs, sites, t_max)
+        assert [s.tolist() for s in got] == want
+        assert blocks == split
+    blocks.clear()
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", one - 1)
+    with pytest.raises(ResourceLimitError):
+        engine.window_series_many(rule, configs, sites, t_max)
+    assert blocks == []
+
+
+@pytest.mark.parametrize("name", ["f3", "psi", "mod5", "vn2", "tri2"])
+def test_block_readers_mix_near_far_and_gapped_supports(name):
+    # one block holds a near support, supports 10^12 cells off on either
+    # side, one with a 10^12-cell gap (no dense row spans it) and an empty
+    # one, read near the origin and at a site 10^12 off: every backend's
+    # share of the block, a dense block halved until its rows are narrow,
+    # and the decimated early exits, equal the sparse orbits
+    rule = _window_series_cases()[name]
+    lat, q = rule.lattice, rule.q
+    far = 10 ** 12
+
+    def at(x):
+        return x if lat == Z else (x, 1)
+    configs = [Configuration(lat, q, cells) for cells in (
+        {at(0): 1, at(2): q - 1}, {at(far): 1}, {at(-far + 5): q - 1},
+        {at(0): 1, at(far): 1}, {})]
+    sites = lat.origin_ball(2) + [at(far + 1)]
+    t_max = 6
+    want = [[[cur.get(s) for s in sites]
+             for cur in _sparse_orbit(rule, c, t_max)] for c in configs]
+    got = engine.window_series_many(rule, configs, sites, t_max)
+    assert [s.tolist() for s in got] == want
+    for cols in (slice(None), slice(0, -1), slice(-1, None)):
+        assert engine.first_nonzero_times(rule, configs, sites[cols], t_max) == [
+            next((t for t, row in enumerate(w) if any(row[cols])), None)
+            for w in want]
+
+
 def test_first_nonzero_time_counts_the_last_step():
     # a spot four cells from the read site first reaches it at t=4, through
     # the early exit and through decimation itself
@@ -568,38 +643,45 @@ def test_first_nonzero_time_counts_the_last_step():
     for rule, spot in ((presets.vn2(), (0, 4)), (presets.f3(), 4)):
         c = Configuration.spot(rule.lattice, rule.q, 1, spot)
         origin = [rule.lattice.origin]
-        for read in (engine.first_nonzero_time,
-                     linearca.decimated_first_nonzero_time):
-            assert read(rule, c, origin, 4) == 4
-            assert read(rule, c, origin, 3) is None
+        for read in (engine.first_nonzero_times,
+                     linearca.decimated_first_nonzero_times):
+            assert read(rule, [c], origin, 4) == [4]
+            assert read(rule, [c], origin, 3) == [None]
+        assert engine.first_nonzero_time(rule, c, origin, 4) == 4
 
 
 def test_prime_linear_early_exits_decimate_where_admitted(monkeypatch):
-    # the claims' 202 long null-trace reads all decimate; near and far spots
-    # decimate too and give the sparse orbit's answer (the vn2 spots at
-    # (300, 0) and (3000, 0), out of reach by t=64, with no step); a
+    # the claims' 202 long null-trace reads all decimate, vn-oracle-sim's 200
+    # in at most four decimated runs, one per window radius; near and far
+    # spots decimate too and give the sparse orbit's answer (the vn2 spots
+    # at (300, 0) and (3000, 0), out of reach by t=64, with no step); a
     # non-prime rule and a prime one whose sum over the support passes int64
-    # read through window_series
+    # read through window_series_many
     from caexp import claims, linearca
-    reads, decimated, series = [], [], []
+    reads, decimated, runs, series = [], [], [], []
 
-    def counted(module, name, log):
+    def counted(module, name, log, size):
         fn = getattr(module, name)
 
         def wrapper(*args):
             out = fn(*args)
-            log.append(name)
+            log.append(size(args))
             return out
         monkeypatch.setattr(module, name, wrapper)
-    counted(engine, "first_nonzero_time", reads)
-    counted(linearca, "decimated_first_nonzero_time", decimated)
-    counted(engine, "window_series", series)
+    counted(engine, "first_nonzero_times", reads, lambda args: len(args[1]))
+    counted(linearca, "decimated_first_nonzero_times", decimated,
+            lambda args: len(args[1]))
+    counted(linearca, "_decimated_rows", runs, lambda args: args[2])
+    counted(engine, "window_series_many", series, lambda args: len(args[1]))
     for name, n in (("tri-null", 1), ("vn-oracle-sim", 200),
                     ("witness-additivity", 1)):
         reads.clear()
         decimated.clear()
+        runs.clear()
         assert claims.CLAIMS[name][1](0).ok
-        assert len(reads) == len(decimated) == n, name
+        assert sum(reads) == sum(decimated) == n, name
+        if name == "vn-oracle-sim":
+            assert len(decimated) == len(runs) <= 4
     for rule, c, window, t_max in (
             (presets.f3(), spot(Z, 3, 1, 100), Z.origin_ball(1), 10),
             (presets.f3(), spot(Z, 3, 1, 4), [0], 4),
@@ -612,7 +694,7 @@ def test_prime_linear_early_exits_decimate_where_admitted(monkeypatch):
             engine._sparse_orbit(rule, c, t_max, window))
             if any(cur.restrict(window))), None)
         assert engine.first_nonzero_time(rule, c, window, t_max) == want
-        assert (decimated, series) == (["decimated_first_nonzero_time"], [])
+        assert decimated == [1] and sum(series) == 0
     p = 1_700_000_009  # 3 (p-1)^2 fits int64, 4 (p-1)^2 does not
     prime = LinearRule(Z, p, {-1: 1, 0: p - 1, 2: 3})
     assert linearca.is_prime(p) and engine._decimation_runs(prime)
@@ -626,7 +708,7 @@ def test_prime_linear_early_exits_decimate_where_admitted(monkeypatch):
                      if any(cur.restrict([9, 10]))), None)
         assert want is not None
         assert engine.first_nonzero_time(rule, c, [9, 10], 6) == want
-        assert (decimated, series) == ([], ["window_series"])
+        assert series == [1] and sum(decimated) == 0
 
 
 def test_empty_early_exit_reads_nothing():
@@ -640,8 +722,11 @@ def test_empty_early_exit_reads_nothing():
         for cfg, sites in ((zero, lat.origin_ball(2)), (c, []), (zero, [])):
             for t_max in (0, 8, 2048):
                 assert engine.first_nonzero_time(rule, cfg, sites, t_max) is None
-                assert linearca.decimated_first_nonzero_time(
-                    rule, cfg, sites, t_max) is None
+                assert linearca.decimated_first_nonzero_times(
+                    rule, [cfg], sites, t_max) == [None]
+            for read in (engine.first_nonzero_times,
+                         linearca.decimated_first_nonzero_times):
+                assert read(rule, [], sites, t_max) == []
 
 
 def test_window_series_steps_far_apart_cells_sparsely():
@@ -694,9 +779,9 @@ def test_dense_kernels_match_sparse_where_boxes_clip(case):
     rule, cells, sites, t_max = _dense_clip_cases()[case]
     c = Configuration(Z, rule.q, cells)
     want = [[cur.get(s) for s in sites] for cur in _sparse_orbit(rule, c, t_max)]
-    got = dense1d.orbit(rule, c, sites, t_max)
-    assert got.shape == (t_max + 1, len(sites))
-    assert got.tolist() == want
+    got = dense1d.orbit(rule, [c], sites, t_max)
+    assert got.shape == (t_max + 1, 1, len(sites))
+    assert got[:, 0].tolist() == want
     assert engine.window_series(rule, c, sites, t_max).tolist() == want
 
 
@@ -764,7 +849,7 @@ def test_dense_cell_steps_sum_the_boxes():
         f = dense1d._Frame(cells, sites, offsets, t_max)
         rule = LinearRule(Z, 2, {v: 1 for v in offsets})
         c = Configuration(Z, 2, {s: 1 for s in cells})
-        steps = dense1d.orbit_linear(rule, c, sites, t_max)[0]
+        steps = dense1d.orbit_linear(rule, [c], sites, t_max)[0]
         if f.empty:
             assert steps == 0
             continue
@@ -810,7 +895,8 @@ def test_orbit_reads_reach_the_names_the_benchmark_traces(monkeypatch):
         assert calls == [name]
         if name.startswith("orbit"):  # (cell steps, series)
             steps, got = results[0]
-            assert steps > 0 and got is series
+            assert steps > 0 and got.shape == series.shape
+            assert np.shares_memory(got, series)
         assert series.shape == (9, len(sites)) and series.any()
     # a mod-4 Z^2 early exit has no dense backend and no decimation: it steps
     # the sparse orbit through window_series, ten engine.step calls; vn2's
@@ -829,15 +915,15 @@ def test_orbit_reads_reach_the_names_the_benchmark_traces(monkeypatch):
 def test_dense_run_over_the_cell_step_cap_is_refused_up_front(monkeypatch):
     from caexp import cone, dense1d
     rule, c, sites = presets.f3(), spot(Z, 3), Z.origin_ball(2)
-    steps, series = dense1d.orbit_linear(rule, c, sites, 50)
+    steps, series = dense1d.orbit_linear(rule, [c], sites, 50)
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", steps)
-    assert dense1d.orbit_linear(rule, c, sites, 50)[0] == steps
+    assert dense1d.orbit_linear(rule, [c], sites, 50)[0] == steps
 
     def no_run(*args):
         raise AssertionError("a block was allocated for a refused run")
     monkeypatch.setattr(dense1d, "_run", no_run)
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", steps - 1)
-    for run in (lambda: dense1d.orbit_linear(rule, c, sites, 50),
+    for run in (lambda: dense1d.orbit_linear(rule, [c], sites, 50),
                 lambda: engine.window_series(rule, c, sites, 50)):
         with pytest.raises(ResourceLimitError):
             run()

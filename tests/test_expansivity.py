@@ -178,18 +178,36 @@ def test_psi_relation_k0():
     rng = random.Random(4)
     for _ in range(50):
         c = random_config(Z, 9, rng, radius=6, max_cells=5)
-        assert psi_relation_sweep(c, 0, 0) == (1, 0)
+        assert psi_relation_sweep([c], 0, 0) == (1, 0)
 
 
 def test_psi_relation_spots_k2():
     # every (k, t) with k <= 2 and t <= 10, (2, 0), (2, 5) and (2, 10) among them
-    for state in range(1, 9):
-        c = Configuration(Z, 9, {0: state})
-        assert psi_relation_sweep(c, 2, 10) == (33, 0)
+    spots = [Configuration(Z, 9, {0: state}) for state in range(1, 9)]
+    for c in spots:
+        assert psi_relation_sweep([c], 2, 10) == (33, 0)
+    assert psi_relation_sweep(spots, 2, 10) == (8 * 33, 0)
 
 
 def test_psi_relation_zero_config():
-    assert psi_relation_sweep(Configuration.zero(Z, 9), 1, 3) == (8, 0)
+    assert psi_relation_sweep([Configuration.zero(Z, 9)], 1, 3) == (8, 0)
+    assert psi_relation_sweep([], 1, 3) == (0, 0)
+
+
+def test_psi_relation_sweep_counts_each_failing_comparison(monkeypatch):
+    # a state changed in one configuration's orbit breaks the identity in
+    # that configuration only: at the last time, in the one comparison that
+    # reads it (k = k_max, t = t_max); at time 0, in the k_max + 1 that read
+    # it as x[t], t = 0
+    spots = [Configuration(Z, 9, {0: state}) for state in (1, 4, 8)]
+    read = engine.window_series_many
+    for time, bad in ((-1, 1), (0, 3)):
+        def corrupted(*args):
+            series = [s.copy() for s in read(*args)]
+            series[1][time, series[1].shape[1] // 2] ^= 1
+            return series
+        monkeypatch.setattr(engine, "window_series_many", corrupted)
+        assert psi_relation_sweep(spots, 2, 4) == (3 * 3 * 5, bad)
 
 
 def test_psi_relation_paths_agree():
@@ -197,7 +215,7 @@ def test_psi_relation_paths_agree():
     for _ in range(5):
         c = random_config(Z, 9, rng, radius=4, max_cells=3)
         for (k, t, z) in [(0, 2, 1), (1, 4, -3)]:
-            assert (psi_relation_sweep(c, k, t)[1] == 0) == \
+            assert (psi_relation_sweep([c], k, t)[1] == 0) == \
                 psi_relation_config_check(c, k, t, z)
 
 
@@ -273,7 +291,7 @@ def test_psi_relation_sweep_matches_single_checks():
     rng = random.Random(14)
     for _ in range(3):
         c = random_config(Z, 9, rng, radius=5, max_cells=4)
-        checked, bad = psi_relation_sweep(c, 2, 4)
+        checked, bad = psi_relation_sweep([c], 2, 4)
         assert checked == 3 * 5 and bad == 0
         for k in range(3):
             for t in range(5):

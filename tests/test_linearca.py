@@ -12,6 +12,15 @@ from caexp.rules import LayeredFlipRule, LinearRule, SecondOrderInverseRule
 from caexp.z2subst import exact_trace_null
 
 
+def _rule_id(rule):
+    """A linear rule's test id, m and its coefficients joined by commas on
+    every lattice, so that the ids of these cases stay fixed whatever
+    ``LinearRule.describe`` prints."""
+    terms = sorted(rule.coeffs.items())
+    return f"linear m={rule.m} coeffs=" + ",".join(
+        f"{rule.lattice.format_site(v)}:{a}" for v, a in terms)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rank_counts_the_kernel(p):
     # rank = columns - log_p |kernel|, the kernel counted by enumeration;
@@ -262,7 +271,7 @@ def test_null_trace_oracle_decides_tri_spots():
     LinearRule(Z, 5, {1: 2, 2: 3}),
     LinearRule(Z, 5, {-1: 1, 0: 4, 2: 2}),
     LinearRule(Z2, 3, {(1, 0): 1, (0, 1): 2, (1, 1): 1}),
-], ids=lambda r: r.describe())
+], ids=_rule_id)
 def test_null_trace_oracle_matches_simulation(rule):
     # oracle-null implies simulated-null; a simulated nonzero implies not null
     rng = random.Random(37)
@@ -366,7 +375,7 @@ def test_kexp_certifies_prime_z_witness():
     LinearRule(Z2, 3, {(1, 0): 2, (0, -1): 1, (-1, 1): 2}),
     LinearRule(Z, 3, {1: 1, 2: 2}),                    # one-sided
     LinearRule(Z2, 2, {(0, 0): 1, (1, 0): 1, (0, 2): 1}),  # one-sided, r = 2
-], ids=lambda r: r.describe())
+], ids=_rule_id)
 def test_decimated_spot_series_matches_sparse_orbit(rule):
     # horizons around the first two decimation levels, on boxes smaller than
     # the rule radius (each row on H is cropped to the box), equal to it and
@@ -396,14 +405,14 @@ def _sparse_hit(rule, c, sites, t_max):
     presets.f2(), presets.f3(), presets.vn2(), presets.tri2(),
     LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}),
     LinearRule(Z2, 3, {(1, 0): 2, (0, -1): 1, (-1, 1): 2}),
-], ids=lambda r: r.describe())
+], ids=_rule_id)
 def test_decimated_first_nonzero_time_matches_sparse_orbit(rule, monkeypatch):
     # multi-cell supports with states up to p - 1, read on balls that hold
     # some of the support and on balls moved off it, the first of them out of
     # reach of the support by t_max; each hit is read again with t_max at
     # the hit, where the last row decides, and one below it.  The early exit
     # gives the same hit by decimation and, where decimation refuses the
-    # read, through window_series
+    # read, through window_series_many
     lat, p = rule.lattice, rule.m
 
     def refused(*args):
@@ -418,17 +427,17 @@ def test_decimated_first_nonzero_time_matches_sparse_orbit(rule, monkeypatch):
         sites = [lat.add(s, shift) for s in lat.origin_ball(rng.randint(0, 2))]
         t_max = rng.randint(0, 3 * p * p) if i else 4
         hit = _sparse_hit(rule, c, sites, t_max)
-        assert linearca.decimated_first_nonzero_time(rule, c, sites,
-                                                     t_max) == hit
+        assert linearca.decimated_first_nonzero_times(rule, [c], sites,
+                                                      t_max) == [hit]
         assert engine.first_nonzero_time(rule, c, sites, t_max) == hit
         with monkeypatch.context() as m:
             m.setattr(linearca, "_decimated_rows", refused)
             assert engine.first_nonzero_time(rule, c, sites, t_max) == hit
         if hit:
-            assert linearca.decimated_first_nonzero_time(rule, c, sites,
-                                                         hit) == hit
-            assert linearca.decimated_first_nonzero_time(rule, c, sites,
-                                                         hit - 1) is None
+            assert linearca.decimated_first_nonzero_times(
+                rule, [c, c], sites, hit) == [hit, hit]
+            assert linearca.decimated_first_nonzero_times(
+                rule, [c], sites, hit - 1) == [None]
         hits.add(hit if hit in (None, 0) else "later")
     assert hits == {None, 0, "later"}
 
@@ -453,9 +462,9 @@ def test_early_exit_drops_the_support_cells_out_of_reach(monkeypatch):
     monkeypatch.setattr(linearca, "_decimated_rows", counted_rows)
     vn2, f3 = presets.vn2(), presets.f3()
     far = Configuration.spot(Z2, 2, 1, (300, 0))
-    for read in (linearca.decimated_first_nonzero_time,
-                 engine.first_nonzero_time):
-        assert read(vn2, far, Z2.origin_ball(1), 64) is None
+    for read in (linearca.decimated_first_nonzero_times,
+                 engine.first_nonzero_times):
+        assert read(vn2, [far, far], Z2.origin_ball(1), 64) == [None, None]
     assert steps == boxes == []
     for rule, cells, sites, t_max, R in (
             (vn2, {(0, 3): 1, (200, 1): 1}, Z2.origin_ball(1), 8, 4),
@@ -466,8 +475,8 @@ def test_early_exit_drops_the_support_cells_out_of_reach(monkeypatch):
         hit = _sparse_hit(rule, c, sites, t_max)
         assert hit is not None
         boxes.clear()
-        assert linearca.decimated_first_nonzero_time(rule, c, sites,
-                                                     t_max) == hit
+        assert linearca.decimated_first_nonzero_times(rule, [c], sites,
+                                                      t_max) == [hit]
         assert boxes == [R]
     # the edge: the spot four cells off is kept through t=4 and dropped
     # through t=3
@@ -475,8 +484,8 @@ def test_early_exit_drops_the_support_cells_out_of_reach(monkeypatch):
     for t_max, hit, R in ((4, 4, 4), (3, None, None)):
         steps.clear()
         boxes.clear()
-        assert linearca.decimated_first_nonzero_time(vn2, edge, [(0, 0)],
-                                                     t_max) == hit
+        assert linearca.decimated_first_nonzero_times(vn2, [edge], [(0, 0)],
+                                                      t_max) == [hit]
         assert boxes == ([R] if R else []) and bool(steps) == bool(R)
 
 
@@ -484,7 +493,7 @@ def test_decimated_early_exit_is_refused_up_front(monkeypatch):
     # tri-null's spot and window through t=100: refused one word read below
     # its count, and with the array cap one byte below its source rows,
     # before any array is allocated; engine.first_nonzero_time then reads
-    # the same answer through window_series.  The count is 101 rows of the
+    # the same answer through window_series_many.  The count is 101 rows of the
     # 79 x 79 box E, four uint8 reads a cell, the step charge, and 13
     # gathered offsets
     from caexp import cone, errors
@@ -494,15 +503,16 @@ def test_decimated_early_exit_is_refused_up_front(monkeypatch):
     store = 51 * 39 * 39  # source rows s <= 50 on the box |y| <= (38 + 1) // 2
     monkeypatch.setattr(cone, "MAX_CELL_STEPS", count)
     monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", store)
-    assert linearca.decimated_first_nonzero_time(rule, c, window, 100) is None
+    assert linearca.decimated_first_nonzero_times(rule, [c], window,
+                                                  100) == [None]
     assert engine.first_nonzero_time(rule, c, window, 100) is None
 
     def no_alloc(*args, **kwargs):
         raise AssertionError("an array was allocated for a refused run")
     series = []
-    window_series = engine.window_series
-    monkeypatch.setattr(engine, "window_series",
-                        lambda *args: series.append(window_series(*args))
+    window_series_many = engine.window_series_many
+    monkeypatch.setattr(engine, "window_series_many",
+                        lambda *args: series.append(window_series_many(*args))
                         or series[-1])
     for steps, nbytes, match in (
             (count - 1, store, f"decimated run of {count} "),
@@ -513,10 +523,10 @@ def test_decimated_early_exit_is_refused_up_front(monkeypatch):
             for name in ("array", "zeros", "empty"):
                 m.setattr(np, name, no_alloc)
             with pytest.raises(ResourceLimitError, match=match):
-                linearca.decimated_first_nonzero_time(rule, c, window, 100)
+                linearca.decimated_first_nonzero_times(rule, [c], window, 100)
         series.clear()
         assert engine.first_nonzero_time(rule, c, window, 100) is None
-        assert len(series) == 1 and series[0].shape == (101, len(window))
+        assert len(series) == 1 and series[0][0].shape == (101, len(window))
 
 
 def test_spot_series_steps_where_int64_would_overflow(monkeypatch):
