@@ -361,6 +361,7 @@ def psi_relation_sweep(configs, k_max: int, t_max: int) -> tuple[int, int]:
     """
     if k_max < 0 or t_max < 0:
         raise UsageError("need k >= 0 and t >= 0")
+    configs = list(configs)
     if any(c.q != 9 or not isinstance(c.lattice, ZLattice) for c in configs):
         raise UsageError("expected 9-state Z configurations")
     top = 2 * 3 ** k_max + t_max
