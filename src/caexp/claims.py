@@ -294,12 +294,14 @@ def claim_engine_invariants(seed: int = 0) -> Report:
 
     z_rules = [r for r in rules if r.lattice == Z]
     by_rule: dict = {}  # rule -> its pairs, all drawn before any front
-    for _ in range(1000):
+    drawn = 0
+    while drawn < 1000:  # redraw a pair with c == d
         rule = z_rules[rng.randrange(len(z_rules))]
         c = random_config(Z, rule.q, rng, radius=6, max_cells=5)
         d = random_config(Z, rule.q, rng, radius=6, max_cells=5)
         if c != d:
             by_rule.setdefault(rule, []).append((c, d))
+            drawn += 1
     bad = 0
     for rule, pairs in by_rule.items():
         r = rule.radius

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import bitgrid, cone, configio, engine, presets, render, z2subst
 from .claims import CLAIMS, run_claims
 from .config import Configuration
-from .errors import ResourceLimitError, UsageError, parse_int
+from .errors import ResourceLimitError, UsageError, parse_fields, parse_int
 from .expansivity import directional_fronts, kexp_search, pair_preexp_probe
 from .freegroup import ball_levels, fg_non2exp_witness, layer_profile
 from .lattice import Z2, free
@@ -56,15 +56,6 @@ def _parse_init(text: str, rule: Rule) -> Configuration:
             raise UsageError(f"spot state {state} outside 1..{rule.q - 1}")
         return Configuration.spot(rule.lattice, rule.q, state, site)
     raise UsageError(f"bad --init {text!r} (use spot:..., file:..., zero)")
-
-
-def _fields(tokens, keys) -> dict[str, str]:
-    """Parse KEY=VALUE tokens that give exactly the given keys."""
-    fields = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
-    if len(fields) != len(tokens) or set(fields) != set(keys):
-        want = " ".join(f"{key}=..." for key in keys)
-        raise UsageError(f"expected {want}, got {' '.join(tokens)}")
-    return fields
 
 
 def _out_dir(path: str) -> str:
@@ -241,7 +232,7 @@ def cmd_freegroup(args) -> int:
         for t, row in enumerate(prof.values):
             print(f"  t={t:3d}  " + "".join(str(v) for v in row))
     if args.witness:
-        fields = _fields(args.witness, ("z", "sprime"))
+        fields = parse_fields(" ".join(args.witness), ("z", "sprime"))
         ztext = fields["z"]
         power = parse_int(ztext[:-1], "power") if len(ztext) > 1 else 1
         gen = lat.parse_site(ztext[-1:])
@@ -261,7 +252,7 @@ def cmd_z2(args) -> int:
     t0 = time.perf_counter()
     failed = 0
     if args.uv:
-        fields = _fields(args.uv, ("z", "k"))
+        fields = parse_fields(" ".join(args.uv), ("z", "k"))
         z = Z2.parse_site(fields["z"])
         k = parse_int(fields["k"], "scale")
         pair = z2subst.uv_words(z, k)

@@ -1,14 +1,17 @@
 """Text format for configurations.
 
-Header line: ``lattice=<z|z2|free:n> q=<int> quiescent=<int>``, then one
-``site<TAB>state`` line per support entry.  Site syntax: Z ``7``, Z^2
-``3,-2``, free groups whitespace-separated letters with uppercase meaning
-inverse (``a b A``) and ``e`` for the identity.
+Header line: ``lattice=<z|z2|free:n> q=<int> quiescent=<int>`` (quiescent
+optional), read by ``errors.parse_fields``, so a bare token, a missing,
+unknown or repeated key is refused; then one ``site<TAB>state`` line per
+support entry, in ``Lattice.format_site``'s syntax, which ``parse_site``
+reads back: Z ``7``, Z^2 ``3,-2``, free groups whitespace-separated letters
+with uppercase meaning inverse (``a b A``) and ``1`` for the identity.  So
+``loads(dumps(c)) == c`` for every configuration.
 """
 from __future__ import annotations
 
 from .config import Configuration
-from .errors import UsageError, parse_int
+from .errors import UsageError, parse_fields, parse_int
 from .lattice import lattice_by_kind
 
 
@@ -23,18 +26,10 @@ def loads(text: str) -> Configuration:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise UsageError("empty configuration file")
-    fields = {}
-    for tok in lines[0].split():
-        if "=" not in tok:
-            raise UsageError(f"bad header token {tok!r}")
-        key, val = tok.split("=", 1)
-        fields[key] = val
-    try:
-        lattice = lattice_by_kind(fields["lattice"])
-        q = int(fields["q"])
-        quiescent = int(fields.get("quiescent", "0"))
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad configuration header: {lines[0]!r}") from exc
+    fields = parse_fields(lines[0], ("lattice", "q"), ("quiescent",))
+    lattice = lattice_by_kind(fields["lattice"])
+    q = parse_int(fields["q"], "state count")
+    quiescent = parse_int(fields.get("quiescent", "0"), "quiescent state")
     if quiescent != 0:
         raise UsageError("only quiescent state 0 is supported")
     cells = {}

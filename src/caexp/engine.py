@@ -164,15 +164,19 @@ def _sparse_orbit(rule: Rule, c: Configuration, t_max: int, sites):
                (span + reach + t_max * radius) // 2)
     if t_max:
         # a ball of radius r holds over r cells: past the cap it is not formed
-        # (exponential in r on F_n); an empty support costs one cell a step
+        # (exponential in r on F_n), and a ball past cap cells counts cap + 1,
+        # which refuses the same runs and keeps the charge printable; an empty
+        # support costs one cell a step
         cap = MAX_SPARSE_CELLS // t_max
-        by_origin, by_support = (lat.ball_size(r) if r < cap else cap + 1
-                                 for r in (peak, t_max * radius))
+        by_origin, by_support = (min(lat.ball_size(r), cap + 1) if r < cap
+                                 else cap + 1 for r in (peak, t_max * radius))
         cells = min(by_origin, max(len(c), 1) * by_support)
-        if t_max * cells * lat.site_cost(peak) > MAX_SPARSE_CELLS:
+        charged = t_max * cells * lat.site_cost(peak)
+        if charged > MAX_SPARSE_CELLS:
             raise ResourceLimitError(
                 f"a sparse orbit of {t_max} steps within radius {peak} "
-                f"exceeds the {MAX_SPARSE_CELLS}-cell budget")
+                f"charges {charged} cells, above the "
+                f"{MAX_SPARSE_CELLS}-cell budget")
     yield c
     for t in range(t_max):
         keep = reach + (t_max - t) * radius

@@ -3,6 +3,7 @@
 Exit-code contract for the CLI: usage errors map to 2, resource errors to 3,
 failed verification assertions to 1.
 """
+import re
 
 
 class UsageError(ValueError):
@@ -30,6 +31,25 @@ def parse_int(text: str, what: str) -> int:
         return int(text)
     except ValueError:
         raise UsageError(f"bad {what} {text!r}") from None
+
+
+# a key: a word and "=", at the start of the text or after whitespace
+_KEY = re.compile(r"(?:^|\s+)(\w+)=")
+
+
+def parse_fields(text: str, required, optional=()) -> dict[str, str]:
+    """The KEY=VALUE fields of a rule spec, file header or CLI field.  A value
+    runs to the next key, so it may hold spaces (a free-group word ``a b``);
+    a bare token, a repeated, unknown or missing key is a UsageError."""
+    lead, *pairs = _KEY.split(text.strip())
+    keys = pairs[::2]
+    bad = ([f"bad field {lead.split()[0]!r}"] if lead else []) + [
+        f"repeated key {k!r}" for i, k in enumerate(keys) if k in keys[:i]] + [
+        f"unknown key {k!r}" for k in keys if k not in (*required, *optional)] + [
+        f"missing key {k!r}" for k in required if k not in keys]
+    if bad:
+        raise UsageError(f"{bad[0]} in {text.strip()!r}")
+    return dict(zip(keys, pairs[1::2]))
 
 
 def check_array_bytes(nbytes: int, what: str) -> None:

@@ -508,7 +508,7 @@ def mult_front_checks(k: int, kp: int, samples: int = 30, t_max: int = 100,
 
     pair_count = max(4, samples // 3)
     pairs = []
-    for _ in range(pair_count):
+    while len(pairs) < pair_count:  # redraw a pair with c == d
         c = _random_mult_config(rng, m)
         d = _random_mult_config(rng, m)
         if c != d:

@@ -3,7 +3,10 @@
 Sites are plain values: an ``int`` for Z, an ``(x, y)`` tuple for Z^2, and a
 tuple of nonzero signed generator indices (always in reduced form) for a free
 group.  All operations are pure; lattice objects are immutable and safe to
-share.
+share.  ``parse_site`` reads back what ``format_site`` writes: ``7`` on Z,
+``3,-2`` on Z^2, and on F_n whitespace-separated letters, uppercase meaning
+inverse (``a b A``), with ``1`` for the identity, which no letter spells
+(``e`` is generator 5 from F_5 on, and still reads as the identity below).
 """
 from __future__ import annotations
 
@@ -259,7 +262,8 @@ class FreeLattice(Lattice):
 
     def parse_site(self, text):
         text = text.strip()
-        if text in ("e", ""):
+        # no letter spells the identity 1; below F_5, e also reads as it
+        if text == "1" or (text == "e" and self.n < 5):
             return ()
         letters = []
         for tok in text.split():
@@ -274,7 +278,7 @@ class FreeLattice(Lattice):
 
     def format_site(self, a):
         if not a:
-            return "e"
+            return "1"
         return " ".join(
             chr(ord("a") + abs(g) - 1).upper() if g < 0
             else chr(ord("a") + g - 1)

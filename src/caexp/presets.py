@@ -6,12 +6,15 @@ over the von Neumann / triangular neighborhoods on Z^2), ``mult:k,k'``,
 ``lambda:n`` (totalistic mod-2 rule on F_n) and ``layered:k``.
 
 Arbitrary linear rules: ``linear m=3 coeffs=-1:1,1:1`` with an optional
-``lattice=z2`` field (Z^2 coefficient entries are then separated by ';',
-e.g. ``coeffs=0,1:1;1,0:1``).
+``lattice=<z2|free:n>`` field (Z^2 coefficient entries are then separated by
+';', e.g. ``coeffs=0,1:1;1,0:1``; free-group words keep their spaces,
+``coeffs=1:1,a b:1``).  The fields are read by ``errors.parse_fields``, so
+a bare token, a missing, unknown or repeated key is refused, and
+``parse_rule(r.describe())`` reads back every linear rule r.
 """
 from __future__ import annotations
 
-from .errors import UsageError, parse_int
+from .errors import UsageError, parse_fields, parse_int
 from .lattice import Z, Z2, free, lattice_by_kind
 from .rules import LayeredFlipRule, LinearRule, MultRule, Rule, SecondOrderRule
 
@@ -68,18 +71,10 @@ _FAMILIES = {"mult": (mult, 2), "lambda": (lambda_rule, 1),
 
 
 def _parse_linear_spec(text: str) -> LinearRule:
-    fields: dict[str, str] = {}
-    for tok in text.split()[1:]:
-        if "=" not in tok:
-            raise UsageError(f"bad linear rule token {tok!r}")
-        key, val = tok.split("=", 1)
-        fields[key] = val
+    fields = parse_fields(text, ("m", "coeffs"), ("lattice",))
     lat = lattice_by_kind(fields.get("lattice", "z"))
-    try:
-        m = int(fields["m"])
-        raw = fields["coeffs"]
-    except (KeyError, ValueError):
-        raise UsageError(f"bad linear rule spec: {text!r}") from None
+    m = parse_int(fields["m"], "modulus")
+    raw = fields["coeffs"]
     # a Z^2 site holds a comma, so Z^2 entries are separated by ";" only
     entries = raw.split(";" if ";" in raw or lat == Z2 else ",")
     coeffs = {}
@@ -87,14 +82,17 @@ def _parse_linear_spec(text: str) -> LinearRule:
         site_text, _, coef_text = entry.rpartition(":")
         if not site_text:
             raise UsageError(f"bad coefficient entry {entry!r}")
-        coeffs[lat.parse_site(site_text)] = parse_int(coef_text, "coefficient")
+        site = lat.parse_site(site_text)
+        if site in coeffs:
+            raise UsageError(f"repeated coefficient site {site_text!r}")
+        coeffs[site] = parse_int(coef_text, "coefficient")
     return LinearRule(lat, m, coeffs)
 
 
 def parse_rule(text: str) -> Rule:
     token = text.strip()
-    if token.startswith("linear"):
-        return _parse_linear_spec(token)
+    if token.partition(" ")[0] == "linear":
+        return _parse_linear_spec(token[len("linear"):])
     if ":" in token:
         name, args = token.split(":", 1)
         if name not in _FAMILIES:

@@ -100,3 +100,25 @@ def test_front_claim_reports_are_pinned(claim, seed, monkeypatch):
     monkeypatch.setattr(engine, "_sparse_fronts", no_sparse)
     (result,) = run_claims([claim], seed=seed)
     assert str(result.report) == FRONT_REPORTS[claim]
+
+
+# the pair counts FRONT_REPORTS states: mult-ca's two front checks, and
+# engine-invariants' front step bounds; a drawn pair with c == d is redrawn
+FRONT_PAIRS = {"mult-ca": [166, 166], "engine-invariants": [1000]}
+
+
+@pytest.mark.parametrize("claim", sorted(FRONT_PAIRS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_front_claims_read_the_pairs_they_report(claim, seed, monkeypatch):
+    fronts_many, counts = engine.fronts_many, []
+
+    def counting(rule, pairs, t_max):
+        counts.append(len(pairs))
+        return fronts_many(rule, pairs, t_max)
+    monkeypatch.setattr(engine, "fronts_many", counting)
+    (result,) = run_claims([claim], seed=seed)
+    assert result.ok
+    # engine-invariants reads one block per rule
+    if claim == "engine-invariants":
+        counts = [sum(counts)]
+    assert counts == FRONT_PAIRS[claim]

@@ -321,6 +321,9 @@ def test_rule_errors_keep_their_message(rule, message, tmp_path, capsys):
      "--out", "{tmp}"],
     ["simulate", "--rule", "vn2", "--steps", "3000", "--out", "{tmp}"],
     ["simulate", "--rule", "tri2", "--steps", "5000", "--out", "{tmp}"],
+    # B_3000 of F_26 holds a count of over 5 000 digits, past what Python
+    # formats; the refusal names the charge of a ball capped by the budget
+    ["simulate", "--rule", "lambda:26", "--steps", "3000", "--out", "{tmp}"],
 ], ids=" ".join)
 def test_oversized_run_is_refused(argv, tmp_path, capsys):
     # refused at the allocation, not by a numpy memory error or an
@@ -465,14 +468,17 @@ _RULES = ["f2", "f3", "psi", "upsilon", "vn2", "tri2", "mult:3,2", "lambda:2",
           "linear m=3 lattice=z2 coeffs=0,1:1;1,0:1",
           "linear lattice=z2 m=3 coeffs=0,1:1", "linear m=0 coeffs=1:1",
           "linear m=3 coeffs=1:0", "linear m=2 lattice=z2 coeffs=1:1",
-          "linear m=3 coeffs=1:x", "mult:x", "lambda:0", "nope", ""]
+          "linear m=3 coeffs=1:x", "linear m=2 lattice=free:2 coeffs=1:1,a b:1",
+          "linear m=3 coeffs=1:1 m=5", "lambda:5", "mult:x", "lambda:0",
+          "nope", ""]
 _SMALL = ["-1", "0", "1", "2", "x", ""]
 
 
 def test_linear_rule_specs_round_trip_through_describe(tmp_path):
     # every linear spec of the pool that parses reads back from its own
     # describe(); a Z^2 site holds a comma, so Z^2 entries are joined and
-    # split on ";", and a single Z^2 entry is read as one site
+    # split on ";", and a single Z^2 entry is read as one site; a free-group
+    # word keeps its spaces
     from caexp import presets
     from caexp.errors import UsageError
     parsed = 0
@@ -487,11 +493,51 @@ def test_linear_rule_specs_round_trip_through_describe(tmp_path):
         assert (again.lattice, again.m, again.coeffs) == (
             rule.lattice, rule.m, rule.coeffs), spec
         parsed += 1
-    assert parsed == 4
+    assert parsed == 5
     assert presets.parse_rule("linear lattice=z2 m=3 coeffs=0,1:1").coeffs == {
         (0, 1): 1}
     assert run(["simulate", "--rule", "linear lattice=z2 m=3 coeffs=0,1:1",
                 "--steps", "2", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv, header, message", [
+    (["simulate", "--rule", "linear m=3 coeffs=1:1 m=5"], None,
+     "repeated key 'm'"),
+    (["simulate", "--rule", "linear m=3 coeffs=1:1 foo=2"], None,
+     "unknown key 'foo'"),
+    (["simulate", "--rule", "linear coeffs=1:1"], None, "missing key 'm'"),
+    (["simulate", "--rule", "linear 3 coeffs=1:1"], None, "bad field '3'"),
+    (["simulate", "--rule", "f3"], "lattice=z q=3 q=5", "repeated key 'q'"),
+    (["simulate", "--rule", "f3"], "lattice=z q=3 qq=3", "unknown key 'qq'"),
+    (["simulate", "--rule", "f3"], "lattice=z quiescent=0",
+     "missing key 'q'"),
+    (["z2", "--uv", "z=1,0", "z=0,1"], None, "repeated key 'z'"),
+    (["z2", "--uv", "z=1,0", "kk=3"], None, "unknown key 'kk'"),
+    (["freegroup", "--witness", "z=2a", "b"], None, "missing key 'sprime'"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_repeated_unknown_and_missing_keys_exit_2(argv, header, message,
+                                                  tmp_path, capsys):
+    # one KEY=VALUE grammar reads rule specs, file headers and CLI fields
+    if header is not None:
+        (tmp_path / "h.cfg").write_text(f"{header}\n0\t1\n")
+        argv = argv + ["--init", f"file:{tmp_path}/h.cfg"]
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {message}"), err
+
+
+def test_free_group_final_state_reads_back(tmp_path):
+    # on F_5 the letter e is generator 5, so the identity is written 1
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert run(["simulate", "--rule", "lambda:5", "--steps", "1",
+                "--out", str(out)]) == 0
+    assert run(["simulate", "--rule", "lambda:5", "--init",
+                f"file:{out}/final.cfg", "--steps", "0",
+                "--out", str(again)]) == 0
+    final = configio.load(again / "final.cfg")
+    assert len(final) == 11 and final == configio.load(out / "final.cfg")
 
 
 def _flag(name, values):

@@ -71,7 +71,9 @@ def test_iterate_resource_limit(monkeypatch):
         monkeypatch.setattr(engine, "step", no_step)
         monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", bound - 1)
         with pytest.raises(ResourceLimitError,
-                           match=f"of {t} steps within radius {t} "):
+                           match=f"of {t} steps within radius {t} "
+                                 f"charges {bound} cells, above the "
+                                 f"{bound - 1}-cell budget"):
             engine.iterate(rule, c, t)
         monkeypatch.undo()
     # a far support is bounded by its cone, not by its norm, and an empty one

@@ -100,6 +100,17 @@ def test_site_text_roundtrip():
         Z2.parse_site("3")
 
 
+def test_identity_is_spelled_by_no_letter():
+    # e is generator 5 from F_5 on; on F_1 to F_4 it still reads as identity
+    for n in (1, 4, 5, 26):
+        lat = free(n)
+        assert lat.format_site(()) == "1" and lat.parse_site("1") == ()
+        assert lat.parse_site("e") == (() if n < 5 else (5,))
+        assert lat.parse_site(lat.format_site(lat.neg((n,)))) == (-n,)
+    with pytest.raises(UsageError):
+        free(2).parse_site("1 a")
+
+
 def test_validate_site():
     with pytest.raises(UsageError):
         F2.validate_site((1, -1))   # unreduced
