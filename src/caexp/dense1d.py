@@ -68,10 +68,12 @@ def add_shifted(acc: np.ndarray, row: np.ndarray, v: int) -> None:
         acc[..., -v:] += row[..., :n + v]
 
 
-# entries a rule's table may hold: layered:2's 8^5 = 2^15 is the largest
-# among the presets, built in a few ms; past it a rule steps sparsely, as
-# second-order rules mod q >= 7 on three cells and mult:k,k' with kk' > 256 do
-MAX_TABLE = 2 ** 16
+# entries a rule's table may hold.  A second-order rule mod 7 on three cells
+# has 49^3 = 117 649: 0.94 MB, built in 11-14 ms with a 13 MB peak (2-core
+# host), where a 10^6-entry table took 0.14 s and a 107 MB peak.  Past the
+# cap a rule steps sparsely, as second-order rules mod q >= 8 on three cells
+# and mult:k,k' with kk' > 362 do; layered:2's 2^15 is the largest preset
+MAX_TABLE = 2 ** 17
 
 
 def int64_exact(n_terms: int, m: int) -> bool:
@@ -84,7 +86,7 @@ def kernel(rule: Rule):
     or None.  A linear rule whose sums int64 holds keeps its coefficients
     and reduces mod m, by a mask for a power of two (a fifth to a seventh
     of the cost of ``%``); any other rule of at most ``MAX_TABLE``
-    neighbourhoods weighs site i by q^(n-1-i) and looks up ``rule.table``."""
+    neighbourhoods takes ``rule.digit_weights`` and looks up ``rule.table``."""
     if not isinstance(rule.lattice, ZLattice):
         return None
     if isinstance(rule, LinearRule):
@@ -101,7 +103,7 @@ def kernel(rule: Rule):
     table = rule.table
     # every sum indexes the table, so mode="clip" changes nothing, and it
     # writes straight into a contiguous ``acc``; "raise" would buffer it
-    return ([(v, q ** (n - 1 - i)) for i, v in enumerate(rule.neighborhood)],
+    return (list(zip(rule.neighborhood, rule.digit_weights)),
             lambda acc: np.take(table, acc, out=acc, mode="clip"))
 
 

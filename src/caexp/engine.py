@@ -5,6 +5,10 @@ at site s seen through a neighborhood offset v contributes to the image at
 ``s - v``.  A dedicated test pins this.
 
 The sparse step below is the reference semantics for every rule and lattice.
+It has one body (``_step``), the weighted sum and finish of ``dense1d.steps``
+on a dict of support cells: a linear rule sums its coefficients and reduces
+mod m, and any other rule sums base-q digits (``Rule.digit_weights``) and
+decodes them into its local function.
 Each orbit reader takes many configurations of one rule, its single form
 being the one-element block, and decides the backends once per block.  The
 readers outside ``window_series_many`` use decimation where it runs, and
@@ -76,38 +80,31 @@ def _check_match(rule: Rule, c: Configuration) -> None:
 def step(rule: Rule, c: Configuration) -> Configuration:
     """One exact synchronous update of a finite-support configuration."""
     _check_match(rule, c)
-    if isinstance(rule, LinearRule):
-        return _step_linear(rule, c)
-    return _step_generic(rule, c)
+    return _step(rule, c)
 
 
-def _step_linear(rule: LinearRule, c: Configuration) -> Configuration:
-    lat = rule.lattice
-    m = rule.m
+def _step(rule: Rule, c: Configuration) -> Configuration:
+    """The one sparse step body: each support cell s adds w_v * c(s) to the
+    sum of s - v for every neighbourhood offset v, then each sum is finished.
+    A linear rule weighs v by its coefficient and reduces mod m; any other
+    weighs site i by ``digit_weights[i]``, so the sum spells the
+    neighbourhood in base q, and decodes its digits into ``rule.local``."""
+    lat, q = rule.lattice, rule.q
+    linear = isinstance(rule, LinearRule)
+    terms = (rule.coeffs.items() if linear
+             else tuple(zip(rule.neighborhood, rule.digit_weights)))
     acc: dict[Site, int] = {}
     for s, val in c.cells.items():
-        for v, a in rule.coeffs.items():
+        for v, w in terms:
             z = lat.sub(s, v)
-            acc[z] = acc.get(z, 0) + a * val
-    out = {z: r for z, r in ((z, x % m) for z, x in acc.items()) if r}
-    return Configuration(lat, m, out, _validated=True)
-
-
-def _step_generic(rule: Rule, c: Configuration) -> Configuration:
-    lat = rule.lattice
-    nbhd = rule.neighborhood
-    candidates = set()
-    for s in c.cells:
-        for v in nbhd:
-            candidates.add(lat.sub(s, v))
-    get = c.cells.get
-    out: dict[Site, int] = {}
-    for z in candidates:
-        vals = [get(lat.add(z, v), 0) for v in nbhd]
-        r = rule.local(vals)
-        if r:
-            out[z] = r
-    return Configuration(lat, rule.q, out, _validated=True)
+            acc[z] = acc.get(z, 0) + w * val
+    if linear:
+        out = {z: r for z, x in acc.items() if (r := x % q)}
+    else:
+        local, weights = rule.local, rule.digit_weights
+        out = {z: r for z, x in acc.items()
+               if (r := local([x // w % q for w in weights]))}
+    return Configuration(lat, q, out, _validated=True)
 
 
 def _gaps_within(coords, rule: Rule, t_max: int) -> bool:

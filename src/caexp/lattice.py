@@ -265,6 +265,8 @@ class FreeLattice(Lattice):
         # no letter spells the identity 1; below F_5, e also reads as it
         if text == "1" or (text == "e" and self.n < 5):
             return ()
+        if not text:
+            raise UsageError("empty free-group site; the identity is 1")
         letters = []
         for tok in text.split():
             if len(tok) != 1 or not tok.isalpha():

@@ -184,7 +184,7 @@ def null_trace_forever(rule: LinearRule, c: Configuration, m: int) -> bool:
             windows.setdefault(r, set()).add(y)
         for j in range(p):
             if j:
-                e = engine._step_linear(parts[p], e)
+                e = engine._step(parts[p], e)
             if e.is_zero():
                 break
             cells_read += len(e)
@@ -365,8 +365,7 @@ def crt_decompose(rule: LinearRule) -> list[LinearRule]:
         mod = p ** e
         coeffs = {v: a % mod for v, a in rule.coeffs.items() if a % mod}
         if coeffs:
-            parts.append(LinearRule(rule.lattice, mod, coeffs,
-                                    name=f"{rule.name} mod {mod}"))
+            parts.append(LinearRule(rule.lattice, mod, coeffs))
     return parts
 
 

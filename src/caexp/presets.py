@@ -10,7 +10,8 @@ Arbitrary linear rules: ``linear m=3 coeffs=-1:1,1:1`` with an optional
 ';', e.g. ``coeffs=0,1:1;1,0:1``; free-group words keep their spaces,
 ``coeffs=1:1,a b:1``).  The fields are read by ``errors.parse_fields``, so
 a bare token, a missing, unknown or repeated key is refused, and
-``parse_rule(r.describe())`` reads back every linear rule r.
+``parse_rule(r.describe())`` reads back every linear rule and every preset
+r (a linear preset as its ``linear`` spec).
 """
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ from .rules import LayeredFlipRule, LinearRule, MultRule, Rule, SecondOrderRule
 
 
 def f2() -> LinearRule:
-    return LinearRule(Z, 2, {1: 1, -1: 1}, name="f2")
+    return LinearRule(Z, 2, {1: 1, -1: 1})
 
 
 def f3() -> LinearRule:
-    return LinearRule(Z, 3, {1: 1, -1: 1}, name="f3")
+    return LinearRule(Z, 3, {1: 1, -1: 1})
 
 
 def psi() -> SecondOrderRule:
@@ -37,12 +38,12 @@ def upsilon() -> SecondOrderRule:
 
 def vn2() -> LinearRule:
     sites = [(0, 0), (0, 1), (1, 0), (0, -1), (-1, 0)]
-    return LinearRule(Z2, 2, {s: 1 for s in sites}, name="vn2")
+    return LinearRule(Z2, 2, {s: 1 for s in sites})
 
 
 def tri2() -> LinearRule:
     sites = [(-1, 1), (1, 1), (0, 0), (0, -1)]
-    return LinearRule(Z2, 2, {s: 1 for s in sites}, name="tri2")
+    return LinearRule(Z2, 2, {s: 1 for s in sites})
 
 
 def mult(k: int, kp: int) -> MultRule:
@@ -57,7 +58,7 @@ def lambda_rule(n: int) -> LinearRule:
     coeffs = {lat.origin: 1}
     for g in lat.generators():
         coeffs[g] = 1
-    return LinearRule(lat, 2, coeffs, name=f"lambda:{n}")
+    return LinearRule(lat, 2, coeffs)
 
 
 def layered(k: int) -> LayeredFlipRule:

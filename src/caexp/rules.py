@@ -44,12 +44,19 @@ class Rule:
         raise NotImplementedError
 
     @cached_property
+    def digit_weights(self) -> tuple[int, ...]:
+        """q^(n-1-i) for site i of n: a sum of states so weighed spells the
+        neighbourhood in base q, site 0 leading."""
+        n = len(self.neighborhood)
+        return tuple(self.q ** (n - 1 - i) for i in range(n))
+
+    @cached_property
     def table(self) -> np.ndarray:
         """``local`` of all q^n neighbourhoods of n sites, built once: entry
-        sum_i s_i * q^(n-1-i) holds local(s_0, ..., s_{n-1})."""
-        q, n = self.q, len(self.neighborhood)
-        index = np.arange(q ** n, dtype=np.int64)
-        digits = [index // q ** (n - 1 - i) % q for i in range(n)]
+        sum_i s_i * digit_weights[i] holds local(s_0, ..., s_{n-1})."""
+        q = self.q
+        index = np.arange(q ** len(self.neighborhood), dtype=np.int64)
+        digits = [index // w % q for w in self.digit_weights]
         return np.asarray(self.local(digits), dtype=np.int64)
 
     def describe(self) -> str:
@@ -71,8 +78,7 @@ class LinearRule(Rule):
 
     is_linear = True
 
-    def __init__(self, lattice: Lattice, m: int, coeffs: Mapping[Site, int],
-                 name: str | None = None):
+    def __init__(self, lattice: Lattice, m: int, coeffs: Mapping[Site, int]):
         self.lattice = lattice
         self.alphabet = Cyclic(m)
         cleaned: dict[Site, int] = {}
@@ -86,7 +92,6 @@ class LinearRule(Rule):
             raise UsageError("linear rule needs at least one coefficient")
         self.coeffs = cleaned
         self.neighborhood = tuple(sorted(cleaned))
-        self.name = name or f"linear(m={m})"
         self._check_neighborhood()
 
     @property
@@ -117,7 +122,7 @@ class MultRule(Rule):
         self.lattice = Z
         self.alphabet = Cyclic(k * kp)
         self.neighborhood = (0, 1)
-        self.name = f"mult({k},{kp})"
+        self.name = f"mult:{k},{kp}"
         self._check_neighborhood()
 
     @property
@@ -143,7 +148,7 @@ class SecondOrderRule(Rule):
         self._origin_idx = nbhd.index(inner.lattice.origin)
         self._inner_idx = [nbhd.index(v) for v in inner.neighborhood]
         self.is_linear = inner.is_linear
-        self.name = name or f"SO({inner.name})"
+        self.name = name or f"SO({inner.describe()})"
         self._check_neighborhood()
 
     def local(self, values):
@@ -170,7 +175,7 @@ class SecondOrderInverseRule(Rule):
         self._origin_idx = forward._origin_idx
         self._inner_idx = forward._inner_idx
         self.is_linear = inner.is_linear
-        self.name = f"SO_inv({inner.name})"
+        self.name = f"SO_inv({forward.describe()})"
         self._check_neighborhood()
 
     def local(self, values):
@@ -207,7 +212,10 @@ class LayeredFlipRule(Rule):
         self._inner_idx = [nbhd.index(v) for v in inner.neighborhood]
         self._flip_idx = [nbhd.index(-3 * i) for i in range(1, k + 1)]
         self.is_linear = inner.is_linear
-        self.name = f"layered({inner.name},{k})"
+        # the spec ``layered:k`` names the f2 inner rule
+        f2 = isinstance(inner, LinearRule) and inner.coeffs == {-1: 1, 1: 1}
+        self.name = (f"layered:{k}" if f2
+                     else f"layered({inner.describe()},{k})")
         self._check_neighborhood()
 
     def local(self, values):

@@ -540,6 +540,29 @@ def test_free_group_final_state_reads_back(tmp_path):
     assert len(final) == 11 and final == configio.load(out / "final.cfg")
 
 
+@pytest.mark.parametrize("init", ["spot:1@", "file:{tmp}/e.cfg"])
+def test_empty_free_group_site_exits_2(init, tmp_path, capsys):
+    # the identity is written 1; an empty site is refused, as on Z
+    (tmp_path / "e.cfg").write_text("lattice=free:2 q=2\n\t1\n")
+    assert run(["simulate", "--rule", "lambda:2", "--init",
+                init.replace("{tmp}", str(tmp_path)), "--steps", "0",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: empty free-group site"), err
+
+
+@pytest.mark.parametrize("spec", ["mult:3,2", "layered:2"])
+def test_simulate_rule_line_is_a_spec_rule_accepts(spec, tmp_path, capsys):
+    def rule_line(rule):
+        assert run(["simulate", "--rule", rule, "--steps", "1",
+                    "--out", str(tmp_path)]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("rule: "))
+        return line[len("rule: "):line.rindex(" radius=")]
+    printed = rule_line(spec)
+    assert rule_line(printed) == printed
+
+
 def _flag(name, values):
     return [[name, v] for v in values]
 

@@ -353,15 +353,15 @@ def _sparse_orbit(rule, c, t_max):
 
 def test_dense_kernels_cover_exactly_the_exact_or_tabulated_z_presets():
     # the rest take the sparse fallbacks, and no dense orbit runs them, not
-    # even on an empty support: big-m and huge-m pass int64, and mult:17,17's
-    # table would hold 289^2 = 83 521 entries
+    # even on an empty support: big-m and huge-m pass int64, and mult:23,23's
+    # table would hold 529^2 = 279 841 entries
     from caexp import dense1d
     cases = _window_series_cases()
     assert {name for name, rule in cases.items()
             if dense1d.kernel(rule) is not None} == {
         "f2", "f3", "psi", "upsilon", "mult:3,2", "mult:2,4", "layered:2",
-        "mod5", "so-inverse"}
-    for name in ("big-m", "huge-m", "mult:17,17"):
+        "mod5", "so-inverse", "so-mod7"}
+    for name in ("big-m", "huge-m", "mult:23,23"):
         rule = cases[name]
         for c in (Configuration.spot(Z, rule.q, 1, 0),
                   Configuration.zero(Z, rule.q)):
@@ -415,7 +415,7 @@ def _sparse_fronts(rule, c, d, t_max):
 
 
 def _window_series_cases():
-    from caexp.rules import SecondOrderInverseRule
+    from caexp.rules import SecondOrderInverseRule, SecondOrderRule
     big = 2 ** 40 + 15  # int64 products of states and coefficients overflow
     return {
         "f2": presets.f2(), "f3": presets.f3(), "psi": presets.psi(),
@@ -425,12 +425,14 @@ def _window_series_cases():
         "lambda:2": presets.lambda_rule(2), "lambda:3": presets.lambda_rule(3),
         "mod5": LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}),
         "so-inverse": SecondOrderInverseRule(presets.psi()),
+        # 49^3 = 117 649 entries, a table under dense1d.MAX_TABLE
+        "so-mod7": SecondOrderRule(LinearRule(Z, 7, {-1: 1, 1: 1})),
         # inputs no dense kernel covers
         "z2-mod3": LinearRule(Z2, 3, {(0, 0): 1, (1, 0): 2, (0, -1): 1}),
         "z2-dx64": LinearRule(Z2, 2, {(0, 0): 1, (64, 0): 1, (-1, 1): 1}),
         "big-m": LinearRule(Z, big, {-1: big - 1, 0: 12345678901, 2: 3}),
         "huge-m": LinearRule(Z, 2 ** 64 + 13, {-1: 3, 1: 2 ** 64}),  # past int64
-        "mult:17,17": presets.mult(17, 17),  # a table past dense1d.MAX_TABLE
+        "mult:23,23": presets.mult(23, 23),  # a table past dense1d.MAX_TABLE
     }
 
 
@@ -497,6 +499,52 @@ def test_window_series_and_fronts_match_sparse(name):
             assert engine.first_nonzero_times(rule, block, sites[cols], t) == [
                 next((s for s, row in enumerate(want[:t + 1]) if any(row[cols])),
                      None) for want in wants]
+
+
+def _literal_step(rule, c):
+    """F(c) read off the local rule: each target s - v of a support cell s
+    and offset v gathers c(z + v) in neighbourhood order into ``local``."""
+    lat, nbhd = rule.lattice, rule.neighborhood
+    targets = {lat.sub(s, v) for s in c.cells for v in nbhd}
+    return Configuration(lat, rule.q, {
+        z: r for z in targets
+        if (r := rule.local([c.get(lat.add(z, v)) for v in nbhd]))})
+
+
+@pytest.mark.parametrize("name", list(_window_series_cases()))
+def test_step_matches_the_literal_local_rule(name):
+    # the one step body, a weighted sum finished mod m or decoded into base-q
+    # digits, is the local rule applied synchronously; mult and layered read
+    # their neighbourhood in order, so the digit order is pinned
+    rule = _window_series_cases()[name]
+    lat = rule.lattice
+    ball = lat.origin_ball(2 if lat.kind.startswith("free") else 6)
+    rng = random.Random(8)
+    configs = [Configuration.zero(lat, rule.q)]
+    for _ in range(30):
+        cells = rng.sample(ball, rng.randint(1, 8))
+        configs.append(Configuration(lat, rule.q, {
+            s: rng.choice([1, rule.q - 1, rng.randrange(1, rule.q)])
+            for s in cells}))
+    for c in configs:
+        assert engine.step(rule, c) == _literal_step(rule, c)
+
+
+def test_second_order_mod7_runs_dense_and_matches_sparse(monkeypatch):
+    # 49^3 table entries, over the former 2^16 cap: the orbit of a state-7
+    # spot through t = 512 runs dense and equals the pruned sparse orbit
+    from caexp import dense1d
+    from caexp.lattice import size_domain
+    rule = _window_series_cases()["so-mod7"]
+    c, sites = spot(Z, rule.q, 7), size_domain(Z, 30)
+    want = [list(cur.restrict(sites))
+            for cur in engine._sparse_orbit(rule, c, 512, sites)]
+
+    def no_step(*args):
+        raise AssertionError("stepped sparsely")
+    monkeypatch.setattr(engine, "_step", no_step)
+    assert dense1d.kernel(rule) is not None
+    assert engine.window_series(rule, c, sites, 512).tolist() == want
 
 
 def test_traces_equal_stops_once_the_states_are_equal(monkeypatch):

@@ -18,6 +18,17 @@ from caexp.lattice import Z, Z2
 from caexp.rules import LinearRule
 from caexp.z2subst import exact_trace_null
 
+_PRESET_NAMES = {getattr(presets, n)().describe(): n
+                 for n in ("f2", "f3", "vn2", "tri2")}
+
+
+def _rule_id(v):
+    """A case's id as these tests have printed it: a linear preset's name,
+    linear(m=...) for any other linear rule, else the rule's name."""
+    if isinstance(v, LinearRule):
+        return _PRESET_NAMES.get(v.describe(), f"linear(m={v.m})")
+    return getattr(v, "name", None)
+
 
 def test_size_domain():
     assert size_domain(Z, 2) == [-2, -1, 0, 1, 2]
@@ -346,7 +357,7 @@ def test_trace_map_columns_match_direct_orbits(name, R, m, t_max):
     (LinearRule(Z, 5, {-2: 3, 0: 1, 1: 4}), 3, 1, 30),
     (LinearRule(Z2, 3, {(1, 0): 2, (0, -1): 1, (-1, 1): 2}), 2, 1, 20),
     (LinearRule(Z2, 2, {(0, 0): 1, (1, 0): 1, (0, 2): 1}), 0, 1, 9),
-], ids=lambda v: getattr(v, "name", None))
+], ids=_rule_id)
 def test_decimated_table_equals_the_stepped_one(rule, R, m, t_max,
                                                 monkeypatch):
     # the same columns and kernel as the table window_series builds
@@ -423,7 +434,7 @@ def test_kernel_dim_counts_null_traces_on_the_box(name, R, m, t_max, dim):
     (presets.vn2(), 2, 8, 0, 32),
     (LinearRule(Z, 5, {-1: 1, 1: 1}), 2, 3, 1, 25),
     (LinearRule(Z, 5, {-2: 1, 2: 1}), 2, 3, 1, 25),
-], ids=lambda v: getattr(v, "name", None))
+], ids=_rule_id)
 def test_rank_precheck_agrees_with_enumeration(rule, k, R, m, t_max,
                                                monkeypatch):
     fast = kexp_search(rule, k=k, support_radius=R, window=m, t_max=t_max)

@@ -1,10 +1,12 @@
 """The text layer: one KEY=VALUE grammar for rule specs, configuration-file
 headers and CLI fields, and every spec and file caexp writes reads back."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caexp import configio
+from caexp import configio, engine
 from caexp.config import Configuration
 from caexp.errors import UsageError, parse_fields
 from caexp.lattice import Z, Z2, free, reduce_word
@@ -90,3 +92,21 @@ def test_two_letter_and_generator_5_words_read_back():
 def test_a_repeated_coefficient_site_is_refused():
     with pytest.raises(UsageError, match="repeated coefficient site"):
         parse_rule("linear m=3 lattice=free:2 coeffs=a:1,a A a:2")
+
+
+@pytest.mark.parametrize("spec", [
+    "f2", "f3", "psi", "upsilon", "vn2", "tri2", "mult:3,2", "mult:2,4",
+    "lambda:3", "layered:1", "layered:2", "linear m=5 coeffs=-2:3,0:1,1:4",
+    "linear lattice=z2 m=3 coeffs=0,0:1;1,0:2",
+    "linear lattice=free:2 m=2 coeffs=1:1,a b:1"])
+def test_every_preset_describe_reads_back(spec):
+    # the rule: line of simulate is a spec --rule accepts, for the same rule
+    rule = parse_rule(spec)
+    again = parse_rule(rule.describe())
+    lat = rule.lattice
+    rng = random.Random(4)
+    ball = lat.origin_ball(2 if lat.kind.startswith("free") else 5)
+    c = Configuration(lat, rule.q, {s: rng.randrange(1, rule.q)
+                                    for s in rng.sample(ball, 6)})
+    assert (again.lattice, again.q) == (lat, rule.q)
+    assert engine.iterate(again, c, 3) == engine.iterate(rule, c, 3)
