@@ -153,7 +153,7 @@ def cmd_bench(args) -> int:
     print(f"backend: bitgrid-uint64 rows x words "
           f"({grid.height}x{grid.nwords})")
     print(f"cell updates: {updates} ({n}x{n} window, {steps} steps, torus-free)")
-    print(f"witness search: {verdict.searched} candidates examined")
+    print(f"witness search: {verdict.searched} candidates decided")
     _summary(sys.stdout, status="ok", backend="bitgrid-uint64",
              window=n, steps=steps, cell_updates=updates,
              updates_per_second=f"{updates / max(step_seconds, 1e-9):.3e}",

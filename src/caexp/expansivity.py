@@ -11,8 +11,8 @@ Over a prime field those traces form the columns of the bounded trace map.
 ``TraceTable`` is that map on one search box: it checks its size, lists the
 box, the window and the spot offsets, and takes its GF(p) kernel; a trivial
 kernel decides every candidate of a k >= 2 search at once, exactly and
-relative to the same t_max.  Searches and pair probes walk their candidates
-in one order (``_candidates``), which every ``searched`` count follows.
+relative to the same t_max, and a k = 1 search reads one null mask per value
+class.  Every ``searched`` count follows the ``_candidates`` order.
 """
 from __future__ import annotations
 
@@ -110,8 +110,8 @@ class TraceTable:
     ``engine.spot_series`` call, by decimation for linear rules with a prime
     modulus on Z and Z^2 and otherwise from ``engine.window_series``; it
     stays in the dtype it comes in (uint8 for p = 2 by decimation, int64
-    otherwise), split into components and copied once, so that one offset's
-    series is contiguous.
+    otherwise), split into components and copied once: the k >= 2 loop and
+    the k = 1 masks read one offset's series contiguously.
     """
 
     def __init__(self, rule: Rule, R: int, m: int, t_max: int):
@@ -151,6 +151,21 @@ class TraceTable:
         # every alphabet here has one modulus for all of its components; the
         # uint8 sums of mod-2 series wrap mod 256, which keeps them mod 2
         return not np.count_nonzero(acc % self.moduli[0])
+
+    def null_offsets(self, value: int) -> np.ndarray:
+        """Boolean mask over ``offsets``: is the spot trace of ``value`` null
+        through t_max there?  ``null_at_window_cell``'s sums and reduction,
+        read in doubling time chunks over the offsets still null."""
+        coefs = self.alphabet.components(value)
+        alive, lo = np.arange(len(self.offsets)), 0
+        while lo <= self.t_max and alive.size:
+            acc = sum(c * self._series[b][:, alive, lo:2 * lo + 1]
+                      for b, c in enumerate(coefs) if c)
+            if sum(coefs) > 1:  # a basis state's series is reduced already
+                acc %= self.moduli[0]
+            alive = alive[~acc.any(axis=(0, 2))]
+            lo = 2 * lo + 1
+        return np.isin(np.arange(len(self.offsets)), alive)
 
     def trace_map(self):
         """The trace map, column by column.
@@ -198,6 +213,29 @@ def _candidates(domain, q: int, k: int):
             yield tuple(zip(sites, values))
 
 
+def _first_null_spot(table: TraceTable, q: int):
+    """[(searched, items)] of the first null k = 1 candidate, or [].  The
+    spot (z, a) is null iff a's ``null_offsets`` mask holds at (-z) + w for
+    every window cell w.  On Z_q, a*s = 0 iff s = 0 mod q/gcd(a, q), so each
+    divisor class has one mask, read at its least value."""
+    lat, index, domain = table.rule.lattice, table._index, table.domain
+    values = range(1, q)
+    if len(table.moduli) == 1:
+        small = [d for d in range(1, math.isqrt(q) + 1) if q % d == 0]
+        values = sorted({*small, *(q // d for d in small)} - {q})
+    spots = np.array([index[lat.neg(z)] for z in domain])  # read first
+    best = (len(domain), 0)  # (domain index, value); values come in order
+    for a in values:
+        mask = table.null_offsets(a)
+        null = mask.tolist()
+        hits = (i for i in np.flatnonzero(mask[spots[:best[0]]]).tolist()
+                if all(null[index[lat.add(lat.neg(domain[i]), w)]]
+                       for w in table.window))
+        best = min(best, (next(hits, len(domain)), a))
+    i, a = best
+    return [(i * (q - 1) + a, ((domain[i], a),))] if i < len(domain) else []
+
+
 def _verify_witness(rule: Rule, cfg: Configuration, m: int, t_max: int) -> bool:
     """Re-check a candidate by simulating the actual configuration directly
     (independent of the trace-cache composition path)."""
@@ -218,8 +256,8 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     has a trace null through t_max, so none has one null forever: that
     decides every candidate at once, exactly and for all time on the box,
     and the verdict counts them all as searched and is ``certified_exact``.
-    Otherwise this walks the candidates in ``_candidates`` order, summing
-    cached single-cell traces at each window cell.
+    k = 1 reads one ``null_offsets`` mask per value class; larger k walk
+    the candidates in ``_candidates`` order, summing cached spot traces.
     A found witness is re-verified by direct simulation and certified for all
     time where ``linearca.null_trace_forever`` decides the rule within its
     budget.  ``kernel_dim`` on the verdict is None when no rank was computed.
@@ -234,29 +272,31 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     if count == 0:  # k exceeds the box: no candidate, so no table to build
         return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
     table = TraceTable(rule, support_radius, window, t_max)
-    # the loop reads about t_max + 1 entries per component and candidate; for
-    # k = 1 it is one zero test per column and value, which no rank undercuts
+    # the loop reads about t_max + 1 entries per component and candidate;
+    # k = 1 takes no rank, since its masks read each column once per value
     loop_work = count * (t_max + 1) * len(table.moduli)
     kernel_dim = table.kernel_dim(loop_work) if k >= 2 else None
     if kernel_dim == 0:
         return ExpansivityVerdict(found=False, bounds=bounds, searched=count,
                                   certified_exact=True, kernel_dim=0)
-    for searched, items in enumerate(_candidates(table.domain, rule.q, k), 1):
-        if all(table.null_at_window_cell(items, w) for w in table.window):
-            cfg = Configuration(rule.lattice, rule.q, dict(items),
-                                _validated=True)
-            if not _verify_witness(rule, cfg, window, t_max):
-                raise RuntimeError(
-                    f"trace cache and direct simulation disagree on {cfg!r}")
-            certified = False
-            if linearca.null_trace_decidable(rule):
-                try:
-                    certified = linearca.null_trace_forever(rule, cfg, window)
-                except ResourceLimitError:
-                    pass  # the bounded verdict stands, uncertified
-            return ExpansivityVerdict(found=True, bounds=bounds, witness=cfg,
-                                      certified_exact=certified,
-                                      searched=searched, kernel_dim=kernel_dim)
+    hits = _first_null_spot(table, rule.q) if k == 1 else (
+        (n, items) for n, items in enumerate(
+            _candidates(table.domain, rule.q, k), 1)
+        if all(table.null_at_window_cell(items, w) for w in table.window))
+    for searched, items in hits:
+        cfg = Configuration(rule.lattice, rule.q, dict(items), _validated=True)
+        if not _verify_witness(rule, cfg, window, t_max):
+            raise RuntimeError(
+                f"trace cache and direct simulation disagree on {cfg!r}")
+        certified = False
+        if linearca.null_trace_decidable(rule):
+            try:
+                certified = linearca.null_trace_forever(rule, cfg, window)
+            except ResourceLimitError:
+                pass  # the bounded verdict stands, uncertified
+        return ExpansivityVerdict(found=True, bounds=bounds, witness=cfg,
+                                  certified_exact=certified,
+                                  searched=searched, kernel_dim=kernel_dim)
     return ExpansivityVerdict(found=False, bounds=bounds, searched=count,
                               kernel_dim=kernel_dim)
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caexp import bitgrid, dense1d, engine, errors, expansivity, linearca, presets
 from caexp.config import Configuration, random_config
@@ -394,6 +396,103 @@ def test_witness_check_catches_a_corrupt_table(name, monkeypatch):
                     window=1, t_max=32)
 
 
+def _loop_k1(rule, R, m, t_max):
+    """The k = 1 candidate loop through ``null_at_window_cell``, with the
+    witness certification of kexp_search: (found, witness cells, searched,
+    certified_exact)."""
+    table = expansivity.TraceTable(rule, R, m, t_max)
+    candidates = expansivity._candidates(table.domain, rule.q, 1)
+    for searched, items in enumerate(candidates, 1):
+        if all(table.null_at_window_cell(items, w) for w in table.window):
+            cfg = Configuration(rule.lattice, rule.q, dict(items))
+            try:
+                certified = (linearca.null_trace_decidable(rule)
+                             and linearca.null_trace_forever(rule, cfg, m))
+            except ResourceLimitError:
+                certified = False
+            return True, dict(items), searched, certified
+    return False, None, searched, False
+
+
+def _assert_k1_agrees(rule, R, m, t_max):
+    verdict = kexp_search(rule, k=1, support_radius=R, window=m, t_max=t_max)
+    cells = verdict.witness.cells if verdict.found else None
+    got = (verdict.found, cells, verdict.searched, verdict.certified_exact)
+    assert got == _loop_k1(rule, R, m, t_max)
+    return verdict
+
+
+@pytest.mark.parametrize("spec,R,m,t_max,found,searched", [
+    ("f2", 3, 1, 16, False, 7),
+    ("f3", 3, 1, 27, False, 14),
+    ("psi", 3, 1, 27, False, 56),
+    ("psi", 6, 0, 2, True, 1),        # too far to reach the window
+    ("upsilon", 3, 1, 16, False, 21),
+    ("layered:2", 5, 0, 2, True, 1),
+    ("vn2", 3, 1, 16, False, 49),
+    ("tri2", 3, 1, 16, True, 27),
+    ("tri2", 6, 1, 16, True, 1),
+    ("lambda:2", 2, 1, 6, False, 17),
+    ("linear m=4 coeffs=-1:2,1:2", 3, 1, 16, True, 1),
+    ("linear m=6 coeffs=-1:3,1:2", 3, 1, 16, True, 2),  # value 2 of Z_6
+    ("linear lattice=z2 m=3 coeffs=0,1:1;1,0:2", 2, 1, 12, True, 1),
+    ("linear lattice=free:2 m=3 coeffs=a:1,B:2", 2, 1, 6, True, 13),
+    ("linear lattice=free:2 m=4 coeffs=a:2,b:2", 2, 1, 6, True, 17),
+])
+def test_k1_masks_agree_with_the_candidate_loop(spec, R, m, t_max, found,
+                                                searched):
+    verdict = _assert_k1_agrees(presets.parse_rule(spec), R, m, t_max)
+    assert (verdict.found, verdict.searched) == (found, searched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_k1_masks_agree_with_the_loop_on_random_linear_rules(data):
+    lat = data.draw(st.sampled_from([Z, Z2]))
+    m = data.draw(st.sampled_from([2, 3, 4, 6, 9]))
+    site = (st.integers(-2, 2) if lat is Z
+            else st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    coeffs = data.draw(st.dictionaries(site, st.integers(1, m - 1),
+                                       min_size=1, max_size=4))
+    _assert_k1_agrees(LinearRule(lat, m, coeffs), data.draw(st.integers(0, 3)),
+                      data.draw(st.integers(0, 2)),
+                      data.draw(st.integers(0, 12)))
+
+
+def test_k1_searches_make_no_window_cell_checks(monkeypatch):
+    calls = []
+    check = expansivity.TraceTable.null_at_window_cell
+
+    def counted(table, items, w):
+        calls.append(w)
+        return check(table, items, w)
+    monkeypatch.setattr(expansivity.TraceTable, "null_at_window_cell", counted)
+    assert not kexp_search(presets.vn2(), 1, 6, 1, 128).found
+    assert kexp_search(presets.tri2(), 1, 6, 1, 16).found
+    assert calls == []
+    # vn-2exp-witness: the rank is skipped at the work gate, so the k = 2
+    # candidates still go through the loop
+    verdict = kexp_search(presets.vn2(), 2, 8, 3, 256)
+    assert verdict.found and verdict.kernel_dim is None and calls
+
+
+def test_k1_search_reads_one_mask_per_divisor_class(monkeypatch):
+    masks = []
+    null_offsets = expansivity.TraceTable.null_offsets
+
+    def counted(table, value):
+        masks.append(value)
+        return null_offsets(table, value)
+    monkeypatch.setattr(expansivity.TraceTable, "null_offsets", counted)
+    # 1000003 is prime: every value is in the class of 1
+    verdict = kexp_search(LinearRule(Z, 1000003, {-1: 1, 1: 1}), 1, 0, 5, 4)
+    assert (verdict.found, verdict.searched) == (False, 1000002)
+    assert masks == [1]
+    masks.clear()
+    kexp_search(LinearRule(Z, 12, {-1: 1, 1: 1}), 1, 0, 1, 4)
+    assert masks == [1, 2, 3, 4, 6]
+
+
 def _kernel_dim(rule, R, m, t_max, budget=math.inf):
     # the pre-check on the table kexp_search builds, past its work gate
     return expansivity.TraceTable(rule, R, m, t_max).kernel_dim(budget)
@@ -487,7 +586,7 @@ def test_upsilon_glider_left_of_the_window_is_in_the_kernel():
 
 
 def test_rank_precheck_scope(monkeypatch):
-    # prime-power and composite moduli and k = 1 keep enumerating only; the
+    # prime-power and composite moduli and k = 1 take no rank; the
     # one-column f3 box would pass the work gate
     for m in (4, 6):
         rule = LinearRule(Z, m, {-1: 1, 1: 1})
