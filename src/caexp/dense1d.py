@@ -72,7 +72,8 @@ def add_shifted(acc: np.ndarray, row: np.ndarray, v: int) -> None:
 # has 49^3 = 117 649: 0.94 MB, built in 11-14 ms with a 13 MB peak (2-core
 # host), where a 10^6-entry table took 0.14 s and a 107 MB peak.  Past the
 # cap a rule steps sparsely, as second-order rules mod q >= 8 on three cells
-# and mult:k,k' with kk' > 362 do; layered:2's 2^15 is the largest preset
+# and mult:k,k' with kk' > 362 do; layered:2's 2^15 is the largest preset.
+# The sparse step's finish cache (``Rule.finishes``) holds at most as many.
 MAX_TABLE = 2 ** 17
 
 

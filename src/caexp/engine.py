@@ -8,7 +8,12 @@ The sparse step below is the reference semantics for every rule and lattice.
 It has one body (``_step``), the weighted sum and finish of ``dense1d.steps``
 on a dict of support cells: a linear rule sums its coefficients and reduces
 mod m, and any other rule sums base-q digits (``Rule.digit_weights``) and
-decodes them into its local function.
+decodes them into its local function.  It negates each offset once per
+step.  It caches each rule's decoded finishes by digit sum
+(``Rule.finishes``, at most ``dense1d.MAX_TABLE`` entries), each filled by a
+scalar ``local`` call; it never reads ``Rule.table``, the array evaluation
+the dense kernels look up, so every dense-versus-sparse cross-check compares
+two evaluations of the local function, not one table with itself.
 Each orbit reader takes many configurations of one rule, its single form
 being the one-element block, and decides the backends once per block.  The
 readers outside ``window_series_many`` use decimation where it runs, and
@@ -86,24 +91,40 @@ def step(rule: Rule, c: Configuration) -> Configuration:
 def _step(rule: Rule, c: Configuration) -> Configuration:
     """The one sparse step body: each support cell s adds w_v * c(s) to the
     sum of s - v for every neighbourhood offset v, then each sum is finished.
+    Each offset is negated once per step, not once per cell.
     A linear rule weighs v by its coefficient and reduces mod m; any other
     weighs site i by ``digit_weights[i]``, so the sum spells the
-    neighbourhood in base q, and decodes its digits into ``rule.local``."""
+    neighbourhood in base q, and decodes its digits into ``rule.local``.
+    Those finishes are cached per rule (``Rule.finishes``), filled by the
+    scalar call, up to ``dense1d.MAX_TABLE`` sums; past that a new sum is
+    decoded and not stored.  The cache is not ``rule.table``: the dense
+    kernels read that table, and the sparse step checks them."""
     lat, q = rule.lattice, rule.q
+    add, neg = lat.add, lat.neg
     linear = isinstance(rule, LinearRule)
-    terms = (rule.coeffs.items() if linear
-             else tuple(zip(rule.neighborhood, rule.digit_weights)))
+    terms = [(neg(v), w) for v, w in (
+        rule.coeffs.items() if linear
+        else zip(rule.neighborhood, rule.digit_weights))]
     acc: dict[Site, int] = {}
+    get = acc.get
     for s, val in c.cells.items():
-        for v, w in terms:
-            z = lat.sub(s, v)
-            acc[z] = acc.get(z, 0) + w * val
+        for u, w in terms:
+            z = add(s, u)
+            acc[z] = get(z, 0) + w * val
     if linear:
         out = {z: r for z, x in acc.items() if (r := x % q)}
     else:
         local, weights = rule.local, rule.digit_weights
-        out = {z: r for z, x in acc.items()
-               if (r := local([x // w % q for w in weights]))}
+        cache, room = rule.finishes, dense1d.MAX_TABLE
+        out = {}
+        for z, x in acc.items():
+            r = cache.get(x)
+            if r is None:
+                r = local([x // w % q for w in weights])
+                if len(cache) < room:
+                    cache[x] = r
+            if r:
+                out[z] = r
     return Configuration(lat, q, out, _validated=True)
 
 

@@ -59,6 +59,15 @@ class Rule:
         digits = [index // w % q for w in self.digit_weights]
         return np.asarray(self.local(digits), dtype=np.int64)
 
+    @cached_property
+    def finishes(self) -> dict[int, int]:
+        """The sparse step's finish cache: a digit sum x (weighed by
+        ``digit_weights``) maps to ``local`` of its base-q digits, each entry
+        filled by one scalar ``local`` call, at most ``dense1d.MAX_TABLE`` of
+        them.  It is not ``table``, which evaluates ``local`` on arrays for
+        the dense kernels, so that the sparse step stays a check on them."""
+        return {}
+
     def describe(self) -> str:
         return self.name
 

@@ -515,7 +515,8 @@ def _literal_step(rule, c):
 def test_step_matches_the_literal_local_rule(name):
     # the one step body, a weighted sum finished mod m or decoded into base-q
     # digits, is the local rule applied synchronously; mult and layered read
-    # their neighbourhood in order, so the digit order is pinned
+    # their neighbourhood in order, so the digit order is pinned; mult:23,23
+    # keeps a rule whose 529^2 digit sums outnumber the finish cache's cap
     rule = _window_series_cases()[name]
     lat = rule.lattice
     ball = lat.origin_ball(2 if lat.kind.startswith("free") else 6)
@@ -528,6 +529,52 @@ def test_step_matches_the_literal_local_rule(name):
             for s in cells}))
     for c in configs:
         assert engine.step(rule, c) == _literal_step(rule, c)
+
+
+def _random_configs(rule, seed, count=30):
+    """The zero configuration and ``count`` draws of one to eight cells of
+    the radius-6 ball, with states anywhere in the alphabet."""
+    lat, rng = rule.lattice, random.Random(seed)
+    ball = lat.origin_ball(6)
+    return [Configuration.zero(lat, rule.q)] + [
+        Configuration(lat, rule.q, {s: rng.randrange(1, rule.q)
+                                    for s in rng.sample(ball, rng.randint(1, 8))})
+        for _ in range(count)]
+
+
+def test_each_rule_finishes_from_its_own_cache():
+    # two rules of one class, alphabet and neighbourhood size but different
+    # local functions, stepped in turn on the same configurations: a finish
+    # cache shared by class or by (q, n) would hand one rule the other's
+    # values
+    from caexp.rules import SecondOrderRule
+    pairs = [
+        (presets.mult(3, 2), presets.mult(2, 3)),
+        (SecondOrderRule(LinearRule(Z, 3, {-1: 1, 1: 1})),
+         SecondOrderRule(LinearRule(Z, 3, {-1: 1, 1: 2}))),
+    ]
+    for a, b in pairs:
+        assert (type(a), a.q, len(a.neighborhood)) == (
+            type(b), b.q, len(b.neighborhood))
+        for c in _random_configs(a, 5):
+            for rule in (a, b):
+                assert engine.step(rule, c) == _literal_step(rule, c)
+        assert a.finishes and b.finishes
+        assert any(a.finishes[x] != b.finishes[x]
+                   for x in a.finishes.keys() & b.finishes.keys())
+
+
+@pytest.mark.parametrize("name", ["mult:23,23", "so-mod7"])
+def test_finish_cache_stops_growing_at_its_cap(monkeypatch, name):
+    # with the cap at 16 sums, the cache fills to the cap and no further,
+    # and the sums past it are still decoded exactly
+    from caexp import dense1d
+    monkeypatch.setattr(dense1d, "MAX_TABLE", 16)
+    rule = _window_series_cases()[name]
+    for c in _random_configs(rule, 13):
+        assert engine.step(rule, c) == _literal_step(rule, c)
+        assert len(rule.finishes) <= 16
+    assert len(rule.finishes) == 16
 
 
 def test_second_order_mod7_runs_dense_and_matches_sparse(monkeypatch):
