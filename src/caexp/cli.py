@@ -209,6 +209,7 @@ def cmd_check_kexp(args) -> int:
              kernel_dim=("none" if verdict.kernel_dim is None
                          else verdict.kernel_dim),
              certified=str(verdict.certified_exact).lower(),
+             horizon=verdict.horizon,
              artifacts=artifacts,
              wall_seconds=f"{time.perf_counter() - t0:.3f}")
     return 0

@@ -25,7 +25,8 @@ otherwise ``window_series_many``, also where decimation refuses a block.
   (``_bitgrid_runs``), and the sparse step for each other one;
 - ``spot_series`` (the orbit of a spot on a box, for a trace table): by
   decimation (``linearca.decimated_spot_series``) for linear rules with a
-  prime modulus on Z or Z^2 (``_decimation_runs``);
+  prime modulus on Z or Z^2 (``_decimation_runs``); ``admit_spot_series``
+  makes its checks and steps nothing;
 - ``first_nonzero_times``, the early-exit twin of ``window_series_many``:
   where ``_decimation_runs``, one state-1 spot series on the box of the
   offsets to the read sites from the support cells within their reach
@@ -278,6 +279,28 @@ def spot_series(rule: Rule, state: int, R: int, t_max: int) -> np.ndarray:
     if _decimation_runs(rule):
         return linearca.decimated_spot_series(rule, state, R, t_max)
     return window_series(rule, spot, size_domain(rule.lattice, R), t_max)
+
+
+def admit_spot_series(rule: Rule, state: int, R: int, t_max: int) -> None:
+    """Make every check ``spot_series(rule, state, R, t_max)`` makes before
+    its first step, through the same check functions, and step nothing: the
+    decimated run's word reads and its series' bytes where
+    ``_decimation_runs``, and otherwise the window series' bytes and the
+    dense1d cell steps or the sparse ball bound.  Every rule ``bitgrid``
+    runs decimates.  A reader of a shorter series so admitted is refused
+    exactly where the t_max series would be."""
+    spot = Configuration.spot(rule.lattice, rule.q, state)
+    _check_run(rule, [spot], t_max)
+    size_count(rule.lattice, R)  # refuses R < 0
+    if _decimation_runs(rule):
+        linearca._decimated_series_rows(rule, state, R, t_max)
+        return
+    sites = size_domain(rule.lattice, R)
+    check_array_bytes(8 * (t_max + 1) * len(sites), "an orbit window series")
+    if _dense1d_runs(rule, spot.cells, t_max):
+        dense1d._Frame(list(spot.cells), sites, rule.neighborhood, t_max)
+    else:
+        next(_sparse_orbit(rule, spot, t_max, sites))
 
 
 def first_nonzero_time(rule: Rule, c: Configuration, sites,

@@ -11,8 +11,13 @@ Over a prime field those traces form the columns of the bounded trace map.
 ``TraceTable`` is that map on one search box: it checks its size, lists the
 box, the window and the spot offsets, and takes its GF(p) kernel; a trivial
 kernel decides every candidate of a k >= 2 search at once, exactly and
-relative to the same t_max, and a k = 1 search reads one null mask per value
-class.  Every ``searched`` count follows the ``_candidates`` order.
+relative to the same t_max.  A k = 1 search reads one null mask per value
+class, on tables of doubling horizons h <= t_max from the box's light-cone
+time: a trace nonzero by h stays nonzero through t_max, so it stops at the
+first h with no null spot, or whose first null spot the exact oracle
+certifies, and its verdict is the t_max one.  Each verdict's ``horizon`` is
+the t that decided it.  Every ``searched`` count follows the ``_candidates``
+order.
 """
 from __future__ import annotations
 
@@ -49,6 +54,11 @@ class ExpansivityVerdict:
     certified_exact: bool = False
     searched: int = 0
     kernel_dim: int | None = None  # of the bounded trace map; None: not taken
+    horizon: int | None = None  # the t that decided the verdict; None: t_max
+
+    def __post_init__(self):
+        if self.horizon is None:
+            self.horizon = self.bounds["t_max"]
 
     def __str__(self):
         b = " ".join(f"{k}={v}" for k, v in sorted(self.bounds.items()))
@@ -95,6 +105,13 @@ def _search_box(lattice: Lattice, k: int, R: int, m: int, t_max: int) -> int:
 # ---------------------------------------------------------------------------
 # single-cell trace tables
 
+def _basis(rule: Rule) -> list[int]:
+    """The basis states of the rule's alphabet, one per cyclic component."""
+    n = len(rule.alphabet.moduli)
+    return [rule.alphabet.from_components([int(i == b) for i in range(n)])
+            for b in range(n)]
+
+
 class TraceTable:
     """The bounded trace map of a trace-additive rule on one search box.
 
@@ -115,29 +132,39 @@ class TraceTable:
     """
 
     def __init__(self, rule: Rule, R: int, m: int, t_max: int):
-        if not rule.is_linear:
-            raise UsageError("trace caching needs a rule linear for its alphabet law")
         lat = rule.lattice
         self.rule = rule
         self.alphabet = rule.alphabet
         self.moduli = rule.alphabet.moduli
         self.t_max = t_max
-        ncomp = len(self.moduli)
-        errors.check_array_bytes(
-            8 * ncomp * (t_max + 1) * size_count(lat, R + m), "the trace table")
+        self._check_bytes(rule, R, m, t_max)
         self.domain = size_domain(lat, R)
         self.window = lat.origin_ball(m)
         self.offsets = size_domain(lat, R + m)
         self._index = {y: i for i, y in enumerate(self.offsets)}
-        per_basis = []
-        for i in range(ncomp):
-            unit = [0] * ncomp
-            unit[i] = 1
-            series = engine.spot_series(
-                rule, rule.alphabet.from_components(unit), R + m, t_max)
-            # components work elementwise on arrays: [ci][offset, t]
-            per_basis.append(self.alphabet.components(series.T))
-        self._series = np.array(per_basis)  # [b, ci, offset, t]
+        # components work elementwise on arrays: [ci][offset, t]
+        self._series = np.array([  # [b, ci, offset, t]
+            self.alphabet.components(
+                engine.spot_series(rule, state, R + m, t_max).T)
+            for state in _basis(rule)])
+
+    @staticmethod
+    def _check_bytes(rule: Rule, R: int, m: int, t_max: int) -> None:
+        if not rule.is_linear:
+            raise UsageError("trace caching needs a rule linear for its alphabet law")
+        errors.check_array_bytes(
+            8 * len(rule.alphabet.moduli) * (t_max + 1)
+            * size_count(rule.lattice, R + m), "the trace table")
+
+    @classmethod
+    def admit(cls, rule: Rule, R: int, m: int, t_max: int) -> None:
+        """Make every check ``TraceTable(rule, R, m, t_max)`` makes before
+        its first step, its bytes and then each basis state's
+        ``engine.admit_spot_series``, and step nothing: a table read at a
+        shorter horizon is then refused where the t_max table would be."""
+        cls._check_bytes(rule, R, m, t_max)
+        for state in _basis(rule):
+            engine.admit_spot_series(rule, state, R + m, t_max)
 
     def null_at_window_cell(self, support_items, w) -> bool:
         """Is the summed trace at window cell w identically zero through t_max?"""
@@ -243,6 +270,65 @@ def _verify_witness(rule: Rule, cfg: Configuration, m: int, t_max: int) -> bool:
                                     t_max).any()
 
 
+def _null_forever(rule: Rule, cfg: Configuration, m: int) -> bool | None:
+    """``linearca.null_trace_forever`` on cfg, or None where the rule is
+    outside ``null_trace_decidable`` or the oracle refuses it."""
+    if not linearca.null_trace_decidable(rule):
+        return None
+    try:
+        return linearca.null_trace_forever(rule, cfg, m)
+    except ResourceLimitError:
+        return None
+
+
+def _witness(rule: Rule, cfg: Configuration, searched: int, bounds: dict,
+             horizon: int, certified: bool | None,
+             kernel_dim: int | None = None) -> ExpansivityVerdict:
+    """The verdict on a null candidate with its oracle verdict, once direct
+    simulation has re-verified it through t_max."""
+    if not _verify_witness(rule, cfg, bounds["m"], bounds["t_max"]):
+        raise RuntimeError(
+            f"trace cache and direct simulation disagree on {cfg!r}")
+    return ExpansivityVerdict(found=True, bounds=bounds, witness=cfg,
+                              certified_exact=bool(certified),
+                              searched=searched, kernel_dim=kernel_dim,
+                              horizon=horizon)
+
+
+def _kexp1_search(rule: Rule, R: int, m: int, t_max: int, count: int,
+                  bounds: dict) -> ExpansivityVerdict:
+    """The k = 1 search, read at doubling horizons h <= t_max.
+
+    A trace nonzero by h stays nonzero through t_max, so at every h the
+    candidates before the first one null through h are decided, and none
+    null means none null through t_max.  The first null candidate is the
+    t_max search's witness once ``null_trace_forever`` certifies it; where
+    the oracle says no, h doubles, and where it cannot answer, h jumps to
+    t_max.  The first h is the box's light-cone time, the largest offset
+    norm over the rule radius, plus one: before it the far spots are null by
+    the light cone alone.  The t_max table is admitted first, so the search
+    is refused where it would be, and each table is built anew at its h."""
+    TraceTable.admit(rule, R, m, t_max)
+    lat = rule.lattice
+    # the size-(R + m) box's largest norm, R + m times the size-1 box's on
+    # Z, Z^2 and free groups alike
+    far = (R + m) * max(map(lat.norm, size_domain(lat, 1)))
+    h = min(far // max(rule.radius, 1) + 1, t_max)
+    oracle: dict = {}  # a candidate's null_trace_forever, asked once
+    while True:
+        hits = _first_null_spot(TraceTable(rule, R, m, h), rule.q)
+        if not hits:
+            return ExpansivityVerdict(found=False, bounds=bounds,
+                                      searched=count, horizon=h)
+        searched, items = hits[0]
+        cfg = Configuration(lat, rule.q, dict(items), _validated=True)
+        if items not in oracle:
+            oracle[items] = _null_forever(rule, cfg, m)
+        if h == t_max or oracle[items]:
+            return _witness(rule, cfg, searched, bounds, h, oracle[items])
+        h = t_max if oracle[items] is None else min(2 * h, t_max)
+
+
 def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
                 t_max: int) -> ExpansivityVerdict:
     """Hunt for a k-cell configuration whose radius-``window`` trace is null
@@ -256,11 +342,15 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
     has a trace null through t_max, so none has one null forever: that
     decides every candidate at once, exactly and for all time on the box,
     and the verdict counts them all as searched and is ``certified_exact``.
-    k = 1 reads one ``null_offsets`` mask per value class; larger k walk
-    the candidates in ``_candidates`` order, summing cached spot traces.
-    A found witness is re-verified by direct simulation and certified for all
-    time where ``linearca.null_trace_forever`` decides the rule within its
-    budget.  ``kernel_dim`` on the verdict is None when no rank was computed.
+    Larger k walk the candidates in ``_candidates`` order, summing cached
+    spot traces.  k = 1 reads one ``null_offsets`` mask per value class, on
+    tables of doubling horizons (``_kexp1_search``): its verdict is the t_max
+    verdict, and ``horizon`` on it is the t that decided it; every other
+    verdict has horizon t_max.
+    A found witness is re-verified by direct simulation through t_max and
+    certified for all time where ``linearca.null_trace_forever`` decides the
+    rule within its budget.  ``kernel_dim`` on the verdict is None when no
+    rank was computed.
     """
     box = _search_box(rule.lattice, k, support_radius, window, t_max)
     count = _capped_count(box, rule.q, k, _MAX_CANDIDATES)
@@ -271,32 +361,22 @@ def kexp_search(rule: Rule, k: int, support_radius: int, window: int,
             f"the {_MAX_CANDIDATES} candidate budget")
     if count == 0:  # k exceeds the box: no candidate, so no table to build
         return ExpansivityVerdict(found=False, bounds=bounds, searched=0)
+    if k == 1:
+        return _kexp1_search(rule, support_radius, window, t_max, count,
+                             bounds)
     table = TraceTable(rule, support_radius, window, t_max)
-    # the loop reads about t_max + 1 entries per component and candidate;
-    # k = 1 takes no rank, since its masks read each column once per value
+    # the loop reads about t_max + 1 entries per component and candidate
     loop_work = count * (t_max + 1) * len(table.moduli)
-    kernel_dim = table.kernel_dim(loop_work) if k >= 2 else None
+    kernel_dim = table.kernel_dim(loop_work)
     if kernel_dim == 0:
         return ExpansivityVerdict(found=False, bounds=bounds, searched=count,
                                   certified_exact=True, kernel_dim=0)
-    hits = _first_null_spot(table, rule.q) if k == 1 else (
-        (n, items) for n, items in enumerate(
-            _candidates(table.domain, rule.q, k), 1)
-        if all(table.null_at_window_cell(items, w) for w in table.window))
-    for searched, items in hits:
-        cfg = Configuration(rule.lattice, rule.q, dict(items), _validated=True)
-        if not _verify_witness(rule, cfg, window, t_max):
-            raise RuntimeError(
-                f"trace cache and direct simulation disagree on {cfg!r}")
-        certified = False
-        if linearca.null_trace_decidable(rule):
-            try:
-                certified = linearca.null_trace_forever(rule, cfg, window)
-            except ResourceLimitError:
-                pass  # the bounded verdict stands, uncertified
-        return ExpansivityVerdict(found=True, bounds=bounds, witness=cfg,
-                                  certified_exact=certified,
-                                  searched=searched, kernel_dim=kernel_dim)
+    for n, items in enumerate(_candidates(table.domain, rule.q, k), 1):
+        if all(table.null_at_window_cell(items, w) for w in table.window):
+            cfg = Configuration(rule.lattice, rule.q, dict(items),
+                                _validated=True)
+            return _witness(rule, cfg, n, bounds, t_max,
+                            _null_forever(rule, cfg, window), kernel_dim)
     return ExpansivityVerdict(found=False, bounds=bounds, searched=count,
                               kernel_dim=kernel_dim)
 

@@ -285,15 +285,23 @@ def decimated_spot_series(rule: LinearRule, state: int, R: int,
     their dtype, uint8 for p = 2 and int64 otherwise, copied into one array
     whose bytes are checked against the array cap after the run's own
     checks, before any array exists."""
-    rows = _decimated_rows(rule, state, R, t_max)
-    dtype = np.dtype(np.uint8 if rule.m == 2 else np.int64)
+    rows = _decimated_series_rows(rule, state, R, t_max)
     d = 2 if isinstance(rule.lattice, Z2Lattice) else 1
-    check_array_bytes(dtype.itemsize * (t_max + 1) * (2 * R + 1) ** d,
-                      "a decimated spot series")
-    series = np.empty((t_max + 1,) + (2 * R + 1,) * d, dtype=dtype)
+    series = np.empty((t_max + 1,) + (2 * R + 1,) * d,
+                      dtype=np.uint8 if rule.m == 2 else np.int64)
     for t, row in rows:
         series[t] = row
     return series.reshape(t_max + 1, -1)
+
+
+def _decimated_series_rows(rule: LinearRule, state: int, R: int, t_max: int):
+    """The rows of ``decimated_spot_series``, not yet stepped, once every
+    check it makes has passed."""
+    rows = _decimated_rows(rule, state, R, t_max)
+    d = 2 if isinstance(rule.lattice, Z2Lattice) else 1
+    check_array_bytes((1 if rule.m == 2 else 8) * (t_max + 1)
+                      * (2 * R + 1) ** d, "a decimated spot series")
+    return rows
 
 
 def decimated_first_nonzero_times(rule: LinearRule, configs, sites,

@@ -121,6 +121,19 @@ def test_check_kexp_certifies_tri2_witness(capsys):
     assert "found=true" in out and "certified=true" in out
 
 
+def test_check_kexp_prints_the_deciding_horizon(capsys):
+    # the tri2 witness is certified at t=172, read at t=43, 86 and 172; the
+    # verdict line keeps its t_max
+    assert run(["check-kexp", "--rule", "tri2", "--k", "1",
+                "--support-radius", "40", "--window", "2", "--tmax", "512"]) == 0
+    out = capsys.readouterr().out
+    assert "horizon=172\n" in out
+    assert "verdict: witness (exact) [R=40 k=1 m=2 t_max=512]\n" in out
+    assert run(["check-kexp", "--rule", "f2", "--k", "2",
+                "--support-radius", "3", "--window", "1", "--tmax", "16"]) == 0
+    assert "horizon=16\n" in capsys.readouterr().out
+
+
 def test_check_kexp_writes_witness(tmp_path, capsys):
     out = tmp_path / "w"
     code = run(["check-kexp", "--rule", "linear m=4 coeffs=1:2", "--k", "1",

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caexp import bitgrid, dense1d, engine, errors, expansivity, linearca, presets
+from caexp import (bitgrid, cone, dense1d, engine, errors, expansivity,
+                   linearca, presets)
 from caexp.config import Configuration, random_config
 from caexp.errors import ResourceLimitError, UsageError
 from caexp.expansivity import (directional_fronts, g_value, kexp_search,
@@ -632,3 +633,148 @@ def test_empty_search_builds_no_table(monkeypatch):
     assert not verdict.found
     assert verdict.searched == 0 and verdict.kernel_dim is None
 
+
+
+# k = 1 searches read their tables at doubling horizons; each verdict is the
+# t_max one, so it equals the candidate loop at t_max
+
+@pytest.mark.parametrize("spec,R,m,t_max", [
+    ("f2", 4, 1, 128),
+    ("f3", 4, 1, 243),
+    ("psi", 4, 1, 256),
+    ("upsilon", 3, 1, 128),
+    ("layered:2", 3, 1, 64),
+    ("vn2", 4, 1, 128),
+    ("tri2", 4, 1, 128),
+    ("tri2", 6, 2, 256),
+    ("lambda:2", 2, 1, 16),
+    ("linear m=4 coeffs=-1:2,1:2", 4, 1, 128),    # prime power
+    ("linear m=9 coeffs=-1:3,0:1,1:3", 4, 1, 81),
+    ("linear m=6 coeffs=-1:3,1:2", 4, 1, 128),    # composite
+    ("linear m=6 coeffs=-1:1,1:1", 4, 1, 128),
+    ("linear m=4 coeffs=3:1", 10, 1, 512),         # uncertifiable witness
+    ("linear lattice=z2 m=3 coeffs=0,1:1;1,0:2", 3, 1, 81),
+    ("linear lattice=z2 m=6 coeffs=0,1:1;1,0:5", 2, 1, 64),
+    ("linear lattice=free:2 m=3 coeffs=a:1,B:2", 2, 1, 16),
+    ("linear lattice=free:2 m=4 coeffs=a:2,b:2", 2, 1, 16),
+])
+def test_k1_horizon_verdicts_equal_the_loop_at_t_max(spec, R, m, t_max):
+    verdict = _assert_k1_agrees(presets.parse_rule(spec), R, m, t_max)
+    assert 0 < verdict.horizon <= t_max
+
+
+def test_k1_horizons_stop_early():
+    # decided before t_max: no null spot (f3, psi, vn2), or a first null
+    # spot the oracle certifies (tri2, read at t = 8, 16 and 32); an
+    # uncertifiable one reads t_max
+    for spec, R, m, t_max, horizon in [
+            ("f3", 5, 1, 243, 7), ("psi", 5, 1, 256, 7),
+            ("vn2", 4, 1, 128, 11), ("tri2", 6, 1, 256, 32),
+            ("linear m=4 coeffs=3:1", 10, 1, 512, 512)]:
+        verdict = kexp_search(presets.parse_rule(spec), 1, R, m, t_max)
+        assert verdict.horizon == horizon, spec
+    # every other search decides at t_max
+    assert kexp_search(presets.f2(), 2, 3, 1, 16).horizon == 16
+    assert pair_preexp_probe(presets.mult(3, 2), 1, 2, 1, 8).horizon == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_k1_horizon_verdicts_equal_the_loop_on_random_linear_rules(data):
+    lat = data.draw(st.sampled_from([Z, Z2]))
+    m = data.draw(st.sampled_from([2, 3, 4, 6, 9]))
+    site = (st.integers(-2, 2) if lat is Z
+            else st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    coeffs = data.draw(st.dictionaries(site, st.integers(1, m - 1),
+                                       min_size=1, max_size=4))
+    _assert_k1_agrees(LinearRule(lat, m, coeffs), data.draw(st.integers(0, 3)),
+                      data.draw(st.integers(0, 2)),
+                      data.draw(st.integers(16, 128)))
+
+
+@pytest.mark.parametrize("spec,t_max", [
+    ("f3", 10 ** 6),     # decimation word reads
+    ("vn2", 10 ** 6),
+    ("linear lattice=z2 m=3 coeffs=0,1:1;1,0:1", 10 ** 7),
+    ("psi", 20_000),     # dense1d cell steps
+    ("lambda:2", 40),    # the sparse ball bound
+])
+def test_k1_refusals_come_before_any_row(spec, t_max, monkeypatch):
+    # the spot at the origin reads the window at t = 0, so the first
+    # horizon would decide the search; the t_max table is refused first
+    def built(*args):
+        raise AssertionError("a spot series was built")
+    rule = presets.parse_rule(spec)
+    with pytest.raises(ResourceLimitError):
+        expansivity.TraceTable(rule, 0, 0, t_max)
+    monkeypatch.setattr(engine, "spot_series", built)
+    monkeypatch.setattr(dense1d, "steps", built)
+    monkeypatch.setattr(engine, "_step", built)
+    with pytest.raises(ResourceLimitError):
+        kexp_search(rule, 1, 0, 0, t_max)
+
+
+@pytest.mark.parametrize("spec", [
+    "f3", "vn2", "psi", "upsilon", "linear m=4 coeffs=-1:1,1:1",
+    "linear lattice=z2 m=4 coeffs=0,1:1;1,0:1", "lambda:2"])
+def test_spot_series_admission_refuses_where_the_series_would(spec,
+                                                              monkeypatch):
+    # under small caps: decimation, dense1d and the sparse orbit each admit
+    # some runs and refuse others, and admission agrees with the build
+    monkeypatch.setattr(cone, "MAX_CELL_STEPS", 20_000)
+    monkeypatch.setattr(engine, "MAX_SPARSE_CELLS", 20_000)
+    rule = presets.parse_rule(spec)
+    seen = set()
+    for R, t_max in itertools.product((0, 3), (4, 16, 64, 256)):
+        outcomes = []
+        for run in (engine.admit_spot_series, engine.spot_series):
+            try:
+                run(rule, 1, R, t_max)
+                outcomes.append(True)
+            except ResourceLimitError:
+                outcomes.append(False)
+        assert outcomes[0] == outcomes[1], (R, t_max)
+        seen.add(outcomes[0])
+    assert seen == {True, False}
+
+
+def test_spot_series_admission_steps_nothing(monkeypatch):
+    def stepped(*args):
+        raise AssertionError("admission stepped")
+    monkeypatch.setattr(dense1d, "steps", stepped)
+    monkeypatch.setattr(engine, "_step", stepped)
+    for spec in ("f3", "vn2", "psi", "lambda:2"):
+        expansivity.TraceTable.admit(presets.parse_rule(spec), 2, 1, 16)
+
+
+def test_early_certified_witness_is_verified_once_through_t_max(monkeypatch):
+    calls = []
+    verify = expansivity._verify_witness
+
+    def counted(rule, cfg, m, t_max):
+        calls.append((dict(cfg.cells), t_max))
+        return verify(rule, cfg, m, t_max)
+    monkeypatch.setattr(expansivity, "_verify_witness", counted)
+    verdict = kexp_search(presets.tri2(), 1, 6, 1, 256)
+    assert verdict.certified_exact and verdict.horizon < 256
+    assert calls == [(verdict.witness.cells, 256)]
+    # mod 4 is outside the oracle: the first null spot is read at t_max
+    calls.clear()
+    rule = presets.parse_rule("linear m=4 coeffs=3:1")
+    verdict = _assert_k1_agrees(rule, 10, 1, 512)
+    assert (verdict.found, verdict.searched, verdict.certified_exact,
+            verdict.horizon) == (True, 1, False, 512)
+    assert calls == [(verdict.witness.cells, 512)]
+
+
+@pytest.mark.parametrize("spec,R,m,t_max,searched,witness", [
+    ("vn2", 60, 2, 1024, 14641, None),
+    ("tri2", 40, 2, 1024, 42, {(-40, 1): 1}),
+    ("psi", 60, 1, 4096, 968, None),
+    ("f3", 60, 2, 8192, 242, None),
+])
+def test_deep_k1_searches_keep_their_verdicts(spec, R, m, t_max, searched,
+                                              witness):
+    verdict = kexp_search(presets.parse_rule(spec), 1, R, m, t_max)
+    assert verdict.searched == searched
+    assert (verdict.witness.cells if verdict.found else None) == witness
